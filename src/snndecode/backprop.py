@@ -13,6 +13,11 @@ gradient crosses it through the box-window surrogate.  The companion
 network (spikes replaced by their first-order model around a recorded
 trajectory) by central differences, which is the correct reference for
 what `backward` computes.
+
+The weight and input gradients are products over the flattened
+(batch * time) rows and over the layer width.  They go through the same
+fixed-depth blocked product as the training forward, so a trained model
+is bit-identical at any BLAS thread count, whatever the layer widths.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .network import (
     NetworkParams,
     NetworkSpec,
     TrainingCache,
+    _blocked_gemm,
     _layer_normalized,
 )
 from .neuron import RESET_SUBTRACT, surrogate_grad
@@ -171,8 +177,11 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             grad_beta = np.zeros_like(layer.norm.beta)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs
-        grad_weight = np.einsum("btj,bti->ji", grad_cur, act_in)
-        grad_fed = grad_cur @ layer.weight
+        grad_rows = grad_cur.reshape(B * T, -1)
+        grad_weight = _blocked_gemm(grad_rows.T, act_in.reshape(B * T, -1))
+        if l > 0:                   # the network input needs no gradient
+            grad_fed = _blocked_gemm(grad_rows, layer.weight)
+            grad_fed = grad_fed.reshape(act_in.shape)
 
         bad = ~np.isfinite(grad_weight).all() or ~np.isfinite(grad_tau).all()
         if bad or not np.isfinite(grad_cur).all():

@@ -96,14 +96,16 @@ def tdbn_backward(grad_out, xhat, inv_std, gamma, threshold):
     respect to the raw currents plus the per-channel gamma and beta
     gradients.
     """
-    pop = int(np.prod(grad_out.shape[:-1]))
-    axes = tuple(range(grad_out.ndim - 1))
-    grad_beta = grad_out.sum(axis=axes)
-    grad_gamma = threshold * (grad_out * xhat).sum(axis=axes)
+    channels = grad_out.shape[-1]
+    flat_grad = grad_out.reshape(-1, channels)
+    pop = len(flat_grad)
+    grad_beta = flat_grad.sum(axis=0)
+    grad_xhat_dot = np.einsum("ij,ij->j", flat_grad,
+                              xhat.reshape(-1, channels))
     # standard batch-norm backward on xhat, with the extra threshold*gamma
-    # factor folded into the upstream gradient
-    g = grad_out * (threshold * gamma)
-    g_sum = g.sum(axis=axes)
-    gx_sum = (g * xhat).sum(axis=axes)
-    grad_in = (inv_std / pop) * (pop * g - g_sum - xhat * gx_sum)
-    return grad_in, grad_gamma, grad_beta
+    # factor folded into one per-channel scale
+    scale = (threshold * gamma) * inv_std
+    grad_in = grad_out * scale
+    grad_in -= xhat * (scale * grad_xhat_dot / pop)
+    grad_in -= scale * grad_beta / pop
+    return grad_in, threshold * grad_xhat_dot, grad_beta

@@ -68,27 +68,35 @@ def _read_container(path):
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a model checkpoint (bad magic)")
+    if len(raw) < 4 + _HEAD.size:
+        raise DataError(f"{path}: truncated checkpoint (fixed header)")
     version, hlen = _HEAD.unpack_from(raw, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
         header = json.loads(raw[10:10 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
+        kind, meta, manifest = header["kind"], header["meta"], header["arrays"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
     arrays = {}
     offset = 10 + hlen
-    for name, dtype_str, shape in header["arrays"]:
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + count * dtype.itemsize
-        if end > len(raw):
-            raise DataError(f"{path}: truncated checkpoint (array {name!r})")
-        arrays[name] = np.frombuffer(
-            raw[offset:end], dtype=dtype).reshape(shape).copy()
-        offset = end
+    try:
+        for name, dtype_str, shape in manifest:
+            dtype = np.dtype(dtype_str)
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            end = offset + count * dtype.itemsize
+            if end > len(raw):
+                raise DataError(
+                    f"{path}: truncated checkpoint (array {name!r})")
+            arrays[name] = np.frombuffer(
+                raw[offset:end], dtype=dtype).reshape(shape).copy()
+            offset = end
+    except (ValueError, TypeError) as exc:
+        raise DataError(
+            f"{path}: corrupt checkpoint array table: {exc!r}") from exc
     if offset != len(raw):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")
-    return header["kind"], header["meta"], arrays
+    return kind, meta, arrays
 
 
 def read_kind(path) -> str:

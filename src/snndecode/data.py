@@ -157,12 +157,22 @@ def _load_binary(path):
         raise DataError(f"cannot read {path}: {e}") from e
     if raw[:4] != _BINARY_MAGIC:
         raise DataError(f"{path}: not a frame container (bad magic)")
+    if len(raw) < 12:
+        raise DataError(f"{path}: truncated frame container (fixed header)")
     version, blob_len = struct.unpack_from("<II", raw, 4)
     if version != _BINARY_VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    meta_doc = json.loads(raw[12:12 + blob_len])
-    channels = int(meta_doc["channel_count"])
-    count = int(meta_doc["sample_count"])
+    try:
+        meta_doc = json.loads(raw[12:12 + blob_len])
+        channels = int(meta_doc["channel_count"])
+        count = int(meta_doc["sample_count"])
+        frame_ms = float(meta_doc["frame_ms"])
+        provenance = str(meta_doc["provenance"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: malformed frame header: {e!r}") from e
+    if channels < 1 or count < 0:
+        raise DataError(f"{path}: bad frame header counts "
+                        f"({channels} channels, {count} samples)")
     body = raw[12 + blob_len:]
     expect = count * (channels + 2) * 4
     if len(body) != expect:
@@ -172,8 +182,7 @@ def _load_binary(path):
         )
     table = np.frombuffer(body, dtype="<f4").reshape(count, channels + 2)
     return _make_frameset(table[:, :-2].copy(), table[:, -2:].copy(),
-                          float(meta_doc["frame_ms"]),
-                          str(meta_doc["provenance"]))
+                          frame_ms, provenance)
 
 
 def load_frames(path, fmt: str | None = None) -> FrameSet:

@@ -36,6 +36,12 @@ from .neuron import (
 TRAIN = batchnorm.TRAIN
 EVAL = batchnorm.EVAL
 
+# Reduction depth of one block in the batched training products.  BLAS
+# may split a longer reduction differently depending on its thread count,
+# which changes the rounding; blocks no deeper than this, added in a
+# fixed order, give the same bits at any thread count.
+GEMM_BLOCK = 256
+
 
 @dataclass
 class NetworkSpec:
@@ -246,6 +252,19 @@ def _layer_dropped(spec: NetworkSpec, l: int) -> bool:
     return True
 
 
+def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D operands, independent of the BLAS thread count.
+
+    The shared axis is cut into blocks of :data:`GEMM_BLOCK`; each block is
+    one BLAS product and the partial products are added first to last.
+    A reduction no deeper than one block is a single plain product.
+    """
+    out = a[:, :GEMM_BLOCK] @ b[:GEMM_BLOCK]
+    for lo in range(GEMM_BLOCK, a.shape[1], GEMM_BLOCK):
+        out += a[:, lo:lo + GEMM_BLOCK] @ b[lo:lo + GEMM_BLOCK]
+    return out
+
+
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                      windows: np.ndarray, mode: str = EVAL,
                      rng: np.random.Generator | None = None):
@@ -297,8 +316,9 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
 
         wt = layer.weight.T
         if mode == TRAIN:
-            # one big matmul over (batch*time, width): fastest path
-            cur = (act.reshape(B * T, -1) @ wt).reshape(B, T, width)
+            # one blocked matmul over all (batch*time) rows: fastest path
+            cur = _blocked_gemm(act.reshape(B * T, -1), wt)
+            cur = cur.reshape(B, T, width)
         else:
             # per-timestep matmul keeps the arithmetic bitwise identical
             # to the streaming pass

@@ -29,13 +29,6 @@ class AdamWState:
     m: list        # one dict per layer: field name -> accumulator array
     v: list
 
-    def copy(self) -> "AdamWState":
-        return AdamWState(
-            step=self.step,
-            m=[{k: a.copy() for k, a in layer.items()} for layer in self.m],
-            v=[{k: a.copy() for k, a in layer.items()} for layer in self.v],
-        )
-
 
 def _param_arrays(layer):
     return {
@@ -75,14 +68,13 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
     afterwards.  Inputs are left untouched.
     """
     new_params = params.copy()
-    new_state = state.copy()
-    new_state.step += 1
-    t = new_state.step
+    t = state.step + 1
     bias1 = 1.0 - beta1 ** t
     bias2 = 1.0 - beta2 ** t
 
+    new_m, new_v = [], []
     for layer, grad, m, v in zip(new_params.layers, grads.layers,
-                                 new_state.m, new_state.v):
+                                 state.m, state.v):
         arrays = _param_arrays(layer)
         grad_arrays = {
             "weight": grad.weight,
@@ -90,16 +82,19 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
             "gamma": grad.gamma,
             "beta": grad.beta,
         }
+        layer_m, layer_v = {}, {}
         for name in _FIELDS:
             p = arrays[name]
             g = np.asarray(grad_arrays[name], dtype=p.dtype)
             if name == "weight" and weight_decay:
                 p *= 1.0 - learning_rate * weight_decay
-            m[name] = beta1 * m[name] + (1.0 - beta1) * g
-            v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
-            m_hat = m[name] / bias1
-            v_hat = v[name] / bias2
+            layer_m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            layer_v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+            m_hat = layer_m[name] / bias1
+            v_hat = layer_v[name] / bias2
             p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         np.clip(layer.tau, 0.0, 1.0, out=layer.tau)
+        new_m.append(layer_m)
+        new_v.append(layer_v)
 
-    return new_params, new_state
+    return new_params, AdamWState(step=t, m=new_m, v=new_v)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,20 @@ def test_rejects_garbage_and_truncation(tmp_path):
     cut.write_bytes(blob[:len(blob) - 40])
     with pytest.raises(DataError, match="truncated"):
         load_snn(cut)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"kind": "snn"}',
+    b'{"arrays": 5, "kind": "snn", "meta": {}}',
+    b'{"arrays": [["w", "zz", [1]]], "kind": "snn", "meta": {}}',
+    b'{"arrays": [["w", "<f4"]], "kind": "snn", "meta": {}}',
+])
+def test_rejects_malformed_header(tmp_path, header):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"SNNC" + struct.pack("<HI", 1, len(header)) + header
+                    + bytes(8))
+    with pytest.raises(DataError):
+        load_snn(bad)
 
 
 def test_missing_file():

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -137,6 +138,34 @@ def test_exit_codes(dataset, tmp_path, capsys):
     assert main(["train", "--data", str(dataset), "--out", str(ckpt),
                  "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_short_files_exit_2(dataset, tmp_path, capsys):
+    # shorter than the fixed header that follows the magic
+    frames = tmp_path / "short.bin"
+    frames.write_bytes(b"SNNF\x01\x00")
+    assert main(["train", "--data", str(frames),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    model = tmp_path / "short.ckpt"
+    model.write_bytes(b"SNNC\x01")
+    assert main(["eval", "--model", str(model), "--data", str(dataset)]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["channel_count", "sample_count",
+                                 "frame_ms", "provenance"])
+def test_frame_header_missing_key_exits_2(dataset, tmp_path, capsys, key):
+    raw = dataset.read_bytes()
+    _, blob_len = struct.unpack_from("<II", raw, 4)
+    meta = json.loads(raw[12:12 + blob_len])
+    del meta[key]
+    blob = json.dumps(meta).encode()
+    bad = tmp_path / "nokey.bin"
+    bad.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+                    + raw[12 + blob_len:])
+    assert main(["kf", "--data", str(bad),
+                 "--out", str(tmp_path / "kf.ckpt")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,24 @@ def test_nonfinite_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises(DataError):
         load_frames("/nonexistent/frames.bin")
+
+
+@pytest.mark.parametrize("header", [
+    {"channel_count": 0, "sample_count": 1, "frame_ms": 50.0,
+     "provenance": "external"},
+    {"channel_count": 1, "sample_count": -1, "frame_ms": 50.0,
+     "provenance": "external"},
+    {"channel_count": "many", "sample_count": 1, "frame_ms": 50.0,
+     "provenance": "external"},
+    [1, 2],
+])
+def test_bad_binary_header_rejected(tmp_path, header):
+    blob = json.dumps(header).encode()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"SNNF" + struct.pack("<II", 1, len(blob)) + blob
+                     + bytes(8))
+    with pytest.raises(DataError, match="frame header"):
+        load_frames(path)
 
 
 def test_format_sniffing(tmp_path):

@@ -12,6 +12,7 @@ from snndecode import (
     init_params,
     reset_state,
 )
+from snndecode.network import GEMM_BLOCK, _blocked_gemm
 
 SMALL = NetworkSpec(layer_widths=(6, 12, 12, 2), window_len=5)
 
@@ -220,3 +221,35 @@ class TestStreaming:
         params = init_params(SMALL, np.random.default_rng(20))
         with pytest.raises(ValueError):
             forward_streaming(params, SMALL, np.zeros(5), reset_state(SMALL))
+
+
+class TestBlockedGemm:
+    @staticmethod
+    def operands(m, k, n, seed=0):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        return a, b
+
+    @pytest.mark.parametrize("k", [1, 96, GEMM_BLOCK - 1, GEMM_BLOCK])
+    def test_single_block_is_plain_product(self, k):
+        a, b = self.operands(70, k, 33)
+        np.testing.assert_array_equal(_blocked_gemm(a, b), a @ b)
+        # transposed views, as the weight gradient passes them
+        np.testing.assert_array_equal(_blocked_gemm(b.T, a.T), b.T @ a.T)
+
+    @pytest.mark.parametrize("k", [
+        GEMM_BLOCK + 1, 2 * GEMM_BLOCK - 1, 2 * GEMM_BLOCK,
+        2 * GEMM_BLOCK + 1, 3 * GEMM_BLOCK - 1, 3 * GEMM_BLOCK,
+        3 * GEMM_BLOCK + 1,
+    ])
+    def test_multi_block_matches_float64(self, k):
+        a, b = self.operands(40, k, 24, seed=k)
+        got = _blocked_gemm(a, b)
+        assert got.dtype == np.float32 and got.shape == (40, 24)
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        # worst-case float32 summation bound over k terms
+        bound = k * np.finfo(np.float32).eps * (np.abs(a64) @ np.abs(b64))
+        assert (np.abs(got - a64 @ b64) <= bound).all()
+        got_t = _blocked_gemm(b.T, a.T)
+        assert (np.abs(got_t - (a64 @ b64).T) <= bound.T).all()

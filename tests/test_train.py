@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,3 +181,52 @@ def test_decode_sequence_shapes():
     preds = decode_sequence(params, spec, feats)
     assert preds.shape == (50, 2)
     assert np.isfinite(preds).all()
+
+
+# ------------------------------------------------------ thread determinism
+
+# A 600-channel input layer puts a reduction depth of 600 into the
+# training-mode forward product and 600 columns into the layer-0 weight
+# gradient; 199 windows at batch size 128 leave a last batch of 71
+# windows, i.e. a 710-row reduction in every weight gradient.  Unblocked
+# BLAS products of those depths round differently at 1 and 4 threads.
+THREAD_JOB = textwrap.dedent("""\
+    import hashlib
+    import numpy as np
+    from snndecode.network import NetworkSpec
+    from snndecode.train import TrainConfig, fit, make_windows
+
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(208, 600)).astype(np.float32)
+    vels = rng.normal(size=(208, 2)).astype(np.float32)
+    config = TrainConfig(epochs=2, batch_size=128, window_len=10, seed=4)
+    spec = NetworkSpec(layer_widths=(600, 64, 64, 2), window_len=10)
+    ds = make_windows(feats, vels, config.window_len)
+    params, log = fit(ds, config, spec=spec,
+                      val_features=feats[:40], val_velocities=vels[:40])
+    digest = hashlib.sha256(log.canonical().encode())
+    for layer in params.layers:
+        for arr in (layer.weight, layer.tau, layer.norm.gamma,
+                    layer.norm.beta, layer.norm.run_mean,
+                    layer.norm.run_var):
+            digest.update(arr.tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_training_bits_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(threads):
+        env = dict(os.environ,
+                   OMP_NUM_THREADS=str(threads),
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   MKL_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", THREAD_JOB], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        return proc.stdout.strip()
+
+    assert run(1) == run(4), "trained model differs across BLAS threads"
