@@ -12,12 +12,11 @@ from .neuron import (
     RESET_ZERO,
     LifLayerState,
     LifParams,
-    SurrogateSpec,
     lif_step,
     output_step,
     surrogate_grad,
 )
-from .batchnorm import EVAL, TRAIN, batch_stats, normalize, tdbn_apply
+from .batchnorm import EVAL, TRAIN, batch_stats, normalize
 from .network import (
     LayerParams,
     NetworkParams,
@@ -41,7 +40,6 @@ __all__ = [
     "RESET_ZERO",
     "LifLayerState",
     "LifParams",
-    "SurrogateSpec",
     "lif_step",
     "output_step",
     "surrogate_grad",
@@ -49,7 +47,6 @@ __all__ = [
     "TRAIN",
     "batch_stats",
     "normalize",
-    "tdbn_apply",
     "LayerParams",
     "NetworkParams",
     "NetworkSpec",

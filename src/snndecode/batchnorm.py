@@ -11,6 +11,7 @@ That scaling keeps layer firing rates in a workable range and is what
 makes deep spike-driven stacks trainable.  At inference time the running
 (exponential-moving-average) statistics are used instead, which makes the
 transform a fixed per-channel affine map, applicable one frame at a time.
+The trainer advances the running statistics after every batch.
 
 Variances are population (biased) moments throughout, including the
 running ones.
@@ -51,41 +52,6 @@ def normalize(currents, mean, var, gamma, beta, threshold, eps):
     xhat = (currents - mean) * inv_std
     out = threshold * gamma * xhat + beta
     return out, xhat, inv_std
-
-
-def tdbn_apply(currents, gamma, beta, run_mean, run_var, threshold, mode,
-               eps=1e-5, momentum=0.1):
-    """Normalize a current tensor in either training or inference mode.
-
-    Training mode computes fresh statistics over the pooled leading axes
-    (requiring a population of at least 2) and also returns running
-    statistics advanced by one exponential-moving-average step; the caller
-    decides whether to keep them.  Inference mode applies the stored
-    running statistics and returns them unchanged.
-
-    Returns
-    -------
-    (ndarray, ndarray, ndarray)
-        ``(normalized, new_run_mean, new_run_var)``.
-    """
-    currents = np.asarray(currents)
-    if mode == TRAIN:
-        pop = int(np.prod(currents.shape[:-1]))
-        if pop < 2:
-            raise ValueError(
-                f"training-mode normalization needs a batch*time population "
-                f"of at least 2 per channel, got {pop}"
-            )
-        mean, var = batch_stats(currents)
-        out, _, _ = normalize(currents, mean, var, gamma, beta, threshold, eps)
-        new_mean = (1.0 - momentum) * run_mean + momentum * mean
-        new_var = (1.0 - momentum) * run_var + momentum * var
-        return out, new_mean.astype(run_mean.dtype), new_var.astype(run_var.dtype)
-    if mode == EVAL:
-        out, _, _ = normalize(currents, run_mean, run_var, gamma, beta,
-                              threshold, eps)
-        return out, run_mean, run_var
-    raise ValueError(f"unknown normalization mode {mode!r}")
 
 
 def tdbn_backward(grad_out, xhat, inv_std, gamma, threshold):

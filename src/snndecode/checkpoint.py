@@ -19,6 +19,7 @@ standardizer) and ``"kf"`` (Kalman model + standardizer).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -99,12 +100,6 @@ def _read_container(path):
     return kind, meta, arrays
 
 
-def read_kind(path) -> str:
-    """Peek at which model family a checkpoint holds."""
-    kind, _, _ = _read_container(path)
-    return kind
-
-
 def _standardizer_arrays(std: Standardizer):
     return [
         ("std.feat_mean", std.feat_mean),
@@ -114,13 +109,13 @@ def _standardizer_arrays(std: Standardizer):
     ]
 
 
-def _standardizer_from(arrays, meta) -> Standardizer:
+def _standardizer_from(arrays, degenerate_channels) -> Standardizer:
     return Standardizer(
         feat_mean=arrays["std.feat_mean"],
         feat_std=arrays["std.feat_std"],
         vel_mean=arrays["std.vel_mean"],
         vel_std=arrays["std.vel_std"],
-        degenerate_channels=tuple(meta["degenerate_channels"]),
+        degenerate_channels=degenerate_channels,
     )
 
 
@@ -128,17 +123,7 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
              standardizer: Standardizer, extra: dict | None = None) -> None:
     """Write a trained spiking decoder plus its input/output scaling."""
     meta = {
-        "spec": {
-            "layer_widths": list(spec.layer_widths),
-            "threshold": spec.threshold,
-            "dropout_p": spec.dropout_p,
-            "window_len": spec.window_len,
-            "reset_mode": spec.reset_mode,
-            "normalize_output": spec.normalize_output,
-            "dropout_before_output": spec.dropout_before_output,
-            "bn_eps": spec.bn_eps,
-            "bn_momentum": spec.bn_momentum,
-        },
+        "spec": dataclasses.asdict(spec),
         "degenerate_channels": list(standardizer.degenerate_channels),
         "extra": extra or {},
     }
@@ -154,40 +139,63 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
     _write_container(path, KIND_SNN, meta, arrays)
 
 
+def _snn_shapes(spec: NetworkSpec) -> dict:
+    """Array name -> the shape the topology needs."""
+    widths = spec.layer_widths
+    shapes = {}
+    for l in range(spec.n_layers):
+        shapes[f"layer{l}.weight"] = (widths[l + 1], widths[l])
+        for name in ("tau", "gamma", "beta", "run_mean", "run_var"):
+            shapes[f"layer{l}.{name}"] = (widths[l + 1],)
+    for name in ("feat_mean", "feat_std"):
+        shapes[f"std.{name}"] = (spec.input_width,)
+    for name in ("vel_mean", "vel_std"):
+        shapes[f"std.{name}"] = (spec.output_width,)
+    return shapes
+
+
 def load_snn(path):
-    """Read back (params, spec, standardizer, extra) saved by save_snn."""
+    """Read back (params, spec, standardizer, extra) saved by save_snn.
+
+    A header without the topology, standardizer or extra fields, a
+    topology that does not validate, and a missing or misshaped array
+    all raise :class:`DataError`.
+    """
     kind, meta, arrays = _read_container(path)
     if kind != KIND_SNN:
         raise DataError(f"{path}: expected an snn checkpoint, found {kind!r}")
-    sd = meta["spec"]
-    spec = NetworkSpec(
-        layer_widths=tuple(sd["layer_widths"]),
-        threshold=sd["threshold"],
-        dropout_p=sd["dropout_p"],
-        window_len=sd["window_len"],
-        reset_mode=sd["reset_mode"],
-        normalize_output=sd["normalize_output"],
-        dropout_before_output=sd["dropout_before_output"],
-        bn_eps=sd["bn_eps"],
-        bn_momentum=sd["bn_momentum"],
-    )
-    layers = []
-    for l in range(spec.n_layers):
-        try:
-            layers.append(LayerParams(
-                weight=arrays[f"layer{l}.weight"],
-                tau=arrays[f"layer{l}.tau"],
-                norm=NormParams(
-                    gamma=arrays[f"layer{l}.gamma"],
-                    beta=arrays[f"layer{l}.beta"],
-                    run_mean=arrays[f"layer{l}.run_mean"],
-                    run_var=arrays[f"layer{l}.run_var"],
-                ),
-            ))
-        except KeyError as exc:
-            raise DataError(f"{path}: checkpoint missing array {exc}") from exc
-    params = NetworkParams(layers=layers)
-    return params, spec, _standardizer_from(arrays, meta), meta["extra"]
+    try:
+        sd = meta["spec"]
+        spec = NetworkSpec(**{f.name: sd[f.name]
+                              for f in dataclasses.fields(NetworkSpec)})
+        degenerate = tuple(meta["degenerate_channels"])
+        extra = meta["extra"]
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
+    for name, shape in _snn_shapes(spec).items():
+        if name not in arrays:
+            raise DataError(f"{path}: checkpoint missing array {name!r}")
+        if arrays[name].shape != shape:
+            raise DataError(
+                f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                f"the topology needs {shape}")
+    layers = [
+        LayerParams(
+            weight=arrays[f"layer{l}.weight"],
+            tau=arrays[f"layer{l}.tau"],
+            norm=NormParams(
+                gamma=arrays[f"layer{l}.gamma"],
+                beta=arrays[f"layer{l}.beta"],
+                run_mean=arrays[f"layer{l}.run_mean"],
+                run_var=arrays[f"layer{l}.run_var"],
+            ),
+        )
+        for l in range(spec.n_layers)
+    ]
+    std = _standardizer_from(arrays, degenerate)
+    return NetworkParams(layers=layers), spec, std, extra
 
 
 def save_kf(path, model: KfModel, standardizer: Standardizer,
@@ -213,7 +221,13 @@ def load_kf(path):
     kind, meta, arrays = _read_container(path)
     if kind != KIND_KF:
         raise DataError(f"{path}: expected a kf checkpoint, found {kind!r}")
-    model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"],
-                    C=arrays["kf.C"], Q=arrays["kf.Q"],
-                    ridge=meta["ridge"])
-    return model, _standardizer_from(arrays, meta), meta["extra"]
+    try:
+        model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"],
+                        C=arrays["kf.C"], Q=arrays["kf.Q"],
+                        ridge=meta["ridge"])
+        std = _standardizer_from(arrays, tuple(meta["degenerate_channels"]))
+        return model, std, meta["extra"]
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint missing {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc

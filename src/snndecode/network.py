@@ -165,7 +165,6 @@ class TrainingCache:
 
     mode: str
     inputs: np.ndarray                      # (B, T, in_width)
-    currents: list = field(default_factory=list)
     xhat: list = field(default_factory=list)
     inv_std: list = field(default_factory=list)
     mean: list = field(default_factory=list)
@@ -366,7 +365,6 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                 fed = spikes
             act = fed
 
-        cache.currents.append(cur)
         cache.xhat.append(xhat)
         cache.inv_std.append(inv_std)
         cache.mean.append(mean)
@@ -387,7 +385,10 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
 
     Normalization always runs on the stored running statistics and dropout
     is disabled: this is the inference path.  The passed-in state is left
-    untouched; a fresh state is returned alongside the prediction.
+    untouched; a fresh state is returned alongside the prediction.  A frame
+    holding a NaN or infinity is rejected with ``ValueError``, as in
+    :func:`forward_unfolded`, before any state is computed, so one bad
+    frame cannot poison the membrane potentials of the frames after it.
 
     Returns
     -------
@@ -400,6 +401,8 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         raise ValueError(
             f"expected a frame of shape ({spec.input_width},), got {frame.shape}"
         )
+    if not np.isfinite(frame).all():
+        raise ValueError("input features contain non-finite values")
     if len(state.hidden) != spec.n_hidden:
         raise ValueError(
             f"state has {len(state.hidden)} hidden layers, "

@@ -24,6 +24,9 @@ RESET_SUBTRACT = "subtract"
 RESET_ZERO = "zero"
 RESET_MODES = (RESET_SUBTRACT, RESET_ZERO)
 
+# Half-width of the box window that stands in for the spike derivative.
+SURROGATE_HALF_WIDTH = 0.5
+
 
 @dataclass
 class LifParams:
@@ -62,17 +65,6 @@ class LifLayerState:
 
     potential: np.ndarray
     last_spikes: np.ndarray
-
-
-@dataclass
-class SurrogateSpec:
-    """Box window substituted for the spike derivative during training."""
-
-    half_width: float = 0.5
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("surrogate half-width must be positive")
 
 
 def lif_step(state: LifLayerState, input_current: np.ndarray, params: LifParams):
@@ -133,15 +125,15 @@ def output_step(potential: np.ndarray, input_current: np.ndarray, tau: np.ndarra
     return u_next, u_next
 
 
-def surrogate_grad(potential, threshold: float, half_width: float = 0.5):
+def surrogate_grad(potential, threshold: float):
     """Surrogate derivative of the spike function.
 
     Returns 1 where the membrane potential lies strictly within
-    ``half_width`` of the threshold and 0 elsewhere, so the window has
-    unit area regardless of where the threshold sits.
+    :data:`SURROGATE_HALF_WIDTH` of the threshold and 0 elsewhere, so the
+    window has unit area regardless of where the threshold sits.
     """
     potential = np.asarray(potential)
-    out = (np.abs(potential - threshold) < half_width).astype(
+    out = (np.abs(potential - threshold) < SURROGATE_HALF_WIDTH).astype(
         potential.dtype if potential.dtype.kind == "f" else np.float64
     )
     return out

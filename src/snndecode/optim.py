@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backprop import Gradients
+from .errors import NumericError
 from .network import NetworkParams
 
 BETA1 = 0.9
@@ -49,32 +50,24 @@ def adamw_init(params: NetworkParams) -> AdamWState:
     return AdamWState(step=0, m=m, v=v)
 
 
-def clamp_tau(params: NetworkParams) -> NetworkParams:
-    """Clip every decay factor into [0, 1]; returns a copy."""
-    out = params.copy()
-    for layer in out.layers:
-        np.clip(layer.tau, 0.0, 1.0, out=layer.tau)
-    return out
-
-
 def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
-               *, learning_rate: float, weight_decay: float,
-               beta1: float = BETA1, beta2: float = BETA2,
-               eps: float = EPS):
+               *, learning_rate: float, weight_decay: float):
     """One optimizer step; returns ``(new_params, new_state)``.
 
     Decoupled decay multiplies weights by ``1 - lr * weight_decay``
     independently of the gradient; decay factors are clamped to [0, 1]
-    afterwards.  Inputs are left untouched.
+    afterwards.  Inputs are left untouched.  A step whose update overflows
+    (a finite gradient near the largest float can do that) raises
+    :class:`NumericError` instead of returning a non-finite parameter.
     """
     new_params = params.copy()
     t = state.step + 1
-    bias1 = 1.0 - beta1 ** t
-    bias2 = 1.0 - beta2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
 
     new_m, new_v = [], []
-    for layer, grad, m, v in zip(new_params.layers, grads.layers,
-                                 state.m, state.v):
+    for l, (layer, grad, m, v) in enumerate(zip(
+            new_params.layers, grads.layers, state.m, state.v)):
         arrays = _param_arrays(layer)
         grad_arrays = {
             "weight": grad.weight,
@@ -88,11 +81,14 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
             g = np.asarray(grad_arrays[name], dtype=p.dtype)
             if name == "weight" and weight_decay:
                 p *= 1.0 - learning_rate * weight_decay
-            layer_m[name] = beta1 * m[name] + (1.0 - beta1) * g
-            layer_v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+            layer_m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+            layer_v[name] = BETA2 * v[name] + (1.0 - BETA2) * (g * g)
             m_hat = layer_m[name] / bias1
             v_hat = layer_v[name] / bias2
-            p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            if not np.isfinite(p).all():
+                raise NumericError(
+                    f"AdamW step {t} left a non-finite {name} in layer {l}")
         np.clip(layer.tau, 0.0, 1.0, out=layer.tau)
         new_m.append(layer_m)
         new_v.append(layer_v)

@@ -17,7 +17,6 @@ model tracks only the MAC/ADD classes).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,28 +26,10 @@ from .batchnorm import EVAL
 from .network import NetworkParams, NetworkSpec, forward_unfolded
 
 
-@dataclass
-class CostModel:
-    """Exchange rates between operation classes and memory accesses."""
-
-    adds_per_mac: int = 3       # additions counted as one MAC-equivalent
-    mac_loads: int = 3          # operand + weight + accumulator read
-    mac_stores: int = 1
-    add_loads: int = 2          # weight + accumulator read
-    add_stores: int = 1
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if int(value) != value or value <= 0:
-                raise ValueError(f"{name} must be a positive integer")
-
-    @property
-    def mem_per_mac(self) -> int:
-        return self.mac_loads + self.mac_stores
-
-    @property
-    def mem_per_add(self) -> int:
-        return self.add_loads + self.add_stores
+# Exchange rates between operation classes and memory accesses.
+ADDS_PER_MAC = 3            # additions counted as one MAC-equivalent
+MEM_PER_MAC = 4             # operand + weight + accumulator read, one store
+MEM_PER_ADD = 3             # weight + accumulator read, one store
 
 
 @dataclass
@@ -61,10 +42,8 @@ class OpReport:
     mem_access: int
 
 
-def make_report(mac_count: int, add_count: int,
-                cost: CostModel | None = None) -> OpReport:
+def make_report(mac_count: int, add_count: int) -> OpReport:
     """Build a report from raw counts, applying the cost-model identities."""
-    cost = cost or CostModel()
     mac_count = int(mac_count)
     add_count = int(add_count)
     if mac_count < 0 or add_count < 0:
@@ -72,9 +51,8 @@ def make_report(mac_count: int, add_count: int,
     return OpReport(
         mac_count=mac_count,
         add_count=add_count,
-        total_ops=mac_count + math.ceil(add_count / cost.adds_per_mac),
-        mem_access=(cost.mem_per_mac * mac_count
-                    + cost.mem_per_add * add_count),
+        total_ops=mac_count + math.ceil(add_count / ADDS_PER_MAC),
+        mem_access=MEM_PER_MAC * mac_count + MEM_PER_ADD * add_count,
     )
 
 
@@ -105,8 +83,7 @@ def count_spikes(params: NetworkParams, spec: NetworkSpec,
     )
 
 
-def snn_cost(spec: NetworkSpec, spike_rates,
-             cost: CostModel | None = None) -> OpReport:
+def snn_cost(spec: NetworkSpec, spike_rates) -> OpReport:
     """Expected per-frame cost of the spiking decoder at given rates.
 
     Real-valued MACs: the full input layer (its inputs are analog) plus
@@ -116,7 +93,6 @@ def snn_cost(spec: NetworkSpec, spike_rates,
     fractional counts are rounded to the nearest integer before the
     report identities apply.
     """
-    cost = cost or CostModel()
     rates = [float(r) for r in np.atleast_1d(spike_rates)]
     if len(rates) != spec.n_hidden:
         raise ValueError(
@@ -129,7 +105,7 @@ def snn_cost(spec: NetworkSpec, spike_rates,
     mac = widths[0] * widths[1] + spec.neuron_count
     add = sum(rates[l] * widths[l + 1] * widths[l + 2]
               for l in range(spec.n_hidden))
-    return make_report(mac, int(round(add)), cost)
+    return make_report(mac, int(round(add)))
 
 
 def mlp_mac_count(layer_widths) -> int:
@@ -140,9 +116,9 @@ def mlp_mac_count(layer_widths) -> int:
     return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
 
 
-def ann_report(mac_count: int, cost: CostModel | None = None) -> OpReport:
+def ann_report(mac_count: int) -> OpReport:
     """Report for a dense network: MACs only, no event-driven additions."""
-    return make_report(mac_count, 0, cost)
+    return make_report(mac_count, 0)
 
 
 def _fmt_k(value: int) -> str:
@@ -202,11 +178,6 @@ class ComparisonReport:
                     f"{ops:.1f}% of operations, {mem:.1f}% of memory accesses"
                 )
         return "\n".join(lines) + "\n"
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def compare_report(entries) -> ComparisonReport:

@@ -80,11 +80,6 @@ class WindowDataset:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, i):
-        s = self.starts[i]
-        sl = slice(s, s + self.window_len)
-        return self.features[sl], self.velocities[sl]
-
     def gather(self, idx):
         """Materialize a batch: ``(B, T, channels)`` and ``(B, T, outputs)``."""
         offsets = self.starts[idx][:, None] + np.arange(self.window_len)

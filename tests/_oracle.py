@@ -1,6 +1,7 @@
-"""Brute-force scalar reverse-mode oracle for gradient checks.
+"""Two gradient oracles for checking the analytic backward pass.
 
-A deliberately naive tape autodiff: every scalar in the unfolded forward
+The first, :func:`oracle_loss_and_grads`, is a deliberately naive tape
+autodiff: every scalar in the unfolded forward
 pass becomes a node, every dependency an explicit edge with its local
 derivative, and the backward sweep walks the tape node by node.  The
 forward semantics (reset rules, pooled-statistics normalization, the
@@ -8,10 +9,18 @@ box-window spike derivative, warmup-discarded mean-square loss) are
 rebuilt here from scratch so the fast vectorized implementation is
 checked against an independent derivation, not against itself.
 
+The second, :func:`numeric_grad_oracle`, differentiates the matching
+*linearized* network (spikes replaced by their first-order model around
+a recorded trajectory) by central differences.
+
 Slow on purpose; intended for tiny networks only.
 """
 
 import numpy as np
+
+from snndecode import batchnorm
+from snndecode.network import NetworkParams, NetworkSpec, _layer_normalized
+from snndecode.neuron import RESET_SUBTRACT, surrogate_grad
 
 
 class Var:
@@ -195,3 +204,128 @@ def oracle_loss_and_grads(weights, taus, gammas, betas, window, targets,
     gamma_grads = [np.array([v.grad for v in gl]) for gl in g_vars]
     beta_grads = [np.array([v.grad for v in bl]) for bl in b_vars]
     return loss.val, w_grads, tau_grads, gamma_grads, beta_grads
+
+
+def _linearized_loss(weights, taus, gammas, betas, spec, window, targets,
+                     masks, anchors, warmup_discard):
+    """Loss of the spike-linearized network at the given raw parameters.
+
+    ``anchors`` holds, per hidden layer, the recorded ``(u_ref, s_ref,
+    g_ref)`` trajectory; each spike is replaced by
+    ``s_ref + g_ref * (u - u_ref)``, the first-order model whose exact
+    gradient the analytic backward pass computes.  Everything runs in
+    float64, training-mode normalization statistics included.
+    """
+    act = window
+    B, T, _ = window.shape
+    preds = None
+    for l in range(spec.n_layers):
+        is_output = l == spec.n_layers - 1
+        width = weights[l].shape[0]
+        cur = np.einsum("bti,ji->btj", act, weights[l])
+        if _layer_normalized(spec, l):
+            mean, var = batchnorm.batch_stats(cur)
+            normed, _, _ = batchnorm.normalize(
+                cur, mean, var, gammas[l], betas[l], spec.threshold,
+                spec.bn_eps)
+        else:
+            normed = cur
+
+        if is_output:
+            preds = np.empty((B, T, width))
+            u_t = np.zeros((B, width))
+            for t in range(T):
+                u_t = taus[l] * u_t + normed[:, t, :]
+                preds[:, t, :] = u_t
+        else:
+            u_ref, s_ref, g_ref = anchors[l]
+            out = np.empty((B, T, width))
+            u_t = np.zeros((B, width))
+            s_t = np.zeros((B, width))
+            for t in range(T):
+                if spec.reset_mode == RESET_SUBTRACT:
+                    u_t = taus[l] * (u_t - s_t * spec.threshold) + normed[:, t, :]
+                else:
+                    u_t = taus[l] * (u_t * (1.0 - s_t)) + normed[:, t, :]
+                s_t = s_ref[:, t, :] + g_ref[:, t, :] * (u_t - u_ref[:, t, :])
+                out[:, t, :] = s_t
+            act = out * masks[l] if masks[l] is not None else out
+
+    diff = preds[:, warmup_discard:, :] - targets[:, warmup_discard:, :]
+    return float(np.mean(diff * diff))
+
+
+def numeric_grad_oracle(params: NetworkParams, spec: NetworkSpec,
+                        window: np.ndarray, targets: np.ndarray,
+                        coordinate, *, warmup_discard: int = 0,
+                        masks=None, h: float = 1e-3) -> float:
+    """Central-difference derivative of the linearized-network loss.
+
+    ``coordinate`` is ``(layer_index, field, flat_index)`` with field one
+    of ``"weight"``, ``"tau"``, ``"gamma"``, ``"beta"``.  The reference
+    trajectory (spike values and surrogate windows) is recorded at the
+    unperturbed parameters and frozen, so the finite difference probes
+    exactly the function whose gradient :func:`backward` computes.
+    ``masks`` may carry the scaled dropout masks of a recorded training
+    forward (one entry per layer, None where dropout did not act).
+
+    Intended for validation on tiny networks only.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if window.ndim == 2:
+        window = window[None]
+    if targets.ndim == 2:
+        targets = targets[None]
+    if masks is None:
+        masks = [None] * spec.n_layers
+
+    weights = [l.weight.astype(np.float64) for l in params.layers]
+    taus = [l.tau.astype(np.float64) for l in params.layers]
+    gammas = [l.norm.gamma.astype(np.float64) for l in params.layers]
+    betas = [l.norm.beta.astype(np.float64) for l in params.layers]
+    masks = [None if m is None else np.asarray(m, dtype=np.float64)
+             for m in masks]
+
+    # reference trajectory: exact forward, anchors for the linearization
+    anchors = []
+    act = window
+    for l in range(spec.n_layers - 1):
+        cur = np.einsum("bti,ji->btj", act, weights[l])
+        mean, var = batchnorm.batch_stats(cur)
+        normed, _, _ = batchnorm.normalize(
+            cur, mean, var, gammas[l], betas[l], spec.threshold, spec.bn_eps)
+        B, T, width = normed.shape
+        u_ref = np.empty_like(normed)
+        s_ref = np.empty_like(normed)
+        u_t = np.zeros((B, width))
+        s_t = np.zeros((B, width))
+        for t in range(T):
+            if spec.reset_mode == RESET_SUBTRACT:
+                u_t = taus[l] * (u_t - s_t * spec.threshold) + normed[:, t, :]
+            else:
+                u_t = taus[l] * (u_t * (1.0 - s_t)) + normed[:, t, :]
+            s_t = (u_t >= spec.threshold).astype(np.float64)
+            u_ref[:, t, :] = u_t
+            s_ref[:, t, :] = s_t
+        g_ref = surrogate_grad(u_ref, spec.threshold)
+        anchors.append((u_ref, s_ref, g_ref))
+        fed = s_ref * masks[l] if masks[l] is not None else s_ref
+        act = fed
+
+    field_map = {"weight": weights, "tau": taus, "gamma": gammas,
+                 "beta": betas}
+    layer_idx, field, flat = coordinate
+    target_arr = field_map[field][layer_idx]
+    base = target_arr.flat[flat]
+    if base + h == base or base - h == base:
+        raise ValueError(f"step size {h} underflows at value {base}")
+
+    losses = []
+    for delta in (h, -h):
+        target_arr.flat[flat] = base + delta
+        losses.append(_linearized_loss(
+            weights, taus, gammas, betas, spec, window, targets, masks,
+            anchors, warmup_discard))
+    target_arr.flat[flat] = base
+    return (losses[0] - losses[1]) / (2.0 * h)

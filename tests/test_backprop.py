@@ -10,14 +10,10 @@ import numpy as np
 import pytest
 
 from snndecode import NetworkSpec, TRAIN, forward_unfolded, init_params
-from snndecode.backprop import (
-    backward,
-    numeric_grad_oracle,
-    window_loss,
-)
+from snndecode.backprop import backward, window_loss
 from snndecode.errors import NumericError
 
-from _oracle import oracle_loss_and_grads
+from _oracle import numeric_grad_oracle, oracle_loss_and_grads
 
 TINY = NetworkSpec(layer_widths=(2, 4, 4, 4, 2), window_len=3,
                    dropout_p=0.2)

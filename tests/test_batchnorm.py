@@ -1,10 +1,17 @@
 """Unit tests for threshold-scaled batch normalization."""
 
 import numpy as np
-import pytest
 
-from snndecode import EVAL, TRAIN, batch_stats, normalize, tdbn_apply
+from snndecode import (
+    TRAIN,
+    NetworkSpec,
+    batch_stats,
+    forward_unfolded,
+    init_params,
+    normalize,
+)
 from snndecode.batchnorm import tdbn_backward
+from snndecode.train import _advance_running_stats
 
 
 class TestBatchStats:
@@ -24,21 +31,28 @@ class TestBatchStats:
         np.testing.assert_allclose(var, [1.0])  # biased: ((1)^2+(1)^2)/2
 
 
+def tdbn_train(x, gamma, beta, threshold=0.4, eps=1e-5):
+    """Training-mode tdBN as the forward pass applies it."""
+    mean, var = batch_stats(x)
+    out, _, _ = normalize(x, mean, var, gamma, beta, threshold, eps)
+    return out
+
+
 class TestTdbnApply:
+    """tdBN as training and inference apply it: pooled batch statistics
+    or the running ones through :func:`normalize`, and the running
+    averages advanced by the trainer."""
+
     def test_two_point_hand_case(self):
         """Values {1, 3} normalize to +-1, then scale by threshold 0.4."""
         x = np.array([[[1.0], [3.0]]])
-        out, _, _ = tdbn_apply(x, gamma=np.ones(1), beta=np.zeros(1),
-                               run_mean=np.zeros(1), run_var=np.ones(1),
-                               threshold=0.4, mode=TRAIN, eps=1e-12)
+        out = tdbn_train(x, gamma=np.ones(1), beta=np.zeros(1), eps=1e-12)
         np.testing.assert_allclose(out, [[[-0.4], [0.4]]], atol=1e-6)
 
     def test_constant_channel_collapses_to_beta(self):
         x = np.full((2, 5, 3), 7.5)
         beta = np.array([0.1, -0.2, 0.0])
-        out, _, _ = tdbn_apply(x, gamma=np.ones(3), beta=beta,
-                               run_mean=np.zeros(3), run_var=np.ones(3),
-                               threshold=0.4, mode=TRAIN)
+        out = tdbn_train(x, gamma=np.ones(3), beta=beta)
         np.testing.assert_allclose(out, np.broadcast_to(beta, x.shape),
                                    atol=1e-7)
 
@@ -47,10 +61,8 @@ class TestTdbnApply:
         rng = np.random.default_rng(11)
         x = rng.normal(2.0, 3.0, size=(8, 4, 5))
         thr = 0.4
-        out, _, _ = tdbn_apply(x, gamma=np.full(5, 1.0 / thr),
-                               beta=np.zeros(5), run_mean=np.zeros(5),
-                               run_var=np.ones(5), threshold=thr, mode=TRAIN,
-                               eps=1e-12)
+        out = tdbn_train(x, gamma=np.full(5, 1.0 / thr), beta=np.zeros(5),
+                         threshold=thr, eps=1e-12)
         mean, var = batch_stats(x)
         np.testing.assert_allclose(out, (x - mean) / np.sqrt(var),
                                    rtol=1e-9, atol=1e-9)
@@ -61,23 +73,35 @@ class TestTdbnApply:
         x = rng.normal(-1.0, 2.5, size=(16, 10, 4))
         gamma = np.array([1.0, 0.5, 2.0, 1.5])
         beta = np.array([0.0, 1.0, -1.0, 0.25])
-        out, _, _ = tdbn_apply(x, gamma, beta, np.zeros(4), np.ones(4),
-                               threshold=0.4, mode=TRAIN, eps=1e-12)
+        out = tdbn_train(x, gamma, beta, eps=1e-12)
         flat = out.reshape(-1, 4)
         np.testing.assert_allclose(flat.mean(axis=0), beta, atol=1e-9)
         np.testing.assert_allclose(flat.std(axis=0), 0.4 * gamma, rtol=1e-6)
 
     def test_running_statistics_ema(self):
+        """After a batch the trainer moves each running statistic a
+        ``bn_momentum`` step toward the batch statistic it pooled."""
+        spec = NetworkSpec(layer_widths=(3, 4, 2), window_len=5,
+                           dropout_p=0.0, bn_momentum=0.1)
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(6, 4, 2))
-        run_mean = np.array([1.0, -1.0])
-        run_var = np.array([2.0, 0.5])
-        _, new_mean, new_var = tdbn_apply(
-            x, np.ones(2), np.zeros(2), run_mean, run_var,
-            threshold=0.4, mode=TRAIN, momentum=0.1)
-        mean, var = batch_stats(x)
-        np.testing.assert_allclose(new_mean, 0.9 * run_mean + 0.1 * mean)
-        np.testing.assert_allclose(new_var, 0.9 * run_var + 0.1 * var)
+        params = init_params(spec, rng, dtype=np.float64)
+        for layer in params.layers:
+            layer.norm.run_mean[:] = rng.normal(size=layer.norm.run_mean.shape)
+            layer.norm.run_var[:] = rng.uniform(0.5, 2.0,
+                                                layer.norm.run_var.shape)
+        before = params.copy()
+        x = rng.normal(size=(6, 5, 3))
+        _, cache = forward_unfolded(params, spec, x, mode=TRAIN)
+        _advance_running_stats(params, cache, spec)
+        act = x
+        for l, (old, new) in enumerate(zip(before.layers, params.layers)):
+            mean, var = batch_stats(act @ old.weight.T)
+            np.testing.assert_allclose(
+                new.norm.run_mean, 0.9 * old.norm.run_mean + 0.1 * mean)
+            np.testing.assert_allclose(
+                new.norm.run_var, 0.9 * old.norm.run_var + 0.1 * var)
+            if l < spec.n_hidden:
+                act = cache.spikes[l]
 
     def test_eval_uses_and_keeps_running_statistics(self):
         rng = np.random.default_rng(13)
@@ -86,24 +110,11 @@ class TestTdbnApply:
         run_var = np.array([1.5, 0.25])
         gamma = np.array([1.2, 0.8])
         beta = np.array([0.0, 0.1])
-        out, new_mean, new_var = tdbn_apply(
-            x, gamma, beta, run_mean, run_var, threshold=0.4, mode=EVAL)
+        out, _, _ = normalize(x, run_mean, run_var, gamma, beta, 0.4, 1e-5)
         expect = 0.4 * gamma * (x - run_mean) / np.sqrt(run_var + 1e-5) + beta
         np.testing.assert_allclose(out, expect, rtol=1e-6)
-        np.testing.assert_array_equal(new_mean, run_mean)
-        np.testing.assert_array_equal(new_var, run_var)
-
-    def test_single_element_population_rejected(self):
-        x = np.ones((1, 1, 3))
-        with pytest.raises(ValueError):
-            tdbn_apply(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
-                       threshold=0.4, mode=TRAIN)
-
-    def test_unknown_mode_rejected(self):
-        x = np.ones((2, 2, 1))
-        with pytest.raises(ValueError):
-            tdbn_apply(x, np.ones(1), np.zeros(1), np.zeros(1), np.ones(1),
-                       threshold=0.4, mode="test")
+        np.testing.assert_array_equal(run_mean, [0.3, -0.7])
+        np.testing.assert_array_equal(run_var, [1.5, 0.25])
 
 
 class TestTdbnBackward:

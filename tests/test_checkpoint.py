@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from snndecode.checkpoint import (
+    _read_container,
+    _write_container,
     load_kf,
     load_snn,
-    read_kind,
     save_kf,
     save_snn,
 )
@@ -80,9 +81,14 @@ def test_kind_tagging_and_mismatch(tmp_path):
     std = toy_standardizer()
     snn_path = tmp_path / "m.ckpt"
     save_snn(snn_path, params, spec, std)
-    assert read_kind(snn_path) == "snn"
     with pytest.raises(DataError, match="expected a kf checkpoint"):
         load_kf(snn_path)
+    rng = np.random.default_rng(1)
+    kf_path = tmp_path / "k.ckpt"
+    save_kf(kf_path, kf_fit(rng.normal(size=(50, 5)),
+                            rng.normal(size=(50, 2))), std)
+    with pytest.raises(DataError, match="expected an snn checkpoint"):
+        load_snn(kf_path)
 
 
 def test_rejects_garbage_and_truncation(tmp_path):
@@ -101,18 +107,57 @@ def test_rejects_garbage_and_truncation(tmp_path):
         load_snn(cut)
 
 
+def rewritten(path, edit):
+    """Re-save the checkpoint at ``path`` after ``edit(meta, arrays)``."""
+    kind, meta, arrays = _read_container(path)
+    edit(meta, arrays)
+    _write_container(path, kind, meta, list(arrays.items()))
+
+
 @pytest.mark.parametrize("header", [
     b'{"kind": "snn"}',
     b'{"arrays": 5, "kind": "snn", "meta": {}}',
     b'{"arrays": [["w", "zz", [1]]], "kind": "snn", "meta": {}}',
     b'{"arrays": [["w", "<f4"]], "kind": "snn", "meta": {}}',
+    # the rest edit the header and arrays of a valid checkpoint
+    pytest.param(lambda m, a: m.pop("spec"), id="no-spec"),
+    pytest.param(lambda m, a: m.update(spec=5), id="spec-not-a-dict"),
+    pytest.param(lambda m, a: m["spec"].pop("bn_eps"), id="no-bn_eps"),
+    pytest.param(lambda m, a: m["spec"].update(threshold=-1.0),
+                 id="bad-threshold"),
+    pytest.param(lambda m, a: m.pop("degenerate_channels"),
+                 id="no-degenerate_channels"),
+    pytest.param(lambda m, a: m.pop("extra"), id="no-extra"),
+    pytest.param(lambda m, a: a.update({"layer0.tau": a["layer0.tau"][:5]}),
+                 id="short-tau"),
+    pytest.param(lambda m, a: a.update({"layer1.weight":
+                                        a["layer1.weight"][:, :6]}),
+                 id="narrow-weight"),
+    pytest.param(lambda m, a: a.update({"std.vel_std": a["std.feat_std"]}),
+                 id="wide-velocity-scale"),
 ])
 def test_rejects_malformed_header(tmp_path, header):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"SNNC" + struct.pack("<HI", 1, len(header)) + header
-                    + bytes(8))
+    if callable(header):
+        params, spec = toy_model()
+        save_snn(bad, params, spec, toy_standardizer())
+        rewritten(bad, header)
+    else:
+        bad.write_bytes(b"SNNC" + struct.pack("<HI", 1, len(header))
+                        + header + bytes(8))
     with pytest.raises(DataError):
         load_snn(bad)
+
+
+@pytest.mark.parametrize("key", ["ridge", "degenerate_channels", "extra"])
+def test_kf_rejects_missing_meta(tmp_path, key):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "k.ckpt"
+    save_kf(path, kf_fit(rng.normal(size=(50, 5)), rng.normal(size=(50, 2))),
+            toy_standardizer())
+    rewritten(path, lambda m, a: m.pop(key))
+    with pytest.raises(DataError, match=key):
+        load_kf(path)
 
 
 def test_missing_file():

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from snndecode import cli
+from snndecode.checkpoint import _read_container, _write_container
 from snndecode.cli import main
 
 
@@ -78,7 +80,27 @@ def test_eval_stream_agree(trained, dataset, capsys):
     get = lambda text: float(
         [t for t in text.split() if t.startswith("r_mean=")][0][7:])
     assert abs(get(eval_out) - get(stream_out)) < 1e-6
-    assert "< 1e-6" in stream_out
+    assert "bit-identical" in stream_out
+
+
+def test_stream_rejects_one_ulp_drift(trained, dataset, capsys, monkeypatch):
+    """One streamed row off by one unit in the last place exits 3."""
+    ckpt, _ = trained
+    real = cli.forward_streaming
+    frames = []
+
+    def nudged(params, spec, frame, state):
+        pred, state = real(params, spec, frame, state)
+        frames.append(frame)
+        if len(frames) == 5:
+            pred = pred.copy()
+            pred[1] = np.nextafter(pred[1], np.inf, dtype=pred.dtype)
+        return pred, state
+
+    monkeypatch.setattr(cli, "forward_streaming", nudged)
+    assert main(["stream", "--model", str(ckpt),
+                 "--data", str(dataset)]) == 3
+    assert "frame 4" in capsys.readouterr().err
 
 
 def test_profile_subcommand(trained, dataset, capsys, tmp_path):
@@ -166,6 +188,19 @@ def test_frame_header_missing_key_exits_2(dataset, tmp_path, capsys, key):
     assert main(["kf", "--data", str(bad),
                  "--out", str(tmp_path / "kf.ckpt")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
+    ckpt, _ = trained
+    bad = tmp_path / "nospec.ckpt"
+    bad.write_bytes(ckpt.read_bytes())
+    kind, meta, arrays = _read_container(bad)
+    del meta["spec"]["bn_eps"]
+    _write_container(bad, kind, meta, list(arrays.items()))
+    for command in ("eval", "stream"):
+        assert main([command, "--model", str(bad),
+                     "--data", str(dataset)]) == 2
+        assert "bn_eps" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndecode import (
     EVAL,
+    RESET_MODES,
     TRAIN,
     NetworkSpec,
     forward_streaming,
@@ -164,6 +167,8 @@ class TestForwardUnfolded:
             forward_unfolded(params, SMALL, bad)
         with pytest.raises(ValueError):
             forward_unfolded(params, SMALL, np.zeros((SMALL.window_len, 3)))
+        with pytest.raises(ValueError, match="unknown mode"):
+            forward_unfolded(params, SMALL, np.zeros_like(bad), mode="test")
 
 
 class TestStreaming:
@@ -221,6 +226,59 @@ class TestStreaming:
         params = init_params(SMALL, np.random.default_rng(20))
         with pytest.raises(ValueError):
             forward_streaming(params, SMALL, np.zeros(5), reset_state(SMALL))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_frame(self, bad):
+        """A non-finite frame is refused and leaves the state as it was:
+        the clean frames that follow decode as in the unfolded pass."""
+        params = lively_params(SMALL, seed=21)
+        rng = np.random.default_rng(22)
+        frames = rng.normal(size=(8, SMALL.input_width))
+        state = reset_state(SMALL, dtype=np.float64)
+        for frame in frames[:5]:
+            _, state = forward_streaming(params, SMALL, frame, state)
+        before = [h.potential.copy() for h in state.hidden]
+        poisoned = frames[5].copy()
+        poisoned[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_streaming(params, SMALL, poisoned, state)
+        for h, b in zip(state.hidden, before):
+            np.testing.assert_array_equal(h.potential, b)
+        for frame in frames[5:]:
+            pred, state = forward_streaming(params, SMALL, frame, state)
+        unfolded, _ = forward_unfolded(params, SMALL, frames, mode=EVAL)
+        np.testing.assert_array_equal(pred, unfolded[-1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           frames=st.integers(1, 12),
+           reset_mode=st.sampled_from(RESET_MODES),
+           normalize_output=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_unfolded_eval_property(self, widths, frames, reset_mode,
+                                            normalize_output, dtype, seed):
+        """Streaming equals the unfolded inference pass bit for bit on any
+        small topology, reset mode, readout normalization and dtype."""
+        spec = NetworkSpec(layer_widths=widths, window_len=frames,
+                           reset_mode=reset_mode,
+                           normalize_output=normalize_output)
+        rng = np.random.default_rng(seed)
+        params = init_params(spec, rng, dtype=dtype)
+        for layer in params.layers:
+            n = layer.norm
+            n.gamma[:] = rng.uniform(0.5, 3.0, n.gamma.shape)
+            n.beta[:] = rng.uniform(-0.2, 0.4, n.beta.shape)
+            n.run_mean[:] = rng.normal(0.0, 0.5, n.run_mean.shape)
+            n.run_var[:] = rng.uniform(0.2, 2.0, n.run_var.shape)
+        window = rng.normal(size=(frames, spec.input_width)).astype(dtype)
+
+        unfolded, _ = forward_unfolded(params, spec, window, mode=EVAL)
+        state = reset_state(spec, dtype=dtype)
+        streamed = np.empty_like(unfolded)
+        for t, frame in enumerate(window):
+            streamed[t], state = forward_streaming(params, spec, frame, state)
+        assert streamed.tobytes() == unfolded.tobytes()
 
 
 class TestBlockedGemm:

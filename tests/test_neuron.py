@@ -8,7 +8,6 @@ from snndecode import (
     RESET_ZERO,
     LifLayerState,
     LifParams,
-    SurrogateSpec,
     lif_step,
     output_step,
     surrogate_grad,
@@ -36,10 +35,6 @@ class TestLifParams:
     def test_rejects_unknown_reset_mode(self):
         with pytest.raises(ValueError):
             LifParams(threshold=0.4, tau=np.array([0.5]), reset_mode="warp")
-
-    def test_surrogate_spec_positive_half_width(self):
-        with pytest.raises(ValueError):
-            SurrogateSpec(half_width=0.0)
 
 
 class TestLifStep:

@@ -1,11 +1,15 @@
-"""Tests for the AdamW step and the decay-factor clamp."""
+"""Tests for the AdamW step and its decay-factor clamp."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from snndecode import NetworkSpec, init_params
 from snndecode.backprop import Gradients, LayerGrads
-from snndecode.optim import adamw_init, adamw_step, clamp_tau
+from snndecode.errors import NumericError
+from snndecode.optim import adamw_init, adamw_step
 
 SPEC = NetworkSpec(layer_widths=(3, 5, 2), window_len=4)
 
@@ -26,9 +30,12 @@ def zero_grads(params):
 
 class TestClampTau:
     def test_clamps_both_ends(self):
+        """The step clips decay factors into [0, 1] from either side."""
         params = make_params()
         params.layers[0].tau[:3] = [1.3, -0.1, 0.5]
-        clamped = clamp_tau(params)
+        clamped, _ = adamw_step(params, zero_grads(params),
+                                adamw_init(params), learning_rate=2e-3,
+                                weight_decay=0.0)
         np.testing.assert_allclose(clamped.layers[0].tau[:3],
                                    [1.0, 0.0, 0.5])
         # original untouched
@@ -85,6 +92,18 @@ class TestAdamWStep:
                                    learning_rate=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(new_params.layers[0].tau, 1.0)
 
+    def test_overflowing_step_raises(self):
+        """A finite gradient near the largest float, scaled by the learning
+        rate, overflows the update; the step reports it instead of
+        returning NaN decay factors."""
+        params = make_params()
+        grads = zero_grads(params)
+        grads.layers[1].tau[:] = np.finfo(np.float64).max / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="tau in layer 1"):
+                adamw_step(params, grads, adamw_init(params),
+                           learning_rate=4.0, weight_decay=0.0)
+
     def test_inputs_not_mutated(self):
         params = make_params()
         before = params.layers[0].weight.copy()
@@ -114,3 +133,38 @@ class TestAdamWStep:
         assert state.step == 3
         for layer in params.layers:
             assert layer.tau.min() >= 0.0 and layer.tau.max() <= 1.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       learning_rate=st.floats(1e-6, 10.0),
+       weight_decay=st.floats(0.0, 1.0),
+       steps=st.integers(1, 3),
+       data=st.data())
+def test_tau_stays_in_unit_interval(dtype, learning_rate, weight_decay,
+                                    steps, data):
+    """Whatever finite gradients arrive, a step either ends with every
+    decay factor inside [0, 1] or reports an overflow."""
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       width=np.dtype(dtype).itemsize * 8)
+    params = init_params(SPEC, np.random.default_rng(0), dtype=dtype)
+    for layer in params.layers:
+        layer.tau[:] = data.draw(arrays(dtype, layer.tau.shape,
+                                        elements=st.floats(0.0, 1.0)))
+    state = adamw_init(params)
+    for _ in range(steps):
+        grads = Gradients([
+            LayerGrads(*(data.draw(arrays(dtype, shape, elements=finite))
+                         for shape in (l.weight.shape, l.tau.shape,
+                                       l.norm.gamma.shape, l.norm.beta.shape)))
+            for l in params.layers
+        ])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                params, state = adamw_step(params, grads, state,
+                                           learning_rate=learning_rate,
+                                           weight_decay=weight_decay)
+        except NumericError:
+            return
+        for layer in params.layers:
+            assert ((layer.tau >= 0.0) & (layer.tau <= 1.0)).all(), layer.tau

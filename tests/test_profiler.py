@@ -5,7 +5,9 @@ import pytest
 
 from snndecode.network import NetworkSpec, init_params
 from snndecode.profiler import (
-    CostModel,
+    ADDS_PER_MAC,
+    MEM_PER_ADD,
+    MEM_PER_MAC,
     ann_report,
     compare_report,
     count_spikes,
@@ -74,9 +76,8 @@ def test_cost_monotone_in_rates():
 
 
 def test_report_identities():
-    cost = CostModel()
     for mac, add in [(10, 0), (0, 10), (123, 457), (1, 1)]:
-        rep = make_report(mac, add, cost)
+        rep = make_report(mac, add)
         assert rep.total_ops == mac + math.ceil(add / 3)
         assert rep.mem_access == 4 * mac + 3 * add
 
@@ -90,10 +91,12 @@ def test_mlp_mac_counts():
 
 
 def test_cost_model_validation():
+    """The published exchange rates, and no negative operation counts."""
+    assert (ADDS_PER_MAC, MEM_PER_MAC, MEM_PER_ADD) == (3, 4, 3)
     with pytest.raises(ValueError):
-        CostModel(adds_per_mac=0)
+        make_report(-1, 0)
     with pytest.raises(ValueError):
-        CostModel(mac_loads=2.5)
+        make_report(0, -1)
 
 
 def test_count_spikes_zero_weights_silent():

@@ -58,18 +58,17 @@ def test_window_disjoint():
     feats, vels = toy_data(20)
     ds = make_windows(feats, vels, 10, overlap=0)
     assert len(ds) == 2
-    x0, _ = ds[0]
-    x1, _ = ds[1]
-    assert np.array_equal(x0, feats[:10])
-    assert np.array_equal(x1, feats[10:])
+    x, _ = ds.gather(np.arange(2))
+    assert np.array_equal(x[0], feats[:10])
+    assert np.array_equal(x[1], feats[10:])
 
 
 def test_window_contents_are_consecutive():
     feats, vels = toy_data(12)
     ds = make_windows(feats, vels, 5)
-    x, y = ds[3]
-    assert np.array_equal(x, feats[3:8])
-    assert np.array_equal(y, vels[3:8])
+    x, y = ds.gather(np.array([3]))
+    assert np.array_equal(x[0], feats[3:8])
+    assert np.array_equal(y[0], vels[3:8])
 
 
 def test_too_few_frames():
