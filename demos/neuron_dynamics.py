@@ -7,19 +7,19 @@ unit window around the threshold.
 
 import numpy as np
 
-from snndecode import LifLayerState, LifParams, lif_step, surrogate_grad
+from snndecode import lif_step, surrogate_grad
 
 THRESHOLD = 0.4
 
 
 def trace(reset_mode, drive, steps=24):
-    params = LifParams(threshold=THRESHOLD, tau=np.array([0.5]),
-                       reset_mode=reset_mode)
-    state = LifLayerState(potential=np.zeros(1), last_spikes=np.zeros(1))
+    tau = np.array([0.5])
+    u, spikes = np.zeros(1), np.zeros(1)
     us, ss = [], []
     for _ in range(steps):
-        state, spikes = lif_step(state, np.full(1, drive), params)
-        us.append(float(state.potential[0]))
+        u, spikes = lif_step(u, spikes, np.full(1, drive), tau, THRESHOLD,
+                             reset_mode)
+        us.append(float(u[0]))
         ss.append(int(spikes[0]))
     return us, ss
 

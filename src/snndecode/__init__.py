@@ -11,7 +11,6 @@ from .neuron import (
     RESET_SUBTRACT,
     RESET_ZERO,
     LifLayerState,
-    LifParams,
     lif_step,
     output_step,
     surrogate_grad,
@@ -39,7 +38,6 @@ __all__ = [
     "RESET_SUBTRACT",
     "RESET_ZERO",
     "LifLayerState",
-    "LifParams",
     "lif_step",
     "output_step",
     "surrogate_grad",

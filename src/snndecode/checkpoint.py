@@ -154,12 +154,33 @@ def _snn_shapes(spec: NetworkSpec) -> dict:
     return shapes
 
 
+def _check_arrays(path, arrays: dict, shapes: dict) -> None:
+    """Each array ``shapes`` names must be present, of that shape, and hold
+    floating-point values the decoders can use."""
+    for name, shape in shapes.items():
+        arr = arrays.get(name)
+        if arr is None:
+            raise DataError(f"{path}: checkpoint missing array {name!r}")
+        if arr.shape != shape:
+            raise DataError(f"{path}: array {name!r} has shape {arr.shape}, "
+                            f"expected {shape}")
+        if arr.dtype.kind != "f" or not np.isfinite(arr).all():
+            raise DataError(f"{path}: array {name!r} holds non-finite or "
+                            f"non-float ({arr.dtype}) values")
+        if name.endswith(".tau") and (arr.min() < 0.0 or arr.max() > 1.0):
+            raise DataError(f"{path}: array {name!r} has decay factors "
+                            f"outside [0, 1]")
+        if name.endswith(".run_var") and arr.min() < 0.0:
+            raise DataError(f"{path}: array {name!r} has a negative variance")
+
+
 def load_snn(path):
     """Read back (params, spec, standardizer, extra) saved by save_snn.
 
     A header without the topology, standardizer or extra fields, a
-    topology that does not validate, and a missing or misshaped array
-    all raise :class:`DataError`.
+    topology that does not validate, a missing or misshaped array, a
+    non-finite array value, a decay factor outside [0, 1] and a negative
+    running variance all raise :class:`DataError`.
     """
     kind, meta, arrays = _read_container(path)
     if kind != KIND_SNN:
@@ -174,13 +195,7 @@ def load_snn(path):
         raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    for name, shape in _snn_shapes(spec).items():
-        if name not in arrays:
-            raise DataError(f"{path}: checkpoint missing array {name!r}")
-        if arrays[name].shape != shape:
-            raise DataError(
-                f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                f"the topology needs {shape}")
+    _check_arrays(path, arrays, _snn_shapes(spec))
     layers = [
         LayerParams(
             weight=arrays[f"layer{l}.weight"],
@@ -217,7 +232,12 @@ def save_kf(path, model: KfModel, standardizer: Standardizer,
 
 
 def load_kf(path):
-    """Read back (model, standardizer, extra) saved by save_kf."""
+    """Read back (model, standardizer, extra) saved by save_kf.
+
+    Missing metadata or arrays, and filter matrices that do not fit the
+    three-component state and the standardizer's channel count or hold
+    non-finite values, raise :class:`DataError`.
+    """
     kind, meta, arrays = _read_container(path)
     if kind != KIND_KF:
         raise DataError(f"{path}: expected a kf checkpoint, found {kind!r}")
@@ -226,8 +246,12 @@ def load_kf(path):
                         C=arrays["kf.C"], Q=arrays["kf.Q"],
                         ridge=meta["ridge"])
         std = _standardizer_from(arrays, tuple(meta["degenerate_channels"]))
-        return model, std, meta["extra"]
+        extra = meta["extra"]
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint missing {exc}") from exc
     except TypeError as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
+    c = std.feat_mean.size
+    _check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
+                                 "kf.C": (c, 3), "kf.Q": (c, c)})
+    return model, std, extra

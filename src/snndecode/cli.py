@@ -212,12 +212,9 @@ def _select_split(frames: FrameSet, which: str, ratio: float) -> tuple:
     return val, train.meta.sample_count
 
 
-def _decode_checkpoint(model_path, data_path, which, ratio):
-    """Shared eval/stream/profile loading: returns everything decoded.
-
-    The predictions come back in standardized units, as the decoder
-    emits them.
-    """
+def _load_checkpoint(model_path, data_path, which, ratio):
+    """Shared eval/stream/profile loading: the decoder and the
+    standardized features of the chosen split."""
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
     if frames.meta.channel_count != spec.input_width:
@@ -226,14 +223,13 @@ def _decode_checkpoint(model_path, data_path, which, ratio):
             f"expects {spec.input_width}")
     subset, offset = _select_split(frames, which, ratio)
     feats = std.apply_features(subset.features)
-    preds = decode_sequence(params, spec, feats)
-    return params, spec, std, subset, offset, feats, preds
+    return params, spec, std, subset, offset, feats
 
 
 def _cmd_eval(args) -> int:
-    _, _, std, subset, offset, _, preds_std = _decode_checkpoint(
+    params, spec, std, subset, offset, feats = _load_checkpoint(
         args.model, args.data, args.split, args.split_ratio)
-    preds = std.invert_velocity(preds_std)
+    preds = std.invert_velocity(decode_sequence(params, spec, feats))
     report = evaluate(preds, subset.velocities)
     for line in report.lines():
         print(line)
@@ -251,8 +247,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    params, spec, std, subset, _, feats, eval_rows = _decode_checkpoint(
+    params, spec, std, subset, _, feats = _load_checkpoint(
         args.model, args.data, args.split, args.split_ratio)
+    eval_rows = decode_sequence(params, spec, feats)
     state = reset_state(spec)
     rows = np.empty_like(eval_rows)
     for t, frame in enumerate(feats):
@@ -272,7 +269,7 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    params, spec, _, _, _, feats, _ = _decode_checkpoint(
+    params, spec, _, _, _, feats = _load_checkpoint(
         args.model, args.data, args.split, args.split_ratio)
     stats = count_spikes(params, spec, feats)
     snn = snn_cost(spec, stats.layer_rates)

@@ -10,9 +10,10 @@ import numpy as np
 def pearson(a, b) -> float:
     """Product-moment correlation of two equal-length sequences.
 
-    Raises ``ValueError`` when fewer than two points are given or either
-    input has zero variance (the coefficient is undefined there, and an
-    undefined metric should fail loudly rather than read as 0).
+    Raises ``ValueError`` when fewer than two points are given, either
+    input holds a NaN or an infinity, or either input has zero variance
+    (the coefficient is undefined there, and an undefined metric should
+    fail loudly rather than read as 0 or -1).
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -20,6 +21,8 @@ def pearson(a, b) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ValueError("correlation needs at least two points")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("correlation undefined for non-finite input")
     da = a - a.mean()
     db = b - b.mean()
     norm = np.sqrt((da * da).sum() * (db * db).sum())

@@ -5,16 +5,18 @@ velocity decoder, with threshold-scaled batch normalization on each
 layer's input current and per-timestep dropout on hidden spike vectors
 during training.
 
-Two traversal orders of the same arithmetic are provided:
+There is one training pass and one inference pass, both layer-major:
 
-* :func:`forward_unfolded` runs a whole window of frames at once,
-  layer-major, which lets training-mode normalization pool batch and time
-  statistics and records every intermediate the backward pass needs;
-* :func:`forward_streaming` advances persistent per-layer state by a
-  single frame, the form used for real-time decoding.
-
-In inference mode the two agree row for row: streaming keeps the exact
-arithmetic of the unfolded pass, just re-ordered.
+* the training pass (:func:`forward_unfolded` in ``"train"`` mode) runs
+  each layer's matmul as one blocked product over all batch and time
+  rows, normalizes with the pooled batch and time statistics, applies
+  dropout and records every intermediate the backward pass needs;
+* the inference pass runs one matmul per frame, normalizes with the
+  running statistics and carries the membrane state on from a given
+  start.  :func:`forward_unfolded` in ``"eval"`` mode runs it from a zero
+  state; :func:`forward_streaming` runs it over a one-frame window from
+  the state a real-time session carries.  Streamed rows therefore equal
+  the unfolded rows by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .neuron import (
     RESET_MODES,
     RESET_SUBTRACT,
     LifLayerState,
-    LifParams,
     lif_step,
     output_step,
 )
@@ -58,7 +59,6 @@ class NetworkSpec:
     window_len: int = 10
     reset_mode: str = RESET_SUBTRACT
     normalize_output: bool = True    # normalize the readout's input current too
-    dropout_before_output: bool = True
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
@@ -212,14 +212,19 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator,
 
 def reset_state(spec: NetworkSpec, dtype=np.float32) -> NetworkState:
     """A zeroed streaming state matching the topology."""
+    return _zero_state(spec, (), dtype)
+
+
+def _zero_state(spec: NetworkSpec, batch: tuple, dtype) -> NetworkState:
+    """A zeroed state whose arrays are shaped ``batch + (width,)``."""
     hidden = [
-        LifLayerState(potential=np.zeros(w, dtype=dtype),
-                      last_spikes=np.zeros(w, dtype=dtype))
+        LifLayerState(potential=np.zeros(batch + (w,), dtype=dtype),
+                      last_spikes=np.zeros(batch + (w,), dtype=dtype))
         for w in spec.layer_widths[1:-1]
     ]
     return NetworkState(
         hidden=hidden,
-        output_potential=np.zeros(spec.output_width, dtype=dtype),
+        output_potential=np.zeros(batch + (spec.output_width,), dtype=dtype),
     )
 
 
@@ -241,16 +246,6 @@ def _layer_normalized(spec: NetworkSpec, l: int) -> bool:
     return l < spec.n_hidden or spec.normalize_output
 
 
-def _layer_dropped(spec: NetworkSpec, l: int) -> bool:
-    # dropout acts on spikes leaving hidden layer l; the last hidden
-    # layer's output (feeding the readout) is switchable
-    if l >= spec.n_hidden:
-        return False
-    if l == spec.n_hidden - 1:
-        return spec.dropout_before_output
-    return True
-
-
 def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D operands, independent of the BLAS thread count.
 
@@ -264,6 +259,46 @@ def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
+           state: NetworkState):
+    """The inference pass over checked, time-major ``(T, ..., in_width)``
+    frames, starting from ``state``.
+
+    The state's arrays have the shape of one frame's activations,
+    ``(..., width)``; they are read, never written.  Returns the
+    predictions ``(T, ..., out_width)``, one ``(T, ..., width)`` spike
+    array per hidden layer, and the end state.
+    """
+    act = frames
+    spikes = []
+    hidden = []
+    for l, layer in enumerate(params.layers):
+        # a stack of one product per frame, each rounded as it would be
+        # alone: a streamed frame is a window of T = 1
+        cur = act @ layer.weight.T
+        if _layer_normalized(spec, l):
+            n = layer.norm
+            cur, _, _ = batchnorm.normalize(
+                cur, n.run_mean, n.run_var, n.gamma, n.beta,
+                spec.threshold, spec.bn_eps)
+        out = np.empty(cur.shape, dtype=params.dtype)
+        if l < spec.n_hidden:
+            u, s = state.hidden[l].potential, state.hidden[l].last_spikes
+            for t in range(len(cur)):
+                u, s = lif_step(u, s, cur[t], layer.tau,
+                                spec.threshold, spec.reset_mode)
+                out[t] = s
+            hidden.append(LifLayerState(potential=u, last_spikes=s))
+            spikes.append(out)
+            act = out
+        else:
+            u = state.output_potential
+            for t in range(len(cur)):
+                u, _ = output_step(u, cur[t], layer.tau)
+                out[t] = u
+    return out, spikes, NetworkState(hidden=hidden, output_potential=u)
+
+
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                      windows: np.ndarray, mode: str = EVAL,
                      rng: np.random.Generator | None = None):
@@ -275,16 +310,17 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         ``(T, in_width)`` for a single sample or ``(B, T, in_width)`` for
         a batch.  State starts at zero.
     mode : str
-        ``"train"`` uses pooled batch+time normalization statistics and
-        draws a fresh dropout mask per timestep (requires ``rng`` when
-        dropout is active); ``"eval"`` uses running statistics and no
-        dropout.
+        ``"train"`` runs the training pass: pooled batch+time
+        normalization statistics and a fresh dropout mask per timestep
+        (requires ``rng`` when dropout is active).  ``"eval"`` runs the
+        inference pass: running statistics and no dropout.
 
     Returns
     -------
     (ndarray, TrainingCache)
         Predictions of shape ``(B, T, out_width)`` (leading axis dropped
-        if the input was 2-D) and the cache of intermediates.
+        if the input was 2-D) and the cache of intermediates.  An
+        ``"eval"`` cache holds only the spikes.
     """
     _check_params(params, spec)
     windows = np.asarray(windows, dtype=params.dtype)
@@ -300,37 +336,31 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         raise ValueError("input features contain non-finite values")
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"unknown mode {mode!r}")
-    dropout_active = mode == TRAIN and spec.dropout_p > 0.0
-    if dropout_active and rng is None:
+    if mode == TRAIN and spec.dropout_p > 0.0 and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
+    if mode == EVAL:
+        start = _zero_state(spec, (len(windows),), params.dtype)
+        preds, spikes, _ = _infer(params, spec, windows.transpose(1, 0, 2),
+                                  start)
+        preds = preds.transpose(1, 0, 2)
+        cache = TrainingCache(mode=EVAL, inputs=windows, spikes=[
+            s.transpose(1, 0, 2) for s in spikes] + [None])
+        return (preds[0] if squeeze else preds), cache
 
     B, T, _ = windows.shape
     dtype = params.dtype
-    cache = TrainingCache(mode=mode, inputs=windows)
+    cache = TrainingCache(mode=TRAIN, inputs=windows)
     act = windows                                  # (B, T, w) at each stage
 
     for l, layer in enumerate(params.layers):
         width = spec.layer_widths[l + 1]
-        is_output = l == spec.n_layers - 1
-
-        wt = layer.weight.T
-        if mode == TRAIN:
-            # one blocked matmul over all (batch*time) rows: fastest path
-            cur = _blocked_gemm(act.reshape(B * T, -1), wt)
-            cur = cur.reshape(B, T, width)
-        else:
-            # per-timestep matmul keeps the arithmetic bitwise identical
-            # to the streaming pass
-            cur = np.empty((B, T, width), dtype=dtype)
-            for t in range(T):
-                cur[:, t, :] = act[:, t, :] @ wt
+        # one blocked matmul over all (batch*time) rows: fastest path
+        cur = _blocked_gemm(act.reshape(B * T, -1), layer.weight.T)
+        cur = cur.reshape(B, T, width)
 
         if _layer_normalized(spec, l):
             n = layer.norm
-            if mode == TRAIN:
-                mean, var = batchnorm.batch_stats(cur)
-            else:
-                mean, var = n.run_mean, n.run_var
+            mean, var = batchnorm.batch_stats(cur)
             normed, xhat, inv_std = batchnorm.normalize(
                 cur, mean, var, n.gamma, n.beta, spec.threshold, spec.bn_eps)
         else:
@@ -338,24 +368,22 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
             normed = cur
 
         u = np.empty((B, T, width), dtype=dtype)
-        if is_output:
+        u_t = np.zeros((B, width), dtype=dtype)
+        if l == spec.n_hidden:
             spikes = fed = mask = None
-            u_t = np.zeros((B, width), dtype=dtype)
             for t in range(T):
                 u_t, _ = output_step(u_t, normed[:, t, :], layer.tau)
                 u[:, t, :] = u_t
             preds = u
         else:
-            lif = LifParams(threshold=spec.threshold, tau=layer.tau,
-                            reset_mode=spec.reset_mode)
             spikes = np.empty((B, T, width), dtype=dtype)
-            state = LifLayerState(potential=np.zeros((B, width), dtype=dtype),
-                                  last_spikes=np.zeros((B, width), dtype=dtype))
+            s_t = np.zeros((B, width), dtype=dtype)
             for t in range(T):
-                state, s_t = lif_step(state, normed[:, t, :], lif)
-                u[:, t, :] = state.potential
+                u_t, s_t = lif_step(u_t, s_t, normed[:, t, :], layer.tau,
+                                    spec.threshold, spec.reset_mode)
+                u[:, t, :] = u_t
                 spikes[:, t, :] = s_t
-            if dropout_active and _layer_dropped(spec, l):
+            if spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p
                 mask = (rng.random(size=spikes.shape) < keep).astype(dtype)
                 mask = mask / keep          # inverted scaling: eval needs none
@@ -374,21 +402,20 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         cache.masks.append(mask)
         cache.fed.append(fed)
 
-    if squeeze:
-        return preds[0], cache
-    return preds, cache
+    return (preds[0] if squeeze else preds), cache
 
 
 def forward_streaming(params: NetworkParams, spec: NetworkSpec,
                       frame: np.ndarray, state: NetworkState):
     """Advance the persistent decoder state by one frame.
 
-    Normalization always runs on the stored running statistics and dropout
-    is disabled: this is the inference path.  The passed-in state is left
-    untouched; a fresh state is returned alongside the prediction.  A frame
-    holding a NaN or infinity is rejected with ``ValueError``, as in
-    :func:`forward_unfolded`, before any state is computed, so one bad
-    frame cannot poison the membrane potentials of the frames after it.
+    Runs the inference pass of :func:`forward_unfolded` over a one-frame
+    window from ``state``: running normalization statistics, no dropout.
+    The passed-in state is left untouched; a fresh state is returned
+    alongside the prediction.  A frame holding a NaN or infinity is
+    rejected with ``ValueError``, as in :func:`forward_unfolded`, before
+    any state is computed, so one bad frame cannot poison the membrane
+    potentials of the frames after it.
 
     Returns
     -------
@@ -408,33 +435,5 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
             f"state has {len(state.hidden)} hidden layers, "
             f"topology wants {spec.n_hidden}"
         )
-
-    act = frame[None, :]                            # row shape matches unfolded
-    new_hidden = []
-    for l in range(spec.n_hidden):
-        layer = params.layers[l]
-        cur = act @ layer.weight.T
-        n = layer.norm
-        normed, _, _ = batchnorm.normalize(
-            cur, n.run_mean, n.run_var, n.gamma, n.beta,
-            spec.threshold, spec.bn_eps)
-        lif = LifParams(threshold=spec.threshold, tau=layer.tau,
-                        reset_mode=spec.reset_mode)
-        prev = state.hidden[l]
-        st = LifLayerState(potential=prev.potential[None, :],
-                           last_spikes=prev.last_spikes[None, :])
-        st, s = lif_step(st, normed, lif)
-        new_hidden.append(LifLayerState(potential=st.potential[0],
-                                        last_spikes=st.last_spikes[0]))
-        act = s
-
-    out = params.layers[-1]
-    cur = act @ out.weight.T
-    if spec.normalize_output:
-        n = out.norm
-        cur, _, _ = batchnorm.normalize(
-            cur, n.run_mean, n.run_var, n.gamma, n.beta,
-            spec.threshold, spec.bn_eps)
-    new_u, pred = output_step(state.output_potential[None, :], cur, out.tau)
-    new_state = NetworkState(hidden=new_hidden, output_potential=new_u[0])
-    return pred[0], new_state
+    preds, _, new_state = _infer(params, spec, frame[None], state)
+    return preds[0], new_state

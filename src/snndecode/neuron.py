@@ -29,36 +29,6 @@ SURROGATE_HALF_WIDTH = 0.5
 
 
 @dataclass
-class LifParams:
-    """Parameters of one spiking layer.
-
-    Attributes
-    ----------
-    threshold : float
-        Firing threshold, shared by every neuron in the network.
-    tau : ndarray
-        Per-neuron membrane decay factor, each in [0, 1].
-    reset_mode : str
-        ``"subtract"`` removes one threshold's worth of potential after a
-        spike, keeping any super-threshold residue; ``"zero"`` clears the
-        membrane entirely.
-    """
-
-    threshold: float
-    tau: np.ndarray
-    reset_mode: str = RESET_SUBTRACT
-
-    def __post_init__(self):
-        self.tau = np.asarray(self.tau)
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.reset_mode not in RESET_MODES:
-            raise ValueError(f"unknown reset mode {self.reset_mode!r}")
-        if self.tau.size and (self.tau.min() < 0.0 or self.tau.max() > 1.0):
-            raise ValueError("decay factors must lie in [0, 1]")
-
-
-@dataclass
 class LifLayerState:
     """Persistent state of one spiking layer: membrane potentials and the
     spike vector emitted on the previous step."""
@@ -67,40 +37,37 @@ class LifLayerState:
     last_spikes: np.ndarray
 
 
-def lif_step(state: LifLayerState, input_current: np.ndarray, params: LifParams):
+def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
+             current: np.ndarray, tau: np.ndarray, threshold: float,
+             reset_mode: str):
     """Advance a spiking layer by one frame.
 
     The membrane first undergoes the reset implied by the previous step's
-    spikes, then leaks by ``tau`` and integrates ``input_current``.  A
-    neuron fires when its updated potential reaches the threshold.
-
-    Parameters
-    ----------
-    state : LifLayerState
-        Potentials and previous spikes; not modified.
-    input_current : ndarray
-        Summed synaptic current, same trailing width as the layer.
-    params : LifParams
+    spikes, then leaks by ``tau`` and integrates ``current``.  A neuron
+    fires when its updated potential reaches ``threshold``.
+    ``reset_mode`` ``"subtract"`` removes one threshold's worth of
+    potential after a spike, keeping any super-threshold residue;
+    ``"zero"`` clears the membrane entirely.  The threshold, reset mode
+    and the range of ``tau`` are validated where they are set
+    (:class:`~snndecode.network.NetworkSpec`, parameter initialization,
+    the optimizer's clamp and the checkpoint loader), not per step.
 
     Returns
     -------
-    (LifLayerState, ndarray)
-        The new state and the spike vector (0/1 floats).  The new state's
-        ``last_spikes`` is the returned spike vector.
+    (ndarray, ndarray)
+        The new potentials and the spike vector (0/1 floats), which is
+        the next step's ``last_spikes``.  The arguments are not modified.
     """
-    u, s_prev = state.potential, state.last_spikes
-    input_current = np.asarray(input_current)
-    if input_current.shape != u.shape or s_prev.shape != u.shape:
+    if not potential.shape == last_spikes.shape == current.shape:
         raise ValueError(
-            f"shape mismatch: potential {u.shape}, previous spikes "
-            f"{s_prev.shape}, current {input_current.shape}"
+            f"shape mismatch: potential {potential.shape}, previous spikes "
+            f"{last_spikes.shape}, current {current.shape}"
         )
-    if params.reset_mode == RESET_SUBTRACT:
-        u_next = params.tau * (u - s_prev * params.threshold) + input_current
+    if reset_mode == RESET_SUBTRACT:
+        u_next = tau * (potential - last_spikes * threshold) + current
     else:
-        u_next = params.tau * u * (1.0 - s_prev) + input_current
-    spikes = (u_next >= params.threshold).astype(u_next.dtype)
-    return LifLayerState(potential=u_next, last_spikes=spikes), spikes
+        u_next = tau * potential * (1.0 - last_spikes) + current
+    return u_next, (u_next >= threshold).astype(u_next.dtype)
 
 
 def output_step(potential: np.ndarray, input_current: np.ndarray, tau: np.ndarray):

@@ -135,6 +135,21 @@ def rewritten(path, edit):
                  id="narrow-weight"),
     pytest.param(lambda m, a: a.update({"std.vel_std": a["std.feat_std"]}),
                  id="wide-velocity-scale"),
+    pytest.param(lambda m, a: a["layer1.weight"].__setitem__((2, 3), np.inf),
+                 id="inf-weight"),
+    pytest.param(lambda m, a: a["layer0.run_var"].__setitem__(0, np.nan),
+                 id="nan-run_var"),
+    pytest.param(lambda m, a: a["layer2.run_var"].__setitem__(4, -1.0),
+                 id="negative-run_var"),
+    pytest.param(lambda m, a: a["layer3.tau"].__setitem__(1, 1.5),
+                 id="tau-above-one"),
+    pytest.param(lambda m, a: a["layer0.tau"].__setitem__(0, -0.25),
+                 id="negative-tau"),
+    pytest.param(lambda m, a: a["std.feat_mean"].__setitem__(0, np.nan),
+                 id="nan-feature-mean"),
+    pytest.param(lambda m, a: a.update({"layer0.beta":
+                                        a["layer0.beta"].astype(np.int32)}),
+                 id="integer-beta"),
 ])
 def test_rejects_malformed_header(tmp_path, header):
     bad = tmp_path / "bad.ckpt"
@@ -147,6 +162,32 @@ def test_rejects_malformed_header(tmp_path, header):
                         + header + bytes(8))
     with pytest.raises(DataError):
         load_snn(bad)
+
+
+def test_loads_spec_with_retired_field(tmp_path):
+    """A checkpoint written while the spec still had
+    ``dropout_before_output`` loads; the field is ignored."""
+    params, spec = toy_model()
+    path = tmp_path / "old.ckpt"
+    save_snn(path, params, spec, toy_standardizer())
+    rewritten(path, lambda m, a: m["spec"].update(dropout_before_output=True))
+    loaded, spec2, _, _ = load_snn(path)
+    assert spec2 == spec
+    for a, b in zip(loaded.layers, params.layers):
+        assert np.array_equal(a.weight, b.weight)
+
+
+@pytest.mark.parametrize("name", ["kf.A", "kf.W", "kf.C", "kf.Q"])
+def test_kf_rejects_misshaped_array(tmp_path, name):
+    """A 6-channel filter with one array cut by a row and a column (kf.Q
+    to 5x5) fails at load time, naming the array."""
+    rng = np.random.default_rng(1)
+    path = tmp_path / "k.ckpt"
+    save_kf(path, kf_fit(rng.normal(size=(50, 6)), rng.normal(size=(50, 2))),
+            toy_standardizer(channels=6))
+    rewritten(path, lambda m, a: a.update({name: a[name][:-1, :-1]}))
+    with pytest.raises(DataError, match=name):
+        load_kf(path)
 
 
 @pytest.mark.parametrize("key", ["ridge", "degenerate_channels", "extra"])

@@ -203,6 +203,45 @@ def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
         assert "bn_eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("layer1.run_var", -1.0),
+                                         ("layer0.run_var", np.nan),
+                                         ("layer2.weight", np.inf),
+                                         ("layer3.tau", 1.5)])
+def test_poisoned_checkpoint_exits_2(trained, dataset, tmp_path, capsys,
+                                     name, value):
+    """Array values the decoder cannot use end in exit 2 naming the file
+    and the array, not in a decode with NaN figures."""
+    ckpt, _ = trained
+    bad = tmp_path / "poisoned.ckpt"
+    bad.write_bytes(ckpt.read_bytes())
+    kind, meta, arrays = _read_container(bad)
+    arrays[name].flat[0] = value
+    _write_container(bad, kind, meta, list(arrays.items()))
+    for command in ("eval", "stream", "profile"):
+        assert main([command, "--model", str(bad),
+                     "--data", str(dataset)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and str(bad) in err
+
+
+def test_profile_runs_one_inference_pass(trained, dataset, capsys,
+                                         monkeypatch):
+    """``profile`` needs only the spike counts: one unfolded pass."""
+    from snndecode import profiler, train
+    calls = []
+    for module in (train, profiler):
+        real = module.forward_unfolded
+
+        def counted(*args, real=real, name=module.__name__, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "forward_unfolded", counted)
+    assert main(["profile", "--model", str(trained[0]),
+                 "--data", str(dataset)]) == 0
+    assert calls == ["snndecode.profiler"]
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "d.bin"
     proc = subprocess.run(

@@ -24,6 +24,15 @@ def test_zero_variance_is_an_error():
         pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_input_is_an_error(bad):
+    """A NaN used to pass the variance check and clamp to r = -1."""
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+
+
 def test_length_mismatch_and_short_input():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])

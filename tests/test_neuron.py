@@ -6,116 +6,106 @@ import pytest
 from snndecode import (
     RESET_SUBTRACT,
     RESET_ZERO,
-    LifLayerState,
-    LifParams,
+    NetworkSpec,
+    init_params,
     lif_step,
     output_step,
     surrogate_grad,
 )
 
 
-def make_state(u, s):
-    return LifLayerState(potential=np.asarray(u, dtype=float),
-                         last_spikes=np.asarray(s, dtype=float))
+def step(u, s, current, tau, reset_mode=RESET_SUBTRACT):
+    """One ``lif_step`` at threshold 0.4 on float arrays."""
+    return lif_step(np.asarray(u, dtype=float), np.asarray(s, dtype=float),
+                    np.asarray(current, dtype=float),
+                    np.asarray(tau, dtype=float), 0.4, reset_mode)
 
 
-class TestLifParams:
+class TestNeuronParameterChecks:
+    """``lif_step`` does not re-check its parameters each step; the places
+    that set them do."""
+
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            LifParams(threshold=0.0, tau=np.array([0.5]))
-        with pytest.raises(ValueError):
-            LifParams(threshold=-1.0, tau=np.array([0.5]))
+        with pytest.raises(ValueError, match="threshold"):
+            NetworkSpec(threshold=0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            NetworkSpec(threshold=-1.0)
 
     def test_rejects_tau_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            LifParams(threshold=0.4, tau=np.array([1.2]))
-        with pytest.raises(ValueError):
-            LifParams(threshold=0.4, tau=np.array([-0.1]))
+        spec = NetworkSpec(layer_widths=(3, 4, 2))
+        rng = np.random.default_rng(0)
+        for tau_init in (1.2, -0.1, (0.5, 1.2), (-0.1, 0.5)):
+            with pytest.raises(ValueError, match="decay factors"):
+                init_params(spec, rng, tau_init=tau_init)
 
     def test_rejects_unknown_reset_mode(self):
-        with pytest.raises(ValueError):
-            LifParams(threshold=0.4, tau=np.array([0.5]), reset_mode="warp")
+        with pytest.raises(ValueError, match="reset mode"):
+            NetworkSpec(reset_mode="warp")
 
 
 class TestLifStep:
     def test_subtract_reset_hand_case(self):
         """tau=0.5, u=1.0 after a spike, input 0.3 lands at 0.6 and fires."""
-        params = LifParams(threshold=0.4, tau=np.array([0.5]))
-        state, spikes = lif_step(make_state([1.0], [1.0]),
-                                 np.array([0.3]), params)
-        np.testing.assert_allclose(state.potential, [0.6])
+        u, spikes = step([1.0], [1.0], [0.3], [0.5])
+        np.testing.assert_allclose(u, [0.6])
         np.testing.assert_array_equal(spikes, [1.0])
-        np.testing.assert_array_equal(state.last_spikes, [1.0])
 
     def test_zero_is_a_fixed_point(self):
         for tau in (0.0, 0.3, 1.0):
-            params = LifParams(threshold=0.4, tau=np.array([tau]))
-            state, spikes = lif_step(make_state([0.0], [0.0]),
-                                     np.array([0.0]), params)
-            np.testing.assert_array_equal(state.potential, [0.0])
+            u, spikes = step([0.0], [0.0], [0.0], [tau])
+            np.testing.assert_array_equal(u, [0.0])
             np.testing.assert_array_equal(spikes, [0.0])
 
     def test_exact_threshold_fires(self):
         """The spike condition is >=, so landing exactly on the threshold fires."""
-        params = LifParams(threshold=0.4, tau=np.array([0.0]))
-        _, spikes = lif_step(make_state([0.0], [0.0]), np.array([0.4]), params)
+        _, spikes = step([0.0], [0.0], [0.4], [0.0])
         np.testing.assert_array_equal(spikes, [1.0])
 
     def test_just_below_threshold_stays_silent(self):
-        params = LifParams(threshold=0.4, tau=np.array([0.0]))
-        _, spikes = lif_step(make_state([0.0], [0.0]),
-                             np.array([0.4 - 1e-9]), params)
+        _, spikes = step([0.0], [0.0], [0.4 - 1e-9], [0.0])
         np.testing.assert_array_equal(spikes, [0.0])
 
     def test_reset_to_zero_mode(self):
         """After a spike the zero mode forgets the whole potential."""
-        params = LifParams(threshold=0.4, tau=np.array([0.5]),
-                           reset_mode=RESET_ZERO)
-        state, spikes = lif_step(make_state([1.0], [1.0]),
-                                 np.array([0.3]), params)
-        np.testing.assert_allclose(state.potential, [0.3])
+        u, spikes = step([1.0], [1.0], [0.3], [0.5], RESET_ZERO)
+        np.testing.assert_allclose(u, [0.3])
         np.testing.assert_array_equal(spikes, [0.0])
 
     def test_subtract_removes_threshold_once_per_spike(self):
         """With tau=1 and no input, each spike costs exactly one threshold."""
-        params = LifParams(threshold=0.4, tau=np.array([1.0]))
-        state = make_state([1.0], [0.0])
-        zero = np.array([0.0])
+        u, s = np.array([1.0]), np.array([0.0])
         potentials = []
         for _ in range(4):
-            state, _ = lif_step(state, zero, params)
-            potentials.append(state.potential[0])
+            u, s = step(u, s, [0.0], [1.0])
+            potentials.append(u[0])
         # 1.0 -> fires -> 0.6 -> fires -> 0.2 (quiet) -> stays
         np.testing.assert_allclose(potentials, [1.0, 0.6, 0.2, 0.2])
 
     def test_purely_functional(self):
-        params = LifParams(threshold=0.4, tau=np.array([0.7, 0.2]))
-        state = make_state([0.5, -0.1], [1.0, 0.0])
+        u, s = np.array([0.5, -0.1]), np.array([1.0, 0.0])
         current = np.array([0.05, 0.6])
-        before_u = state.potential.copy()
-        out1 = lif_step(state, current, params)
-        out2 = lif_step(state, current, params)
-        np.testing.assert_array_equal(state.potential, before_u)
-        np.testing.assert_array_equal(out1[0].potential, out2[0].potential)
+        before = u.copy(), s.copy(), current.copy()
+        out1 = step(u, s, current, [0.7, 0.2])
+        out2 = step(u, s, current, [0.7, 0.2])
+        for arg, old in zip((u, s, current), before):
+            np.testing.assert_array_equal(arg, old)
+        np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1], out2[1])
 
     def test_batched_state_shapes(self):
         rng = np.random.default_rng(7)
-        params = LifParams(threshold=0.4, tau=rng.uniform(0, 1, 8))
-        state = LifLayerState(potential=rng.normal(size=(5, 8)),
-                              last_spikes=np.zeros((5, 8)))
-        new_state, spikes = lif_step(state, rng.normal(size=(5, 8)), params)
-        assert new_state.potential.shape == (5, 8)
+        u, spikes = step(rng.normal(size=(5, 8)), np.zeros((5, 8)),
+                         rng.normal(size=(5, 8)), rng.uniform(0, 1, 8))
+        assert u.shape == (5, 8)
         assert spikes.shape == (5, 8)
-        np.testing.assert_array_equal(
-            spikes, (new_state.potential >= 0.4).astype(float))
+        np.testing.assert_array_equal(spikes, (u >= 0.4).astype(float))
         assert set(np.unique(spikes)) <= {0.0, 1.0}
 
     def test_dimension_mismatch_raises(self):
-        params = LifParams(threshold=0.4, tau=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            lif_step(make_state([0.0, 0.0], [0.0, 0.0]),
-                     np.array([1.0, 2.0, 3.0]), params)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step([0.0, 0.0], [0.0, 0.0], [1.0, 2.0, 3.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step([0.0, 0.0], [0.0], [1.0, 2.0], [0.5, 0.5])
 
 
 class TestOutputStep:
