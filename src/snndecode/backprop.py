@@ -3,9 +3,12 @@
 The forward pass is a chain of matmuls, pooled normalizations, and two
 kinds of membrane recurrence (spiking hidden layers, integrator
 readout).  :func:`backward` walks that chain in reverse, layer-major
-like the forward: for each layer it first resolves the time recurrence
-back to front, then the normalizer, then the weights, handing the
-remaining gradient to the layer below.
+like the forward and on the same time-major ``(T, B, width)`` arrays:
+for each layer it first resolves the time recurrence back to front,
+then the normalizer, then the weights, handing the remaining gradient
+to the layer below.  One loop serves both reset modes and the readout:
+each differs only in what a spike removes and in the leak, which are
+set once per layer before the loop.
 
 Spike generation is a step function, so its true derivative is useless;
 gradient crosses it through the box-window surrogate.  What `backward`
@@ -127,71 +130,66 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
     thr = spec.threshold
 
     grads = [None] * spec.n_layers
-    grad_fed = None                               # dL/d(activation into layer)
+    # dL/d(output of layer l), time-major like every array below
+    grad_out = _loss_grad(preds, targets, warmup_discard).transpose(1, 0, 2)
     for l in reversed(range(spec.n_layers)):
         layer = params.layers[l]
         tau = layer.tau
-        u = cache.potentials[l]
-        is_output = l == spec.n_layers - 1
+        u = cache.potentials[l].transpose(1, 0, 2)
+        # u[t+1] = tau * (u[t] - r[t] * s[t]) + current: a spike removes r,
+        # the threshold or the whole potential (u - u * s == u * (1 - s)
+        # exactly, as s is 0 or 1).  The readout is the case that never
+        # spikes and whose output is its potential.
+        leak = np.broadcast_to(tau, u.shape)            # d u[t+1] / d u[t]
+        if l == spec.n_layers - 1:
+            window = np.ones_like(u)
+            r = s = 0.0
+        else:
+            if cache.masks[l] is not None:
+                grad_out = grad_out * cache.masks[l].transpose(1, 0, 2)
+            window = surrogate_grad(u, thr)             # d s[t] / d u[t]
+            s = cache.spikes[l].transpose(1, 0, 2)
+            if spec.reset_mode == RESET_SUBTRACT:
+                r = thr
+            else:
+                r = u
+                leak = tau * (1.0 - s)
+        kick = np.broadcast_to(tau * r, u.shape)        # -d u[t+1] / d s[t]
+        dtau = u - r * s                                # d u[t+1] / d tau
 
         grad_norm = np.empty_like(u)              # dL/d(normalized current)
         grad_tau = np.zeros_like(tau)
-        if is_output:
-            dpred = _loss_grad(preds, targets, warmup_discard)
-            gu_next = np.zeros_like(u[:, 0, :])
-            for t in reversed(range(T)):
-                gu = dpred[:, t, :] + gu_next * tau
-                if t > 0:
-                    grad_tau += (gu * u[:, t - 1, :]).sum(axis=0)
-                grad_norm[:, t, :] = gu
-                gu_next = gu
-        else:
-            s = cache.spikes[l]
-            mask = cache.masks[l]
-            grad_spike = grad_fed * mask if mask is not None else grad_fed
-            gu_next = np.zeros_like(u[:, 0, :])
-            for t in reversed(range(T)):
-                window = surrogate_grad(u[:, t, :], thr)
-                if spec.reset_mode == RESET_SUBTRACT:
-                    gs = grad_spike[:, t, :] - gu_next * (tau * thr)
-                    gu = gs * window + gu_next * tau
-                    if t > 0:
-                        dtau_t = u[:, t - 1, :] - thr * s[:, t - 1, :]
-                        grad_tau += (gu * dtau_t).sum(axis=0)
-                else:
-                    gs = grad_spike[:, t, :] - gu_next * (tau * u[:, t, :])
-                    gu = gs * window + gu_next * (tau * (1.0 - s[:, t, :]))
-                    if t > 0:
-                        dtau_t = u[:, t - 1, :] * (1.0 - s[:, t - 1, :])
-                        grad_tau += (gu * dtau_t).sum(axis=0)
-                grad_norm[:, t, :] = gu
-                gu_next = gu
+        gu_next = np.zeros_like(u[0])
+        for t in reversed(range(T)):
+            gs = grad_out[t] - gu_next * kick[t]
+            gu = gs * window[t] + gu_next * leak[t]
+            if t > 0:
+                grad_tau += (gu * dtau[t - 1]).sum(axis=0)
+            grad_norm[t] = gu
+            gu_next = gu
 
         if _layer_normalized(spec, l):
             grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
-                grad_norm, cache.xhat[l], cache.inv_std[l],
-                layer.norm.gamma, thr)
+                grad_norm, cache.xhat[l].transpose(1, 0, 2),
+                cache.inv_std[l], layer.norm.gamma, thr)
         else:
             grad_cur = grad_norm
             grad_gamma = np.zeros_like(layer.norm.gamma)
             grad_beta = np.zeros_like(layer.norm.beta)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs
-        grad_rows = grad_cur.reshape(B * T, -1)
-        grad_weight = _blocked_gemm(grad_rows.T, act_in.reshape(B * T, -1))
+        act_in = act_in.transpose(1, 0, 2)
+        grad_rows = grad_cur.reshape(T * B, -1)
+        grad_weight = _blocked_gemm(grad_rows.T, act_in.reshape(T * B, -1))
         if l > 0:                   # the network input needs no gradient
-            grad_fed = _blocked_gemm(grad_rows, layer.weight)
-            grad_fed = grad_fed.reshape(act_in.shape)
+            grad_out = _blocked_gemm(grad_rows, layer.weight)
+            grad_out = grad_out.reshape(act_in.shape)
 
-        bad = ~np.isfinite(grad_weight).all() or ~np.isfinite(grad_tau).all()
-        if bad or not np.isfinite(grad_cur).all():
-            t_bad = 0
-            nonfinite = ~np.isfinite(grad_cur).all(axis=(0, 2))
-            if nonfinite.any():
-                t_bad = int(np.argmax(nonfinite))
-            raise NumericError(
-                f"non-finite gradient in layer {l} around timestep {t_bad}"
-            )
+        finite = np.isfinite(grad_cur).all(axis=(1, 2))     # per timestep
+        if not (finite.all() and np.isfinite(grad_weight).all()
+                and np.isfinite(grad_tau).all()):
+            raise NumericError(f"non-finite gradient in layer {l} around "
+                               f"timestep {int(np.argmin(finite))}")
 
         grads[l] = LayerGrads(weight=grad_weight, tau=grad_tau,
                               gamma=grad_gamma, beta=grad_beta)

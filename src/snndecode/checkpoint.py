@@ -77,11 +77,8 @@ def _read_container(path):
     try:
         header = json.loads(raw[10:10 + hlen].decode("utf-8"))
         kind, meta, manifest = header["kind"], header["meta"], header["arrays"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
-    arrays = {}
-    offset = 10 + hlen
-    try:
+        arrays = {}
+        offset = 10 + hlen
         for name, dtype_str, shape in manifest:
             dtype = np.dtype(dtype_str)
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -92,9 +89,10 @@ def _read_container(path):
             arrays[name] = np.frombuffer(
                 raw[offset:end], dtype=dtype).reshape(shape).copy()
             offset = end
-    except (ValueError, TypeError) as exc:
-        raise DataError(
-            f"{path}: corrupt checkpoint array table: {exc!r}") from exc
+    except (ValueError, KeyError, TypeError, SyntaxError,
+            OverflowError) as exc:
+        # np.dtype raises SyntaxError on some strings; huge shapes overflow
+        raise DataError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
     if offset != len(raw):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")
     return kind, meta, arrays

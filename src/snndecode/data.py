@@ -105,18 +105,20 @@ def save_frames(frames: FrameSet, path, fmt: str = "binary") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _load_csv(path):
+def _parse_csv(path, raw: bytes):
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: undecodable text: {e}") from e
     frame_ms, provenance = 50.0, EXTERNAL
     lineno = 0
     if lines and lines[0].startswith("#"):
         for token in lines[0].split():
             if token.startswith("frame_ms="):
-                frame_ms = float(token.split("=", 1)[1])
+                try:
+                    frame_ms = float(token.split("=", 1)[1])
+                except ValueError as e:
+                    raise DataError(f"{path} line 1: {e}") from e
             elif token.startswith("provenance="):
                 provenance = token.split("=", 1)[1]
         lines = lines[1:]
@@ -145,16 +147,10 @@ def _load_csv(path):
             raise DataError(f"{path} line {off}: {e}") from e
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = np.array(rows, dtype=np.float32)
-    return _make_frameset(table[:, :-2], table[:, -2:], frame_ms, provenance)
+    return np.array(rows, dtype=np.float32), frame_ms, provenance
 
 
-def _load_binary(path):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+def _parse_binary(path, raw: bytes):
     if raw[:4] != _BINARY_MAGIC:
         raise DataError(f"{path}: not a frame container (bad magic)")
     if len(raw) < 12:
@@ -168,7 +164,7 @@ def _load_binary(path):
         count = int(meta_doc["sample_count"])
         frame_ms = float(meta_doc["frame_ms"])
         provenance = str(meta_doc["provenance"])
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise DataError(f"{path}: malformed frame header: {e!r}") from e
     if channels < 1 or count < 0:
         raise DataError(f"{path}: bad frame header counts "
@@ -181,32 +177,35 @@ def _load_binary(path):
             f"got {len(body)}"
         )
     table = np.frombuffer(body, dtype="<f4").reshape(count, channels + 2)
-    return _make_frameset(table[:, :-2].copy(), table[:, -2:].copy(),
-                          frame_ms, provenance)
+    return table.copy(), frame_ms, provenance
 
 
 def load_frames(path, fmt: str | None = None) -> FrameSet:
     """Load a dataset; ``fmt`` is ``csv``/``binary`` or None to sniff.
 
-    Malformed content raises :class:`DataError` naming the offending
-    line.  Non-finite values are rejected.
+    Malformed content raises :class:`DataError` naming the file and,
+    in a CSV file, the offending line.  Non-finite values and a frame
+    duration that is not positive and finite are rejected.
     """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from e
     if fmt is None:
-        try:
-            with open(path, "rb") as fh:
-                fmt = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
-        except OSError as e:
-            raise DataError(f"cannot read {path}: {e}") from e
+        fmt = "binary" if raw[:4] == _BINARY_MAGIC else "csv"
     if fmt == "csv":
-        frames = _load_csv(path)
+        table, frame_ms, provenance = _parse_csv(path, raw)
     elif fmt == "binary":
-        frames = _load_binary(path)
+        table, frame_ms, provenance = _parse_binary(path, raw)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if not (np.isfinite(frames.features).all()
-            and np.isfinite(frames.velocities).all()):
+    if not np.isfinite(table).all():
         raise DataError(f"{path}: dataset contains non-finite values")
-    return frames
+    if not 0.0 < frame_ms < np.inf:
+        raise DataError(f"{path}: frame header gives frame_ms={frame_ms}, "
+                        f"not a positive finite duration")
+    return _make_frameset(table[:, :-2], table[:, -2:], frame_ms, provenance)
 
 
 def split_train_val(frames: FrameSet, ratio: float = 0.8):

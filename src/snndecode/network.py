@@ -5,12 +5,14 @@ velocity decoder, with threshold-scaled batch normalization on each
 layer's input current and per-timestep dropout on hidden spike vectors
 during training.
 
-There is one training pass and one inference pass, both layer-major:
+Both passes run layer-major on time-major ``(T, ..., width)`` arrays, and
+one recurrence, :func:`_recurrence`, advances the membranes in both:
 
 * the training pass (:func:`forward_unfolded` in ``"train"`` mode) runs
-  each layer's matmul as one blocked product over all batch and time
-  rows, normalizes with the pooled batch and time statistics, applies
-  dropout and records every intermediate the backward pass needs;
+  each layer's matmul as one blocked product over all time and batch
+  rows, normalizes with the pooled batch and time statistics, keeps the
+  potentials, applies dropout, and records every intermediate the
+  backward pass needs (as ``(B, T, width)`` views);
 * the inference pass runs one matmul per frame, normalizes with the
   running statistics and carries the membrane state on from a given
   start.  :func:`forward_unfolded` in ``"eval"`` mode runs it from a zero
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import batchnorm
+from .errors import NumericError
 from .neuron import (
     RESET_MODES,
     RESET_SUBTRACT,
@@ -156,6 +159,8 @@ class TrainingCache:
     """Every intermediate of one unfolded forward pass, layer-indexed.
 
     Index ``l`` runs over weight layers; the last entry is the readout.
+    The per-step fields are ``(B, T, width)`` views of the training
+    pass's time-major arrays.
     ``fed[l]`` is the activation that actually reached layer ``l + 1``
     (spikes after dropout), ``masks[l]`` the scaled dropout mask or None,
     and ``xhat``/``inv_std`` are the normalizer intermediates (None when a
@@ -259,6 +264,29 @@ def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
+                u: np.ndarray, s: np.ndarray | None = None,
+                potentials: np.ndarray | None = None):
+    """One layer's membrane recurrence over time-major ``(T, ..., width)``
+    currents from potentials ``u`` and previous spikes ``s``; ``s=None``
+    runs the readout integrator.  Returns the per-frame output (spikes, or
+    the readout's potentials) and the end potentials and spikes.  Each
+    frame's spiking potentials go into ``potentials`` when it is given:
+    the training pass needs them, inference does not.
+    """
+    out = np.empty_like(cur)
+    if s is None:
+        for t in range(len(cur)):
+            u, out[t] = output_step(u, cur[t], tau)
+        return out, u, None
+    for t in range(len(cur)):
+        u, s = lif_step(u, s, cur[t], tau, spec.threshold, spec.reset_mode)
+        out[t] = s
+        if potentials is not None:
+            potentials[t] = u
+    return out, u, s
+
+
 def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
            state: NetworkState):
     """The inference pass over checked, time-major ``(T, ..., in_width)``
@@ -267,7 +295,10 @@ def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
     The state's arrays have the shape of one frame's activations,
     ``(..., width)``; they are read, never written.  Returns the
     predictions ``(T, ..., out_width)``, one ``(T, ..., width)`` spike
-    array per hidden layer, and the end state.
+    array per hidden layer, and the end state.  End potentials that are
+    not all finite raise :class:`NumericError` naming the layer: neither
+    membrane update makes a NaN or an infinity finite again, so the end
+    state shows an overflow on any frame.
     """
     act = frames
     spikes = []
@@ -281,22 +312,20 @@ def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
             cur, _, _ = batchnorm.normalize(
                 cur, n.run_mean, n.run_var, n.gamma, n.beta,
                 spec.threshold, spec.bn_eps)
-        out = np.empty(cur.shape, dtype=params.dtype)
         if l < spec.n_hidden:
-            u, s = state.hidden[l].potential, state.hidden[l].last_spikes
-            for t in range(len(cur)):
-                u, s = lif_step(u, s, cur[t], layer.tau,
-                                spec.threshold, spec.reset_mode)
-                out[t] = s
+            start = state.hidden[l]
+            act, u, s = _recurrence(cur, layer.tau, spec, start.potential,
+                                    start.last_spikes)
             hidden.append(LifLayerState(potential=u, last_spikes=s))
-            spikes.append(out)
-            act = out
+            spikes.append(act)
         else:
-            u = state.output_potential
-            for t in range(len(cur)):
-                u, _ = output_step(u, cur[t], layer.tau)
-                out[t] = u
-    return out, spikes, NetworkState(hidden=hidden, output_potential=u)
+            act, u, _ = _recurrence(cur, layer.tau, spec,
+                                    state.output_potential)
+    ends = [h.potential for h in hidden] + [u]
+    if not np.isfinite(np.concatenate(ends, axis=-1)).all():  # all layers
+        bad = next(l for l, e in enumerate(ends) if not np.isfinite(e).all())
+        raise NumericError(f"non-finite membrane potential in layer {bad}")
+    return act, spikes, NetworkState(hidden=hidden, output_potential=u)
 
 
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
@@ -347,16 +376,15 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
             s.transpose(1, 0, 2) for s in spikes] + [None])
         return (preds[0] if squeeze else preds), cache
 
+    # the training pass runs time-major, (T, B, w); the cache holds
+    # (B, T, w) views of its arrays
     B, T, _ = windows.shape
-    dtype = params.dtype
-    cache = TrainingCache(mode=TRAIN, inputs=windows)
-    act = windows                                  # (B, T, w) at each stage
-
+    act = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    cache = TrainingCache(mode=TRAIN, inputs=act.transpose(1, 0, 2))
     for l, layer in enumerate(params.layers):
-        width = spec.layer_widths[l + 1]
-        # one blocked matmul over all (batch*time) rows: fastest path
-        cur = _blocked_gemm(act.reshape(B * T, -1), layer.weight.T)
-        cur = cur.reshape(B, T, width)
+        # one blocked matmul over all (time*batch) rows: fastest path
+        cur = _blocked_gemm(act.reshape(T * B, -1), layer.weight.T)
+        cur = cur.reshape(T, B, -1)
 
         if _layer_normalized(spec, l):
             n = layer.norm
@@ -367,41 +395,30 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
             mean = var = xhat = inv_std = None
             normed = cur
 
-        u = np.empty((B, T, width), dtype=dtype)
-        u_t = np.zeros((B, width), dtype=dtype)
+        zero = np.zeros_like(normed[0])
         if l == spec.n_hidden:
-            spikes = fed = mask = None
-            for t in range(T):
-                u_t, _ = output_step(u_t, normed[:, t, :], layer.tau)
-                u[:, t, :] = u_t
-            preds = u
+            u, _, _ = _recurrence(normed, layer.tau, spec, zero)
+            spikes = mask = act = None
         else:
-            spikes = np.empty((B, T, width), dtype=dtype)
-            s_t = np.zeros((B, width), dtype=dtype)
-            for t in range(T):
-                u_t, s_t = lif_step(u_t, s_t, normed[:, t, :], layer.tau,
-                                    spec.threshold, spec.reset_mode)
-                u[:, t, :] = u_t
-                spikes[:, t, :] = s_t
+            u = np.empty_like(normed)
+            spikes, _, _ = _recurrence(normed, layer.tau, spec, zero, zero,
+                                       potentials=u)
+            mask, act = None, spikes
             if spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p
-                mask = (rng.random(size=spikes.shape) < keep).astype(dtype)
+                mask = (rng.random(size=spikes.shape) < keep).astype(u.dtype)
                 mask = mask / keep          # inverted scaling: eval needs none
-                fed = spikes * mask
-            else:
-                mask = None
-                fed = spikes
-            act = fed
+                act = spikes * mask
 
-        cache.xhat.append(xhat)
         cache.inv_std.append(inv_std)
         cache.mean.append(mean)
         cache.var.append(var)
-        cache.potentials.append(u)
-        cache.spikes.append(spikes)
-        cache.masks.append(mask)
-        cache.fed.append(fed)
+        for field, value in ((cache.xhat, xhat), (cache.potentials, u),
+                             (cache.spikes, spikes), (cache.masks, mask),
+                             (cache.fed, act)):
+            field.append(None if value is None else value.transpose(1, 0, 2))
 
+    preds = cache.potentials[-1]
     return (preds[0] if squeeze else preds), cache
 
 

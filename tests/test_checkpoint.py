@@ -119,6 +119,9 @@ def rewritten(path, edit):
     b'{"arrays": 5, "kind": "snn", "meta": {}}',
     b'{"arrays": [["w", "zz", [1]]], "kind": "snn", "meta": {}}',
     b'{"arrays": [["w", "<f4"]], "kind": "snn", "meta": {}}',
+    b'{"arrays": [["w", ",f4", [1]]], "kind": "snn", "meta": {}}',
+    b'{"arrays": [["w", "<f4", [1' + b'0' * 30 + b']]], "kind": "snn", '
+    b'"meta": {}}',
     # the rest edit the header and arrays of a valid checkpoint
     pytest.param(lambda m, a: m.pop("spec"), id="no-spec"),
     pytest.param(lambda m, a: m.update(spec=5), id="spec-not-a-dict"),

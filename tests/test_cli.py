@@ -203,6 +203,31 @@ def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
         assert "bn_eps" in capsys.readouterr().err
 
 
+def test_flipped_dtype_bit_exits_2(trained, dataset, tmp_path, capsys):
+    """One flipped bit turns a dtype string "<f4" into ",f4"."""
+    ckpt, _ = trained
+    bad = tmp_path / "flipped.ckpt"
+    bad.write_bytes(ckpt.read_bytes().replace(b'"<f4"', b'",f4"', 1))
+    assert main(["eval", "--model", str(bad), "--data", str(dataset)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_checkpoint_exits_3(trained, dataset, tmp_path, capsys):
+    """Finite weights whose first product overflows are a numeric failure
+    naming the layer, not a decode from silent layers."""
+    ckpt, _ = trained
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(ckpt.read_bytes())
+    kind, meta, arrays = _read_container(bad)
+    arrays["layer0.weight"][:] = 3e38
+    _write_container(bad, kind, meta, list(arrays.items()))
+    for command in ("eval", "stream", "profile"):
+        assert main([command, "--model", str(bad),
+                     "--data", str(dataset)]) == 3
+        assert "layer 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, value", [("layer1.run_var", -1.0),
                                          ("layer0.run_var", np.nan),
                                          ("layer2.weight", np.inf),

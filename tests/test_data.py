@@ -107,6 +107,8 @@ def test_missing_file():
     {"channel_count": "many", "sample_count": 1, "frame_ms": 50.0,
      "provenance": "external"},
     [1, 2],
+    {"channel_count": float("inf"), "sample_count": 1, "frame_ms": 50.0,
+     "provenance": "external"},
 ])
 def test_bad_binary_header_rejected(tmp_path, header):
     blob = json.dumps(header).encode()
@@ -115,6 +117,40 @@ def test_bad_binary_header_rejected(tmp_path, header):
                      + bytes(8))
     with pytest.raises(DataError, match="frame header"):
         load_frames(path)
+
+
+def test_unparseable_frame_ms_names_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# frames v1 frame_ms=fast\nch1,vel1,vel2\n1,2,3\n")
+    with pytest.raises(DataError, match="bad.csv line 1"):
+        load_frames(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("value", [-5.0, 0.0, np.nan, np.inf])
+def test_bad_frame_ms_names_file(tmp_path, fmt, value):
+    frames = small_frameset()
+    frames.meta.frame_ms = value
+    path = tmp_path / "bad.frames"
+    save_frames(frames, path, fmt=fmt)
+    with pytest.raises(DataError, match="bad.frames"):
+        load_frames(path)
+
+
+def test_undecodable_text_names_file(tmp_path):
+    """Bytes that are not text are a data error naming the file, also when
+    a flipped bit in a binary file's magic makes it sniff as CSV."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"ch1,vel1,vel2\n1,\xff,3\n")
+    with pytest.raises(DataError, match="bad.csv"):
+        load_frames(path)
+    flipped = tmp_path / "flipped.frames"
+    save_frames(small_frameset(), flipped, fmt="binary")
+    raw = bytearray(flipped.read_bytes())
+    raw[0] ^= 0x01
+    flipped.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="flipped.frames"):
+        load_frames(flipped)
 
 
 def test_format_sniffing(tmp_path):

@@ -15,7 +15,10 @@ from snndecode import (
     init_params,
     reset_state,
 )
+from snndecode.backprop import backward
+from snndecode.errors import NumericError
 from snndecode.network import GEMM_BLOCK, _blocked_gemm
+from snndecode.train import decode_sequence
 
 SMALL = NetworkSpec(layer_widths=(6, 12, 12, 2), window_len=5)
 
@@ -159,6 +162,35 @@ class TestForwardUnfolded:
         keep = 1.0 - SMALL.dropout_p
         assert set(np.unique(mask)) <= {0.0, 1.0 / keep}
 
+    def test_train_cache_layout(self):
+        """With batch != time every per-step cache field is (B, T, width)
+        and lines up with the others; the gradients have the parameters'
+        shapes."""
+        spec = NetworkSpec(layer_widths=(6, 12, 9, 2), window_len=5)
+        params = lively_params(spec, seed=23)
+        window = np.random.default_rng(24).normal(size=(3, 5, 6))
+        preds, cache = forward_unfolded(params, spec, window, mode=TRAIN,
+                                        rng=np.random.default_rng(25))
+        assert preds.shape == cache.inputs.shape[:2] + (2,) == (3, 5, 2)
+        np.testing.assert_array_equal(cache.inputs, window)
+        np.testing.assert_array_equal(cache.potentials[-1], preds)
+        for l, width in enumerate(spec.layer_widths[1:]):
+            assert cache.potentials[l].shape == (3, 5, width)
+            assert cache.xhat[l].shape == (3, 5, width)
+            if l == spec.n_hidden:
+                break
+            for field in (cache.spikes, cache.masks, cache.fed):
+                assert field[l].shape == (3, 5, width)
+            np.testing.assert_array_equal(
+                cache.spikes[l], cache.potentials[l] >= spec.threshold)
+            np.testing.assert_array_equal(
+                cache.fed[l], cache.spikes[l] * cache.masks[l])
+        grads = backward(cache, params, spec, np.zeros_like(preds))
+        for g, layer in zip(grads.layers, params.layers):
+            assert g.weight.shape == layer.weight.shape
+            assert g.tau.shape == g.gamma.shape == g.beta.shape \
+                == layer.tau.shape
+
     def test_rejects_nonfinite_and_misshaped_input(self):
         params = init_params(SMALL, np.random.default_rng(12))
         bad = np.zeros((SMALL.window_len, SMALL.input_width))
@@ -248,6 +280,23 @@ class TestStreaming:
             pred, state = forward_streaming(params, SMALL, frame, state)
         unfolded, _ = forward_unfolded(params, SMALL, frames, mode=EVAL)
         np.testing.assert_array_equal(pred, unfolded[-1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_and_leaves_state(self):
+        """Finite weights so large that the first product overflows end in
+        NumericError naming the layer, streamed or decoded whole; the
+        caller's state is left as it was."""
+        params = lively_params(SMALL, seed=26, dtype=np.float32)
+        params.layers[0].weight[:] = 3e38
+        frames = np.random.default_rng(27).normal(
+            size=(4, SMALL.input_width)).astype(np.float32)
+        state = reset_state(SMALL)
+        state.hidden[0].potential[:] = 0.25
+        with pytest.raises(NumericError, match="layer 0"):
+            forward_streaming(params, SMALL, frames[0], state)
+        np.testing.assert_array_equal(state.hidden[0].potential, 0.25)
+        with pytest.raises(NumericError, match="layer 0"):
+            decode_sequence(params, SMALL, frames)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
