@@ -11,7 +11,6 @@ reference network of 529K MACs.
 import numpy as np
 
 from snndecode.data import Standardizer, split_train_val, synth_generate
-from snndecode.network import NetworkSpec
 from snndecode.profiler import (
     ann_report,
     compare_report,
@@ -19,7 +18,7 @@ from snndecode.profiler import (
     mlp_mac_count,
     snn_cost,
 )
-from snndecode.train import TrainConfig, fit, make_windows
+from snndecode.train import TrainConfig, decoder_spec, fit, make_windows
 
 frames = synth_generate(n_frames=2000, seed=12)
 train, val = split_train_val(frames)
@@ -27,10 +26,8 @@ std = Standardizer.fit(train)
 ftr, vtr = std.apply(train)
 fva, _ = std.apply(val)
 config = TrainConfig(epochs=4, seed=0)
-params, _ = fit(make_windows(ftr, vtr, config.window_len), config)
-spec = NetworkSpec(layer_widths=(96, 256, 256, 256, 2),
-                   window_len=config.window_len,
-                   reset_mode=config.reset_mode, dropout_p=config.dropout_p)
+spec = decoder_spec(config, ftr.shape[1], vtr.shape[1])
+params, _ = fit(make_windows(ftr, vtr, config.window_len), config, spec=spec)
 
 stats = count_spikes(params, spec, fva)
 print("measured hidden spike rates:",

@@ -12,10 +12,15 @@ import time
 
 import numpy as np
 
-from snndecode import EVAL, forward_streaming, forward_unfolded, reset_state
+from snndecode import forward_streaming, reset_state
 from snndecode.data import Standardizer, split_train_val, synth_generate
-from snndecode.network import NetworkSpec
-from snndecode.train import TrainConfig, fit, make_windows
+from snndecode.train import (
+    TrainConfig,
+    decode_sequence,
+    decoder_spec,
+    fit,
+    make_windows,
+)
 
 # quick model (~10 s); any checkpoint would do
 frames = synth_generate(n_frames=2000, seed=3)
@@ -24,10 +29,8 @@ std = Standardizer.fit(train)
 ftr, vtr = std.apply(train)
 fva, vva = std.apply(val)
 config = TrainConfig(epochs=4, seed=0)
-params, _ = fit(make_windows(ftr, vtr, config.window_len), config)
-spec = NetworkSpec(layer_widths=(96, 256, 256, 256, 2),
-                   window_len=config.window_len,
-                   reset_mode=config.reset_mode, dropout_p=config.dropout_p)
+spec = decoder_spec(config, ftr.shape[1], vtr.shape[1])
+params, _ = fit(make_windows(ftr, vtr, config.window_len), config, spec=spec)
 
 n = len(fva)
 state = reset_state(spec, dtype=params.dtype)
@@ -37,14 +40,10 @@ for t in range(n):
     streamed[t], state = forward_streaming(params, spec, fva[t], state)
 per_frame_us = (time.perf_counter() - tic) / n * 1e6
 
-# whole-recording evaluation: one batch of one very long window
-batch, _ = forward_unfolded(
-    params,
-    NetworkSpec(layer_widths=spec.layer_widths, window_len=n,
-                reset_mode=spec.reset_mode, dropout_p=0.0),
-    fva[None], mode=EVAL)
+# whole-recording evaluation: the recording as one very long window
+batch = decode_sequence(params, spec, fva)
 
-gap = np.max(np.abs(streamed - batch[0]))
+gap = np.max(np.abs(streamed - batch))
 print(f"streamed {n} frames, max |stream - batch| = {gap:.1e}")
 print(f"per-frame cost: {per_frame_us:.0f} us "
       f"(frame budget at 50 ms/frame: 50,000 us)")

@@ -14,8 +14,13 @@ import numpy as np
 
 from snndecode.checkpoint import load_snn, save_snn
 from snndecode.data import Standardizer, split_train_val, synth_generate
-from snndecode.network import NetworkSpec
-from snndecode.train import TrainConfig, decode_sequence, fit, make_windows
+from snndecode.train import (
+    TrainConfig,
+    decode_sequence,
+    decoder_spec,
+    fit,
+    make_windows,
+)
 
 frames = synth_generate(n_frames=2500, seed=8)
 train, val = split_train_val(frames)
@@ -33,10 +38,7 @@ dataset = make_windows(ftr, vtr, config.window_len)
 print(f"{len(dataset)} overlapping {config.window_len}-frame windows "
       f"from {len(ftr)} training frames\n")
 
-spec = NetworkSpec(layer_widths=(ftr.shape[1], 256, 256, 256, 2),
-                   window_len=config.window_len,
-                   reset_mode=config.reset_mode,
-                   dropout_p=config.dropout_p)
+spec = decoder_spec(config, ftr.shape[1], vtr.shape[1])
 params, log = fit(dataset, config, spec=spec,
                   val_features=fva, val_velocities=vva)
 for record in log.records:

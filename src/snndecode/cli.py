@@ -36,7 +36,13 @@ from .metrics import evaluate
 from .network import NetworkSpec, forward_streaming, reset_state
 from .neuron import RESET_MODES
 from .profiler import ann_report, compare_report, count_spikes, snn_cost
-from .train import TrainConfig, decode_sequence, fit, make_windows
+from .train import (
+    TrainConfig,
+    decode_sequence,
+    decoder_spec,
+    fit,
+    make_windows,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int,
                    help="frames shared by consecutive windows "
                         "(default: window length - 1)")
-    p.add_argument("--threshold", type=float, default=0.4)
+    p.add_argument("--threshold", type=float, default=NetworkSpec.threshold)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--weight-decay", type=float)
@@ -178,14 +184,8 @@ def _cmd_train(args) -> int:
     fva, vva = std.apply(val)
     dataset = make_windows(ftr, vtr, config.window_len,
                            overlap=args.overlap)
-    spec = NetworkSpec(
-        layer_widths=(frames.meta.channel_count, 256, 256, 256,
-                      train.velocities.shape[1]),
-        threshold=args.threshold,
-        dropout_p=config.dropout_p,
-        window_len=config.window_len,
-        reset_mode=config.reset_mode,
-    )
+    spec = decoder_spec(config, frames.meta.channel_count,
+                        train.velocities.shape[1], threshold=args.threshold)
     params, log = fit(dataset, config, spec=spec,
                       val_features=fva, val_velocities=vva)
     for record in log.records:

@@ -33,8 +33,9 @@ class DatasetMeta:
     provenance: str = EXTERNAL
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise ValueError("frame duration must be positive")
+        if not 0.0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms={self.frame_ms} is not a positive "
+                             f"finite duration")
 
     @property
     def duration_s(self) -> float:
@@ -66,8 +67,9 @@ def _csv_header(channels: int) -> str:
     return ",".join(names)
 
 
-def _fmt(value: np.float32) -> str:
-    # shortest decimal string that parses back to the same float32
+def _fmt(value) -> str:
+    # shortest decimal string that parses back to the same value of
+    # value's type (float32 cells, the float64 frame duration)
     return np.format_float_positional(value, unique=True, trim="0")
 
 
@@ -82,7 +84,7 @@ def save_frames(frames: FrameSet, path, fmt: str = "binary") -> None:
         rows = np.hstack([frames.features, frames.velocities])
         with open(path, "w") as fh:
             fh.write(f"# frames v{_BINARY_VERSION} "
-                     f"frame_ms={_fmt(np.float32(meta.frame_ms))} "
+                     f"frame_ms={_fmt(np.float64(meta.frame_ms))} "
                      f"provenance={meta.provenance}\n")
             fh.write(_csv_header(meta.channel_count) + "\n")
             for row in rows:
@@ -180,8 +182,8 @@ def _parse_binary(path, raw: bytes):
     return table.copy(), frame_ms, provenance
 
 
-def load_frames(path, fmt: str | None = None) -> FrameSet:
-    """Load a dataset; ``fmt`` is ``csv``/``binary`` or None to sniff.
+def load_frames(path) -> FrameSet:
+    """Load a dataset, sniffing its format from the first bytes.
 
     Malformed content raises :class:`DataError` naming the file and,
     in a CSV file, the offending line.  Non-finite values and a frame
@@ -192,20 +194,15 @@ def load_frames(path, fmt: str | None = None) -> FrameSet:
             raw = fh.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    if fmt is None:
-        fmt = "binary" if raw[:4] == _BINARY_MAGIC else "csv"
-    if fmt == "csv":
-        table, frame_ms, provenance = _parse_csv(path, raw)
-    elif fmt == "binary":
-        table, frame_ms, provenance = _parse_binary(path, raw)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    parse = _parse_binary if raw[:4] == _BINARY_MAGIC else _parse_csv
+    table, frame_ms, provenance = parse(path, raw)
     if not np.isfinite(table).all():
         raise DataError(f"{path}: dataset contains non-finite values")
-    if not 0.0 < frame_ms < np.inf:
-        raise DataError(f"{path}: frame header gives frame_ms={frame_ms}, "
-                        f"not a positive finite duration")
-    return _make_frameset(table[:, :-2], table[:, -2:], frame_ms, provenance)
+    try:
+        return _make_frameset(table[:, :-2], table[:, -2:], frame_ms,
+                              provenance)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def split_train_val(frames: FrameSet, ratio: float = 0.8):

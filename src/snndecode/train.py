@@ -11,7 +11,7 @@ with the same config and data reproduces the log bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -139,7 +139,9 @@ class EpochRecord:
 
 @dataclass
 class TrainingLog:
-    """Append-only per-epoch records plus the effective configuration.
+    """Append-only per-epoch records plus the effective configuration:
+    the ``TrainConfig`` fields and, under ``"spec"``, the ``NetworkSpec``
+    that was trained.
 
     ``canonical()`` leaves out wall-clock times, so two runs with the
     same seed produce byte-identical canonical logs.
@@ -174,6 +176,23 @@ def decode_sequence(params: NetworkParams, spec: NetworkSpec,
     preds, _ = forward_unfolded(params, spec, np.asarray(features)[None],
                                 mode=EVAL)
     return preds[0]
+
+
+# The settings a training run and the network it trains both carry.
+_SPEC_FROM_CONFIG = ("window_len", "reset_mode", "dropout_p")
+
+
+def decoder_spec(config: TrainConfig, input_width: int, output_width: int,
+                 threshold: float = NetworkSpec.threshold) -> NetworkSpec:
+    """The decoder a run of ``config`` trains: ``NetworkSpec``'s default
+    hidden layers between the given widths, with the config's window
+    length, reset mode and dropout."""
+    hidden = NetworkSpec.layer_widths[1:-1]
+    return NetworkSpec(
+        layer_widths=(input_width, *hidden, output_width),
+        threshold=threshold,
+        **{name: getattr(config, name) for name in _SPEC_FROM_CONFIG},
+    )
 
 
 def _advance_running_stats(params: NetworkParams, cache, spec: NetworkSpec):
@@ -214,21 +233,25 @@ def fit(dataset: WindowDataset, config: TrainConfig,
         val_velocities: np.ndarray | None = None):
     """Train a decoder on a window dataset; returns ``(params, log)``.
 
-    When ``spec``/``params`` are omitted they are built from the config
-    and the dataset's widths.  If validation arrays are given, each
-    epoch records per-output Pearson correlations of the streamed
-    validation decode.  A non-finite loss aborts with a diagnostic.
+    When ``spec`` is omitted it is :func:`decoder_spec` of the config and
+    the dataset's widths; a given ``spec`` must agree with the config on
+    the settings both carry, or ``ValueError`` names the first that
+    differs.  When ``params`` are omitted they are initialized from the
+    run's seed.  If validation arrays are given, each epoch records
+    per-output Pearson correlations of the streamed validation decode.
+    A non-finite loss aborts with a diagnostic.
     """
     if len(dataset) == 0:
         raise ValueError("empty window dataset")
     if spec is None:
-        spec = NetworkSpec(
-            layer_widths=(dataset.features.shape[1], 256, 256, 256,
-                          dataset.velocities.shape[1]),
-            window_len=config.window_len,
-            reset_mode=config.reset_mode,
-            dropout_p=config.dropout_p,
-        )
+        spec = decoder_spec(config, dataset.features.shape[1],
+                            dataset.velocities.shape[1])
+    for name in _SPEC_FROM_CONFIG:
+        if getattr(spec, name) != getattr(config, name):
+            raise ValueError(
+                f"spec {name}={getattr(spec, name)!r} disagrees with "
+                f"config {name}={getattr(config, name)!r}"
+            )
     if dataset.window_len != spec.window_len:
         raise ValueError(
             f"dataset windows span {dataset.window_len} frames, "
@@ -239,7 +262,7 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     if params is None:
         params = init_params(spec, rng, tau_init=config.tau_init)
     opt_state = adamw_init(params)
-    log = TrainingLog(config={"spec_widths": list(spec.layer_widths),
+    log = TrainingLog(config={"spec": asdict(spec),
                               **config.as_dict()})
 
     for epoch in range(config.epochs):

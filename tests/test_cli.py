@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snndecode import cli
-from snndecode.checkpoint import _read_container, _write_container
+from snndecode.checkpoint import _read_container, _write_container, load_snn
 from snndecode.cli import main
 
 
@@ -141,6 +141,35 @@ def test_config_file_and_flag_precedence(dataset, tmp_path, capsys):
     assert '"seed": 9' in header
     assert '"epochs": 1' in header
     assert '"learning_rate": 0.001' in header
+
+
+def test_threshold_reaches_training_log(dataset, tmp_path, capsys):
+    """The log and the checkpoint record the threshold that was trained."""
+    headers = {}
+    for threshold in ("0.4", "0.6"):
+        ckpt = tmp_path / f"m{threshold}.ckpt"
+        log = tmp_path / f"t{threshold}.log"
+        assert main(["train", "--data", str(dataset), "--out", str(ckpt),
+                     "--log", str(log), "--epochs", "1",
+                     "--threshold", threshold]) == 0
+        line = log.read_text().splitlines()[0]
+        header = json.loads(line[len("# config "):])
+        assert header["spec"]["threshold"] == float(threshold)
+        _, spec, _, extra = load_snn(ckpt)
+        assert spec.threshold == float(threshold)
+        assert extra["train_config"] == header
+        headers[threshold] = line
+    capsys.readouterr()
+    assert headers["0.4"] != headers["0.6"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_synth_rejects_bad_frame_ms(tmp_path, capsys, value):
+    out = tmp_path / "d.bin"
+    assert main(["synth", "--frames", "20", "--out", str(out),
+                 "--frame-ms", value]) == 2
+    assert "frame_ms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes(dataset, tmp_path, capsys):

@@ -137,6 +137,21 @@ def test_bad_frame_ms_names_file(tmp_path, fmt, value):
         load_frames(path)
 
 
+@pytest.mark.parametrize("frame_ms", [1.36328125, 0.1])
+def test_csv_keeps_frame_ms_exact(tmp_path, frame_ms):
+    """A CSV round trip keeps the float64 frame duration, so the reloaded
+    set saves to the same binary bytes as the original."""
+    frames = small_frameset()
+    frames.meta.frame_ms = frame_ms
+    csv, direct, via_csv = (tmp_path / n for n in ("f.csv", "a.bin", "b.bin"))
+    save_frames(frames, csv, fmt="csv")
+    back = load_frames(csv)
+    assert back.meta.frame_ms == frame_ms
+    save_frames(frames, direct)
+    save_frames(back, via_csv)
+    assert via_csv.read_bytes() == direct.read_bytes()
+
+
 def test_undecodable_text_names_file(tmp_path):
     """Bytes that are not text are a data error naming the file, also when
     a flipped bit in a binary file's magic makes it sniff as CSV."""

@@ -1,8 +1,8 @@
-"""Every demo script runs to completion.
+"""Every demo script and the README quick start run to completion.
 
-The demos exercise the public API the way a reader would copy it, so an
-API change that breaks one shows up here.  Each runs in a few seconds
-and writes nothing to its working directory.
+The demos and the quick start exercise the public API the way a reader
+would copy it, so an API change that breaks one shows up here.  Each
+runs in seconds and writes nothing to its working directory.
 """
 
 import subprocess
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -24,4 +25,14 @@ def test_demo_runs(script, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "val_r_mean=" in proc.stdout
     assert not any(tmp_path.iterdir())

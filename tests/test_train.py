@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from snndecode.train import (
     TrainConfig,
     TrainingLog,
     decode_sequence,
+    decoder_spec,
     fit,
     make_windows,
 )
@@ -161,6 +164,71 @@ def test_log_echoes_config():
     text = log.canonical()
     assert text.startswith("# config ")
     assert '"seed": 9' in text
+
+
+def test_decoder_spec_takes_run_settings_from_config():
+    config = toy_config(reset_mode="zero", dropout_p=0.3)
+    spec = decoder_spec(config, 7, 3)
+    default = NetworkSpec()
+    assert spec.layer_widths == (7, *default.layer_widths[1:-1], 3)
+    assert spec.window_len == 5
+    assert spec.reset_mode == "zero"
+    assert spec.dropout_p == 0.3
+    assert spec.threshold == default.threshold
+    assert decoder_spec(config, 7, 3, threshold=0.6).threshold == 0.6
+
+
+@pytest.mark.parametrize("name, value", [("window_len", 6),
+                                         ("reset_mode", "zero"),
+                                         ("dropout_p", 0.5)])
+def test_fit_refuses_spec_disagreeing_with_config(name, value):
+    """A spec whose run settings differ from the config would train one
+    decoder and log another."""
+    feats, vels = toy_data(40)
+    config = toy_config(epochs=1)
+    spec = dataclasses.replace(toy_spec(config), **{name: value})
+    ds = make_windows(feats, vels, config.window_len)
+    with pytest.raises(ValueError) as err:
+        fit(ds, config, spec=spec)
+    message = str(err.value)
+    assert name in message
+    assert repr(value) in message
+    assert repr(getattr(config, name)) in message
+
+
+def test_log_header_records_trained_spec():
+    feats, vels = toy_data(40, seed=8)
+    config = toy_config(epochs=1, reset_mode="zero", dropout_p=0.0)
+    spec = dataclasses.replace(toy_spec(config), threshold=0.7,
+                               bn_momentum=0.3)
+    ds = make_windows(feats, vels, config.window_len)
+    _, log = fit(ds, config, spec=spec)
+    header = json.loads(log.canonical().splitlines()[0][len("# config "):])
+    assert header["spec"] == json.loads(json.dumps(dataclasses.asdict(spec)))
+    assert header["spec"]["threshold"] == 0.7
+    assert "spec_widths" not in header
+
+
+@pytest.mark.parametrize("clip", [1e-12, None])
+def test_grad_clip_bounds_the_update(clip):
+    """Clipped to a global norm of 1e-12, the gradient moves no weight
+    further than AdamW's epsilon allows, so only the decoupled decay is
+    left; unclipped, training moves the weights."""
+    feats, vels = toy_data(60, seed=12)
+    config = toy_config(epochs=2, grad_clip=clip)
+    spec = toy_spec(config)
+    init = init_params(spec, np.random.default_rng(config.seed),
+                       tau_init=config.tau_init)
+    ds = make_windows(feats, vels, config.window_len)
+    trained, _ = fit(ds, config, spec=spec, params=init.copy())
+    steps = -(-len(ds) // config.batch_size) * config.epochs
+    decay = (1.0 - config.learning_rate * config.weight_decay) ** steps
+    gap = max(float(np.abs(a.weight - decay * np.float64(b.weight)).max())
+              for a, b in zip(trained.layers, init.layers))
+    if clip is None:
+        assert gap > 1e-3
+    else:
+        assert gap < 1e-5
 
 
 def test_log_one_record_per_epoch():
