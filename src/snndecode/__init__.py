@@ -10,7 +10,6 @@ from .neuron import (
     RESET_MODES,
     RESET_SUBTRACT,
     RESET_ZERO,
-    LifLayerState,
     lif_step,
     output_step,
     surrogate_grad,
@@ -37,7 +36,6 @@ __all__ = [
     "RESET_MODES",
     "RESET_SUBTRACT",
     "RESET_ZERO",
-    "LifLayerState",
     "lif_step",
     "output_step",
     "surrogate_grad",

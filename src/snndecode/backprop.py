@@ -43,7 +43,8 @@ from .neuron import RESET_SUBTRACT, surrogate_grad
 
 @dataclass
 class LayerGrads:
-    """Gradient of the loss w.r.t. one layer's parameters."""
+    """Gradient of the loss w.r.t. one layer's trained arrays
+    (:data:`~snndecode.network.TRAINED`)."""
 
     weight: np.ndarray
     tau: np.ndarray
@@ -59,8 +60,7 @@ class Gradients:
 
     def scale(self, factor: float) -> "Gradients":
         return Gradients([
-            LayerGrads(g.weight * factor, g.tau * factor,
-                       g.gamma * factor, g.beta * factor)
+            LayerGrads(**{name: a * factor for name, a in vars(g).items()})
             for g in self.layers
         ])
 

@@ -28,7 +28,7 @@ import numpy as np
 from .data import Standardizer
 from .errors import DataError
 from .kalman import KfModel
-from .network import LayerParams, NetworkParams, NetworkSpec, NormParams
+from .network import LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec
 
 MAGIC = b"SNNC"
 VERSION = 1
@@ -125,14 +125,9 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
         "degenerate_channels": list(standardizer.degenerate_channels),
         "extra": extra or {},
     }
-    arrays = []
-    for l, layer in enumerate(params.layers):
-        arrays.append((f"layer{l}.weight", layer.weight))
-        arrays.append((f"layer{l}.tau", layer.tau))
-        arrays.append((f"layer{l}.gamma", layer.norm.gamma))
-        arrays.append((f"layer{l}.beta", layer.norm.beta))
-        arrays.append((f"layer{l}.run_mean", layer.norm.run_mean))
-        arrays.append((f"layer{l}.run_var", layer.norm.run_var))
+    arrays = [(f"layer{l}.{name}", a)
+              for l, layer in enumerate(params.layers)
+              for name, a in layer.arrays().items()]
     arrays.extend(_standardizer_arrays(standardizer))
     _write_container(path, KIND_SNN, meta, arrays)
 
@@ -142,9 +137,10 @@ def _snn_shapes(spec: NetworkSpec) -> dict:
     widths = spec.layer_widths
     shapes = {}
     for l in range(spec.n_layers):
-        shapes[f"layer{l}.weight"] = (widths[l + 1], widths[l])
-        for name in ("tau", "gamma", "beta", "run_mean", "run_var"):
-            shapes[f"layer{l}.{name}"] = (widths[l + 1],)
+        for name in LAYER_ARRAYS:
+            shapes[f"layer{l}.{name}"] = (
+                (widths[l + 1], widths[l]) if name == "weight"
+                else (widths[l + 1],))
     for name in ("feat_mean", "feat_std"):
         shapes[f"std.{name}"] = (spec.input_width,)
     for name in ("vel_mean", "vel_std"):
@@ -195,16 +191,8 @@ def load_snn(path):
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
     _check_arrays(path, arrays, _snn_shapes(spec))
     layers = [
-        LayerParams(
-            weight=arrays[f"layer{l}.weight"],
-            tau=arrays[f"layer{l}.tau"],
-            norm=NormParams(
-                gamma=arrays[f"layer{l}.gamma"],
-                beta=arrays[f"layer{l}.beta"],
-                run_mean=arrays[f"layer{l}.run_mean"],
-                run_var=arrays[f"layer{l}.run_var"],
-            ),
-        )
+        LayerParams.from_arrays(
+            {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
         for l in range(spec.n_layers)
     ]
     std = _standardizer_from(arrays, degenerate)

@@ -9,8 +9,9 @@ Subcommands::
     profile   spike statistics and op/memory cost vs a dense reference
     kf        fit or evaluate the Kalman baseline
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
-Every subcommand is deterministic given its seed flags.
+Exit codes: 0 ok, 1 usage error, 2 data error (a bad file, setting or
+output path), 3 numeric failure.  Every subcommand is deterministic
+given its seed flags.
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:      # inputs raise DataError; this is an output
+        print(f"data error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -24,6 +24,13 @@ _BINARY_VERSION = 1
 SYNTHETIC = "synthetic"
 EXTERNAL = "external"
 
+# Shared noise of the synthetic generator, in units of its ``noise_std``:
+# the per-frame jitter on the encoded velocity, and the probability and
+# scale of the sparse artifact kicks.
+JITTER_MULT = 2.0
+ARTIFACT_PROB = 0.25
+ARTIFACT_MULT = 15.0
+
 
 @dataclass
 class DatasetMeta:
@@ -36,6 +43,11 @@ class DatasetMeta:
         if not 0.0 < self.frame_ms < np.inf:
             raise ValueError(f"frame_ms={self.frame_ms} is not a positive "
                              f"finite duration")
+        if self.channel_count < 1:
+            raise ValueError(f"channel_count={self.channel_count} must be "
+                             f"at least 1")
+        if self.sample_count < 0:
+            raise ValueError(f"sample_count={self.sample_count} is negative")
 
     @property
     def duration_s(self) -> float:
@@ -162,24 +174,23 @@ def _parse_binary(path, raw: bytes):
         raise DataError(f"{path}: unsupported container version {version}")
     try:
         meta_doc = json.loads(raw[12:12 + blob_len])
-        channels = int(meta_doc["channel_count"])
-        count = int(meta_doc["sample_count"])
-        frame_ms = float(meta_doc["frame_ms"])
-        provenance = str(meta_doc["provenance"])
+        # the header's counts size the body, so they are checked first
+        meta = DatasetMeta(frame_ms=float(meta_doc["frame_ms"]),
+                           channel_count=int(meta_doc["channel_count"]),
+                           sample_count=int(meta_doc["sample_count"]),
+                           provenance=str(meta_doc["provenance"]))
     except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise DataError(f"{path}: malformed frame header: {e!r}") from e
-    if channels < 1 or count < 0:
-        raise DataError(f"{path}: bad frame header counts "
-                        f"({channels} channels, {count} samples)")
     body = raw[12 + blob_len:]
-    expect = count * (channels + 2) * 4
+    shape = (meta.sample_count, meta.channel_count + 2)
+    expect = shape[0] * shape[1] * 4
     if len(body) != expect:
         raise DataError(
             f"{path}: truncated body, expected {expect} bytes, "
             f"got {len(body)}"
         )
-    table = np.frombuffer(body, dtype="<f4").reshape(count, channels + 2)
-    return table.copy(), frame_ms, provenance
+    table = np.frombuffer(body, dtype="<f4").reshape(shape)
+    return table.copy(), meta.frame_ms, meta.provenance
 
 
 def load_frames(path) -> FrameSet:
@@ -280,9 +291,7 @@ class Standardizer:
 
 def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
                    noise_std: float = 0.3, smoothness: float = 10.0,
-                   frame_ms: float = 50.0, jitter_mult: float = 2.0,
-                   artifact_prob: float = 0.25,
-                   artifact_mult: float = 15.0) -> FrameSet:
+                   frame_ms: float = 50.0) -> FrameSet:
     """Generate a synthetic cosine-tuned dataset.
 
     The two latent finger velocities follow a smooth mean-reverting
@@ -299,12 +308,12 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
       deviation ``noise_std`` relative to that channel's clean signal
       deviation;
     * a shared per-frame Gaussian jitter on the encoded velocity,
-      ``w(t) = v(t) + jitter_mult * noise_std * eta(t)`` — purely
+      ``w(t) = v(t) + JITTER_MULT * noise_std * eta(t)`` — purely
       private noise averages away across 96 channels and would leave
       an almost perfectly linearly decodable dataset;
-    * sparse shared artifacts: with probability ``artifact_prob`` a
+    * sparse shared artifacts: with probability ``ARTIFACT_PROB`` a
       frame's encoded velocity gets an extra Gaussian kick of scale
-      ``artifact_mult * noise_std``, mimicking the heavy-tailed
+      ``ARTIFACT_MULT * noise_std``, mimicking the heavy-tailed
       glitches of real recordings.  Occasional corrupted frames are
       what separate decoder families — a fixed-gain linear filter can
       only average over them, while a nonlinear temporal decoder can
@@ -334,9 +343,9 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
         v = rho * v + drive * innovations[t]
         velocities[t] = v
 
-    jitter = jitter_mult * noise_std * rng.normal(size=(n_frames, 2))
-    hit = rng.random(size=(n_frames, 1)) < artifact_prob
-    jitter += artifact_mult * noise_std * hit * rng.normal(size=(n_frames, 2))
+    jitter = JITTER_MULT * noise_std * rng.normal(size=(n_frames, 2))
+    hit = rng.random(size=(n_frames, 1)) < ARTIFACT_PROB
+    jitter += ARTIFACT_MULT * noise_std * hit * rng.normal(size=(n_frames, 2))
     encoded = (velocities + jitter) @ directions.T      # (frames, channels)
     features = np.logaddexp(0.0, baselines + gains * encoded)
     if noise_std > 0:

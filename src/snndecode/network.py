@@ -24,18 +24,13 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import batchnorm
 from .errors import NumericError
-from .neuron import (
-    RESET_MODES,
-    RESET_SUBTRACT,
-    LifLayerState,
-    lif_step,
-    output_step,
-)
+from .neuron import RESET_MODES, RESET_SUBTRACT, lif_step, output_step
 
 TRAIN = batchnorm.TRAIN
 EVAL = batchnorm.EVAL
@@ -45,6 +40,12 @@ EVAL = batchnorm.EVAL
 # which changes the rounding; blocks no deeper than this, added in a
 # fixed order, give the same bits at any thread count.
 GEMM_BLOCK = 256
+
+# The arrays of one layer, in checkpoint order: weights, per-neuron decay
+# factors, then the normalizer's affine and running statistics.  The
+# optimizer trains the first four.
+LAYER_ARRAYS = ("weight", "tau", "gamma", "beta", "run_mean", "run_var")
+TRAINED = LAYER_ARRAYS[:4]
 
 
 @dataclass
@@ -71,14 +72,20 @@ class NetworkSpec:
             raise ValueError("need at least input and output widths")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"layer widths must be positive: {self.layer_widths}")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        for name in ("threshold", "bn_eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}={getattr(self, name)!r} is not "
+                                 f"positive and finite")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum={self.bn_momentum!r} must lie "
+                             f"in (0, 1]")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout probability must lie in [0, 1)")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
-        if self.window_len < 1:
-            raise ValueError("window length must be at least 1")
+        if not isinstance(self.window_len, Integral) or self.window_len < 1:
+            raise ValueError(f"window_len={self.window_len!r} is not an "
+                             f"integer of at least 1")
 
     @property
     def n_layers(self) -> int:
@@ -121,14 +128,23 @@ class LayerParams:
     tau: np.ndarray             # (out_width,)
     norm: NormParams
 
+    def arrays(self) -> dict:
+        """The layer's arrays by name, in :data:`LAYER_ARRAYS` order.  The
+        values are the layer's own arrays, not copies."""
+        return {name: getattr(self.norm if hasattr(self.norm, name) else self,
+                              name)
+                for name in LAYER_ARRAYS}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "LayerParams":
+        """The layer holding ``arrays``, which maps every name in
+        :data:`LAYER_ARRAYS` to an array; the arrays are not copied."""
+        weight, tau, *norm = (arrays[name] for name in LAYER_ARRAYS)
+        return cls(weight, tau, NormParams(*norm))
+
     def copy(self) -> "LayerParams":
-        n = self.norm
-        return LayerParams(
-            weight=self.weight.copy(),
-            tau=self.tau.copy(),
-            norm=NormParams(n.gamma.copy(), n.beta.copy(),
-                            n.run_mean.copy(), n.run_var.copy()),
-        )
+        return LayerParams.from_arrays(
+            {name: a.copy() for name, a in self.arrays().items()})
 
 
 @dataclass
@@ -147,11 +163,12 @@ class NetworkParams:
 
 @dataclass
 class NetworkState:
-    """Persistent streaming state: one spiking-layer state per hidden layer
-    plus the readout integrator potentials."""
+    """Persistent streaming state: the membrane potentials, one
+    ``(..., width)`` array per weight layer with the readout last.  A
+    hidden layer's previous spikes are its potentials at or above the
+    threshold, so they are not stored."""
 
-    hidden: list
-    output_potential: np.ndarray
+    potentials: list
 
 
 @dataclass
@@ -222,15 +239,8 @@ def reset_state(spec: NetworkSpec, dtype=np.float32) -> NetworkState:
 
 def _zero_state(spec: NetworkSpec, batch: tuple, dtype) -> NetworkState:
     """A zeroed state whose arrays are shaped ``batch + (width,)``."""
-    hidden = [
-        LifLayerState(potential=np.zeros(batch + (w,), dtype=dtype),
-                      last_spikes=np.zeros(batch + (w,), dtype=dtype))
-        for w in spec.layer_widths[1:-1]
-    ]
-    return NetworkState(
-        hidden=hidden,
-        output_potential=np.zeros(batch + (spec.output_width,), dtype=dtype),
-    )
+    return NetworkState([np.zeros(batch + (w,), dtype=dtype)
+                         for w in spec.layer_widths[1:]])
 
 
 def _check_params(params: NetworkParams, spec: NetworkSpec):
@@ -270,21 +280,21 @@ def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
     """One layer's membrane recurrence over time-major ``(T, ..., width)``
     currents from potentials ``u`` and previous spikes ``s``; ``s=None``
     runs the readout integrator.  Returns the per-frame output (spikes, or
-    the readout's potentials) and the end potentials and spikes.  Each
-    frame's spiking potentials go into ``potentials`` when it is given:
-    the training pass needs them, inference does not.
+    the readout's potentials) and the end potentials.  Each frame's
+    spiking potentials go into ``potentials`` when it is given: the
+    training pass needs them, inference does not.
     """
     out = np.empty_like(cur)
     if s is None:
         for t in range(len(cur)):
             u, out[t] = output_step(u, cur[t], tau)
-        return out, u, None
+        return out, u
     for t in range(len(cur)):
         u, s = lif_step(u, s, cur[t], tau, spec.threshold, spec.reset_mode)
         out[t] = s
         if potentials is not None:
             potentials[t] = u
-    return out, u, s
+    return out, u
 
 
 def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
@@ -302,7 +312,7 @@ def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
     """
     act = frames
     spikes = []
-    hidden = []
+    ends = []
     for l, layer in enumerate(params.layers):
         # a stack of one product per frame, each rounded as it would be
         # alone: a streamed frame is a window of T = 1
@@ -312,20 +322,19 @@ def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
             cur, _, _ = batchnorm.normalize(
                 cur, n.run_mean, n.run_var, n.gamma, n.beta,
                 spec.threshold, spec.bn_eps)
+        u = state.potentials[l]
         if l < spec.n_hidden:
-            start = state.hidden[l]
-            act, u, s = _recurrence(cur, layer.tau, spec, start.potential,
-                                    start.last_spikes)
-            hidden.append(LifLayerState(potential=u, last_spikes=s))
+            # the spikes the start potentials fired, as lif_step made them
+            s = (u >= spec.threshold).astype(u.dtype)
+            act, u = _recurrence(cur, layer.tau, spec, u, s)
             spikes.append(act)
         else:
-            act, u, _ = _recurrence(cur, layer.tau, spec,
-                                    state.output_potential)
-    ends = [h.potential for h in hidden] + [u]
+            act, u = _recurrence(cur, layer.tau, spec, u)
+        ends.append(u)
     if not np.isfinite(np.concatenate(ends, axis=-1)).all():  # all layers
         bad = next(l for l, e in enumerate(ends) if not np.isfinite(e).all())
         raise NumericError(f"non-finite membrane potential in layer {bad}")
-    return act, spikes, NetworkState(hidden=hidden, output_potential=u)
+    return act, spikes, NetworkState(ends)
 
 
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
@@ -397,12 +406,12 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
 
         zero = np.zeros_like(normed[0])
         if l == spec.n_hidden:
-            u, _, _ = _recurrence(normed, layer.tau, spec, zero)
+            u, _ = _recurrence(normed, layer.tau, spec, zero)
             spikes = mask = act = None
         else:
             u = np.empty_like(normed)
-            spikes, _, _ = _recurrence(normed, layer.tau, spec, zero, zero,
-                                       potentials=u)
+            spikes, _ = _recurrence(normed, layer.tau, spec, zero, zero,
+                                    potentials=u)
             mask, act = None, spikes
             if spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p
@@ -447,10 +456,10 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         )
     if not np.isfinite(frame).all():
         raise ValueError("input features contain non-finite values")
-    if len(state.hidden) != spec.n_hidden:
+    if len(state.potentials) != spec.n_layers:
         raise ValueError(
-            f"state has {len(state.hidden)} hidden layers, "
-            f"topology wants {spec.n_hidden}"
+            f"state has {len(state.potentials)} layers, "
+            f"topology wants {spec.n_layers}"
         )
     preds, _, new_state = _infer(params, spec, frame[None], state)
     return preds[0], new_state

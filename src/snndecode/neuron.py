@@ -16,8 +16,6 @@ outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 RESET_SUBTRACT = "subtract"
@@ -26,15 +24,6 @@ RESET_MODES = (RESET_SUBTRACT, RESET_ZERO)
 
 # Half-width of the box window that stands in for the spike derivative.
 SURROGATE_HALF_WIDTH = 0.5
-
-
-@dataclass
-class LifLayerState:
-    """Persistent state of one spiking layer: membrane potentials and the
-    spike vector emitted on the previous step."""
-
-    potential: np.ndarray
-    last_spikes: np.ndarray
 
 
 def lif_step(potential: np.ndarray, last_spikes: np.ndarray,

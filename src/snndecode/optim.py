@@ -13,13 +13,11 @@ import numpy as np
 
 from .backprop import Gradients
 from .errors import NumericError
-from .network import NetworkParams
+from .network import TRAINED, NetworkParams
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-_FIELDS = ("weight", "tau", "gamma", "beta")
 
 
 @dataclass
@@ -27,26 +25,17 @@ class AdamWState:
     """First/second moment accumulators and the shared step counter."""
 
     step: int
-    m: list        # one dict per layer: field name -> accumulator array
+    m: list        # one dict per layer: array name -> accumulator array
     v: list
-
-
-def _param_arrays(layer):
-    return {
-        "weight": layer.weight,
-        "tau": layer.tau,
-        "gamma": layer.norm.gamma,
-        "beta": layer.norm.beta,
-    }
 
 
 def adamw_init(params: NetworkParams) -> AdamWState:
     """Zeroed optimizer state matching the parameter shapes."""
     m, v = [], []
     for layer in params.layers:
-        arrays = _param_arrays(layer)
-        m.append({k: np.zeros_like(a) for k, a in arrays.items()})
-        v.append({k: np.zeros_like(a) for k, a in arrays.items()})
+        arrays = layer.arrays()
+        m.append({name: np.zeros_like(arrays[name]) for name in TRAINED})
+        v.append({name: np.zeros_like(arrays[name]) for name in TRAINED})
     return AdamWState(step=0, m=m, v=v)
 
 
@@ -68,17 +57,11 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
     new_m, new_v = [], []
     for l, (layer, grad, m, v) in enumerate(zip(
             new_params.layers, grads.layers, state.m, state.v)):
-        arrays = _param_arrays(layer)
-        grad_arrays = {
-            "weight": grad.weight,
-            "tau": grad.tau,
-            "gamma": grad.gamma,
-            "beta": grad.beta,
-        }
+        arrays = layer.arrays()
         layer_m, layer_v = {}, {}
-        for name in _FIELDS:
+        for name in TRAINED:
             p = arrays[name]
-            g = np.asarray(grad_arrays[name], dtype=p.dtype)
+            g = np.asarray(getattr(grad, name), dtype=p.dtype)
             if name == "weight" and weight_decay:
                 p *= 1.0 - learning_rate * weight_decay
             layer_m[name] = BETA1 * m[name] + (1.0 - BETA1) * g

@@ -181,8 +181,13 @@ class ComparisonReport:
 
 
 def compare_report(entries) -> ComparisonReport:
-    """Bundle named op reports; the first entry is the ratio reference."""
+    """Bundle named op reports; the first entry is the ratio reference,
+    so it must count some operations and some memory accesses."""
     entries = list(entries)
     if not entries:
         raise ValueError("need at least one report")
+    name, ref = entries[0]
+    if ref.total_ops == 0 or ref.mem_access == 0:
+        raise ValueError(f"reference {name!r} counts no operations or no "
+                         f"memory accesses to compare against")
     return ComparisonReport(entries=entries)

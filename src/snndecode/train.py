@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -48,15 +49,32 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        for name in ("batch_size", "window_len", "warmup_discard", "epochs",
+                     "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 0:
+                raise ValueError(
+                    f"{name}={value!r} is not a non-negative integer")
         if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+            raise ValueError("batch_size must be at least 1")
         if not 0 <= self.warmup_discard < self.window_len:
             raise ValueError(
                 f"warmup_discard={self.warmup_discard} must lie in "
                 f"[0, {self.window_len})"
             )
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate={self.learning_rate!r} is not "
+                             f"positive and finite")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay={self.weight_decay!r} is not "
+                             f"non-negative and finite")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < np.inf:
+            raise ValueError(f"grad_clip={self.grad_clip!r} is neither None "
+                             f"nor positive and finite")
+        taus = np.asarray(self.tau_init, dtype=float)
+        if not ((taus >= 0.0) & (taus <= 1.0)).all():      # NaN fails too
+            raise ValueError(f"tau_init={self.tau_init!r} does not lie in "
+                             f"[0, 1]")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
 
@@ -210,7 +228,7 @@ def _advance_running_stats(params: NetworkParams, cache, spec: NetworkSpec):
 def _grad_global_norm(grads) -> float:
     total = 0.0
     for g in grads.layers:
-        for arr in (g.weight, g.tau, g.gamma, g.beta):
+        for arr in vars(g).values():
             total += float((arr * arr).sum())
     return float(np.sqrt(total))
 

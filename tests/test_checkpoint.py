@@ -54,6 +54,19 @@ def test_snn_round_trip_lossless(tmp_path):
     assert std2.degenerate_channels == (3,)
 
 
+def test_snn_array_names_and_order(tmp_path):
+    """A checkpoint names each layer's arrays in one fixed order, then the
+    standardizer's; the order is part of the byte layout."""
+    params, spec = toy_model()
+    path = tmp_path / "m.ckpt"
+    save_snn(path, params, spec, toy_standardizer())
+    _, _, arrays = _read_container(path)
+    per_layer = ("weight", "tau", "gamma", "beta", "run_mean", "run_var")
+    assert list(arrays) == (
+        [f"layer{l}.{name}" for l in range(4) for name in per_layer]
+        + ["std.feat_mean", "std.feat_std", "std.vel_mean", "std.vel_std"])
+
+
 def test_snn_bytes_deterministic(tmp_path):
     params, spec = toy_model(seed=4)
     std = toy_standardizer()
@@ -128,6 +141,8 @@ def rewritten(path, edit):
     pytest.param(lambda m, a: m["spec"].pop("bn_eps"), id="no-bn_eps"),
     pytest.param(lambda m, a: m["spec"].update(threshold=-1.0),
                  id="bad-threshold"),
+    pytest.param(lambda m, a: m["spec"].update(threshold=float("nan")),
+                 id="nan-threshold"),
     pytest.param(lambda m, a: m.pop("degenerate_channels"),
                  id="no-degenerate_channels"),
     pytest.param(lambda m, a: m.pop("extra"), id="no-extra"),

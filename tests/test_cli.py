@@ -172,6 +172,77 @@ def test_synth_rejects_bad_frame_ms(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_synth_rejects_zero_channels(tmp_path, capsys):
+    """A file without channels would be refused by every loader."""
+    out = tmp_path / "d.bin"
+    assert main(["synth", "--frames", "20", "--out", str(out),
+                 "--channels", "0"]) == 2
+    assert "channel_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, flags, config", [
+    pytest.param("batch_size", [], {"batch_size": 2.5}, id="batch_size-2.5"),
+    pytest.param("window_len", [], {"window_len": 2.5}, id="window_len-2.5"),
+    pytest.param("seed", [], {"seed": 1.5}, id="seed-1.5"),
+    pytest.param("learning_rate", [], {"learning_rate": float("nan")},
+                 id="learning_rate-NaN"),
+    pytest.param("tau_init", [], {"tau_init": [0.5, 1.5]},
+                 id="tau_init-above-one"),
+    pytest.param("learning_rate", ["--lr", "-0.01"], None, id="lr-negative"),
+    pytest.param("grad_clip", ["--grad-clip", "-1"], None,
+                 id="grad-clip-negative"),
+    pytest.param("weight_decay", ["--weight-decay", "nan"], None,
+                 id="weight-decay-nan"),
+    pytest.param("threshold", ["--threshold", "nan"], None,
+                 id="threshold-nan"),
+    pytest.param("threshold", ["--threshold", "inf"], None,
+                 id="threshold-inf"),
+])
+def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
+                                   config):
+    """A setting outside its range exits 2 naming it, before a checkpoint
+    is written: no traceback, no training by gradient ascent, no
+    divergence reported as a numeric failure."""
+    ckpt = tmp_path / "m.ckpt"
+    args = ["train", "--data", str(dataset), "--out", str(ckpt),
+            "--epochs", "1", *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert field in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("args, expect", [
+    pytest.param(["synth", "--frames", "20", "--out", "{missing}"],
+                 "{missing}", id="synth-out"),
+    pytest.param(["train", "--data", "{data}", "--epochs", "1",
+                  "--out", "{missing}"], "{missing}", id="train-out"),
+    pytest.param(["train", "--data", "{data}", "--epochs", "1",
+                  "--out", "{tmp}/m.ckpt", "--log", "{missing}"],
+                 "{missing}", id="train-log"),
+    pytest.param(["eval", "--model", "{model}", "--data", "{data}",
+                  "--trace", "{missing}"], "{missing}", id="eval-trace"),
+    pytest.param(["profile", "--model", "{model}", "--data", "{data}",
+                  "--json", "{missing}"], "{missing}", id="profile-json"),
+    pytest.param(["kf", "--data", "{data}", "--out", "{missing}"],
+                 "{missing}", id="kf-out"),
+    pytest.param(["profile", "--model", "{model}", "--data", "{data}",
+                  "--ann-mac", "0"], "'dense-ann'", id="profile-ann-mac-0"),
+])
+def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
+                                              capsys, args, expect):
+    """An output path in a missing directory, or a cost reference with
+    nothing to divide by, exits 2 naming it instead of a traceback."""
+    fill = {"missing": tmp_path / "no_such_dir" / "out", "data": dataset,
+            "model": trained[0], "tmp": tmp_path}
+    assert main([a.format(**fill) for a in args]) == 2
+    assert expect.format(**fill) in capsys.readouterr().err
+
+
 def test_exit_codes(dataset, tmp_path, capsys):
     # usage errors -> 1
     assert main(["bogus"]) == 1

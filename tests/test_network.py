@@ -10,6 +10,7 @@ from snndecode import (
     RESET_MODES,
     TRAIN,
     NetworkSpec,
+    NetworkState,
     forward_streaming,
     forward_unfolded,
     init_params,
@@ -47,9 +48,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             NetworkSpec(dropout_p=1.0)
         with pytest.raises(ValueError):
-            NetworkSpec(threshold=0.0)
-        with pytest.raises(ValueError):
             NetworkSpec(reset_mode="bounce")
+        for bad in ({"threshold": 0.0}, {"threshold": np.nan},
+                    {"threshold": np.inf}, {"bn_eps": 0.0},
+                    {"bn_eps": np.nan}, {"bn_momentum": 0.0},
+                    {"bn_momentum": 1.5}, {"window_len": 2.5}):
+            name, = bad
+            with pytest.raises(ValueError, match=name):
+                NetworkSpec(**bad)
 
 
 class TestInitParams:
@@ -84,20 +90,15 @@ class TestInitParams:
 class TestResetState:
     def test_zeroed_shapes(self):
         state = reset_state(NetworkSpec())
-        assert len(state.hidden) == 3
-        for h in state.hidden:
-            assert h.potential.shape == (256,)
-            np.testing.assert_array_equal(h.potential, 0.0)
-            np.testing.assert_array_equal(h.last_spikes, 0.0)
-        assert state.output_potential.shape == (2,)
-        np.testing.assert_array_equal(state.output_potential, 0.0)
+        assert [u.shape for u in state.potentials] == [(256,)] * 3 + [(2,)]
+        for u in state.potentials:
+            np.testing.assert_array_equal(u, 0.0)
 
     def test_idempotent(self):
         spec = SMALL
         a, b = reset_state(spec), reset_state(spec)
-        for ha, hb in zip(a.hidden, b.hidden):
-            np.testing.assert_array_equal(ha.potential, hb.potential)
-        np.testing.assert_array_equal(a.output_potential, b.output_potential)
+        for ua, ub in zip(a.potentials, b.potentials):
+            np.testing.assert_array_equal(ua, ub)
 
 
 class TestForwardUnfolded:
@@ -233,12 +234,12 @@ class TestStreaming:
     def test_state_argument_not_mutated(self):
         params = lively_params(SMALL, seed=16)
         state = reset_state(SMALL, dtype=np.float64)
-        state.hidden[0].potential[:] = 0.25
+        state.potentials[0][:] = 0.25
         frame = np.random.default_rng(17).normal(size=SMALL.input_width)
-        before = [h.potential.copy() for h in state.hidden]
+        before = [u.copy() for u in state.potentials]
         forward_streaming(params, SMALL, frame, state)
-        for h, b in zip(state.hidden, before):
-            np.testing.assert_array_equal(h.potential, b)
+        for u, b in zip(state.potentials, before):
+            np.testing.assert_array_equal(u, b)
 
     def test_fresh_state_forgets_history(self):
         params = lively_params(SMALL, seed=18)
@@ -258,6 +259,34 @@ class TestStreaming:
         params = init_params(SMALL, np.random.default_rng(20))
         with pytest.raises(ValueError):
             forward_streaming(params, SMALL, np.zeros(5), reset_state(SMALL))
+        short = NetworkState(reset_state(SMALL).potentials[:-1])
+        with pytest.raises(ValueError, match="state has 2 layers"):
+            forward_streaming(params, SMALL, np.zeros(SMALL.input_width),
+                              short)
+
+    @pytest.mark.parametrize("reset_mode", RESET_MODES)
+    def test_state_rebuilt_from_potentials_continues(self, reset_mode):
+        """The potentials are the whole streaming state: a state rebuilt
+        mid-stream from copies of them continues bit for bit like the
+        original, and both match the unfolded pass."""
+        spec = NetworkSpec(layer_widths=(8, 16, 16, 16, 2), window_len=12,
+                           reset_mode=reset_mode)
+        params = lively_params(spec, seed=23, dtype=np.float32)
+        window = np.random.default_rng(24).normal(
+            size=(spec.window_len, spec.input_width)).astype(np.float32)
+        unfolded, cache = forward_unfolded(params, spec, window, mode=EVAL)
+        assert sum(s.sum() for s in cache.spikes[:-1]) > 0
+        state = reset_state(spec)
+        for frame in window[:5]:
+            _, state = forward_streaming(params, spec, frame, state)
+        rebuilt = NetworkState([u.copy() for u in state.potentials])
+        for t in range(5, spec.window_len):
+            pred, state = forward_streaming(params, spec, window[t], state)
+            again, rebuilt = forward_streaming(params, spec, window[t],
+                                               rebuilt)
+            assert again.tobytes() == pred.tobytes() == unfolded[t].tobytes()
+        for u, v in zip(state.potentials, rebuilt.potentials):
+            assert u.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_frame(self, bad):
@@ -269,13 +298,13 @@ class TestStreaming:
         state = reset_state(SMALL, dtype=np.float64)
         for frame in frames[:5]:
             _, state = forward_streaming(params, SMALL, frame, state)
-        before = [h.potential.copy() for h in state.hidden]
+        before = [u.copy() for u in state.potentials]
         poisoned = frames[5].copy()
         poisoned[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             forward_streaming(params, SMALL, poisoned, state)
-        for h, b in zip(state.hidden, before):
-            np.testing.assert_array_equal(h.potential, b)
+        for u, b in zip(state.potentials, before):
+            np.testing.assert_array_equal(u, b)
         for frame in frames[5:]:
             pred, state = forward_streaming(params, SMALL, frame, state)
         unfolded, _ = forward_unfolded(params, SMALL, frames, mode=EVAL)
@@ -291,10 +320,10 @@ class TestStreaming:
         frames = np.random.default_rng(27).normal(
             size=(4, SMALL.input_width)).astype(np.float32)
         state = reset_state(SMALL)
-        state.hidden[0].potential[:] = 0.25
+        state.potentials[0][:] = 0.25
         with pytest.raises(NumericError, match="layer 0"):
             forward_streaming(params, SMALL, frames[0], state)
-        np.testing.assert_array_equal(state.hidden[0].potential, 0.25)
+        np.testing.assert_array_equal(state.potentials[0], 0.25)
         with pytest.raises(NumericError, match="layer 0"):
             decode_sequence(params, SMALL, frames)
 
