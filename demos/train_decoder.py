@@ -9,6 +9,7 @@ epochs) lives in tests/test_acceptance.py.
 
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +31,7 @@ fva, vva = std.apply(val)
 
 config = TrainConfig(epochs=5, seed=0)
 print("hyperparameters:", ", ".join(
-    f"{k}={v}" for k, v in config.as_dict().items()
+    f"{k}={v}" for k, v in asdict(config).items()
     if k in ("learning_rate", "weight_decay", "batch_size",
              "window_len", "warmup_discard", "dropout_p")))
 

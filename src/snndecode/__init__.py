@@ -5,23 +5,10 @@ streaming inference, a Kalman-filter reference decoder, and an
 operation-count profiler for the trained networks.
 """
 
-from .errors import DataError, NumericError
-from .neuron import (
-    RESET_MODES,
-    RESET_SUBTRACT,
-    RESET_ZERO,
-    lif_step,
-    output_step,
-    surrogate_grad,
-)
-from .batchnorm import EVAL, TRAIN, batch_stats, normalize
+from .neuron import lif_step, surrogate_grad
+from .batchnorm import EVAL, TRAIN
 from .network import (
-    LayerParams,
-    NetworkParams,
     NetworkSpec,
-    NetworkState,
-    NormParams,
-    TrainingCache,
     forward_streaming,
     forward_unfolded,
     init_params,
@@ -31,27 +18,14 @@ from .network import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataError",
-    "NumericError",
-    "RESET_MODES",
-    "RESET_SUBTRACT",
-    "RESET_ZERO",
-    "lif_step",
-    "output_step",
-    "surrogate_grad",
     "EVAL",
     "TRAIN",
-    "batch_stats",
-    "normalize",
-    "LayerParams",
-    "NetworkParams",
     "NetworkSpec",
-    "NetworkState",
-    "NormParams",
-    "TrainingCache",
     "forward_streaming",
     "forward_unfolded",
     "init_params",
     "reset_state",
+    "lif_step",
+    "surrogate_grad",
     "__version__",
 ]

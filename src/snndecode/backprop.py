@@ -110,7 +110,8 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
     nonlinearity via the box surrogate, through the membrane recurrence
     (including the reset term), through the pooled normalizer, and into
     weights, decay factors, and the normalizer's affine parameters,
-    accumulated over batch and time.
+    accumulated over batch and time.  ``targets`` are shaped like the
+    predictions, ``(B, T, out_width)``.
     """
     if cache.mode != batchnorm.TRAIN:
         raise ValueError("backward needs a training-mode forward cache")
@@ -119,8 +120,6 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
 
     preds = cache.potentials[-1]
     targets = np.asarray(targets, dtype=preds.dtype)
-    if targets.ndim == 2:
-        targets = targets[None]
     if targets.shape != preds.shape:
         raise ValueError(
             f"target shape {targets.shape} does not match predictions "

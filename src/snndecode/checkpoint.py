@@ -38,6 +38,12 @@ KIND_KF = "kf"
 
 _HEAD = struct.Struct("<HI")        # version, header byte length
 
+# The standardizer's arrays, in checkpoint order, each stored as
+# ``std.<name>``.  The ``feat_`` pair spans the model's input channels and
+# the ``vel_`` pair its outputs; the two ``_std`` scales divide, so they
+# must be positive.
+STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
+
 
 def _write_container(path, kind: str, meta: dict, arrays) -> None:
     """``arrays`` is an ordered list of (name, ndarray) pairs."""
@@ -98,23 +104,11 @@ def _read_container(path):
     return kind, meta, arrays
 
 
-def _standardizer_arrays(std: Standardizer):
-    return [
-        ("std.feat_mean", std.feat_mean),
-        ("std.feat_std", std.feat_std),
-        ("std.vel_mean", std.vel_mean),
-        ("std.vel_std", std.vel_std),
-    ]
-
-
-def _standardizer_from(arrays, degenerate_channels) -> Standardizer:
-    return Standardizer(
-        feat_mean=arrays["std.feat_mean"],
-        feat_std=arrays["std.feat_std"],
-        vel_mean=arrays["std.vel_mean"],
-        vel_std=arrays["std.vel_std"],
-        degenerate_channels=degenerate_channels,
-    )
+def _std_shapes(channels: int, outputs: int) -> dict:
+    """Standardizer array name -> the shape a model of that many input
+    channels and outputs needs."""
+    return {f"std.{name}": (channels if name.startswith("feat") else outputs,)
+            for name in STD_ARRAYS}
 
 
 def save_snn(path, params: NetworkParams, spec: NetworkSpec,
@@ -128,7 +122,8 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
     arrays = [(f"layer{l}.{name}", a)
               for l, layer in enumerate(params.layers)
               for name, a in layer.arrays().items()]
-    arrays.extend(_standardizer_arrays(standardizer))
+    arrays += [(f"std.{name}", getattr(standardizer, name))
+               for name in STD_ARRAYS]
     _write_container(path, KIND_SNN, meta, arrays)
 
 
@@ -141,10 +136,7 @@ def _snn_shapes(spec: NetworkSpec) -> dict:
             shapes[f"layer{l}.{name}"] = (
                 (widths[l + 1], widths[l]) if name == "weight"
                 else (widths[l + 1],))
-    for name in ("feat_mean", "feat_std"):
-        shapes[f"std.{name}"] = (spec.input_width,)
-    for name in ("vel_mean", "vel_std"):
-        shapes[f"std.{name}"] = (spec.output_width,)
+    shapes.update(_std_shapes(spec.input_width, spec.output_width))
     return shapes
 
 
@@ -166,6 +158,9 @@ def _check_arrays(path, arrays: dict, shapes: dict) -> None:
                             f"outside [0, 1]")
         if name.endswith(".run_var") and arr.min() < 0.0:
             raise DataError(f"{path}: array {name!r} has a negative variance")
+        if name.endswith("_std") and arr.min() <= 0.0:
+            raise DataError(f"{path}: array {name!r} has a scale that is "
+                            f"not positive")
 
 
 def load_snn(path):
@@ -173,8 +168,9 @@ def load_snn(path):
 
     A header without the topology, standardizer or extra fields, a
     topology that does not validate, a missing or misshaped array, a
-    non-finite array value, a decay factor outside [0, 1] and a negative
-    running variance all raise :class:`DataError`.
+    non-finite array value, a decay factor outside [0, 1], a negative
+    running variance and a standardizer scale that is not positive all
+    raise :class:`DataError`.
     """
     kind, meta, arrays = _read_container(path)
     if kind != KIND_SNN:
@@ -195,7 +191,8 @@ def load_snn(path):
             {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
         for l in range(spec.n_layers)
     ]
-    std = _standardizer_from(arrays, degenerate)
+    std = Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
+                       degenerate_channels=degenerate)
     return NetworkParams(layers=layers), spec, std, extra
 
 
@@ -213,31 +210,37 @@ def save_kf(path, model: KfModel, standardizer: Standardizer,
         ("kf.C", model.C),
         ("kf.Q", model.Q),
     ]
-    arrays.extend(_standardizer_arrays(standardizer))
+    arrays += [(f"std.{name}", getattr(standardizer, name))
+               for name in STD_ARRAYS]
     _write_container(path, KIND_KF, meta, arrays)
 
 
 def load_kf(path):
     """Read back (model, standardizer, extra) saved by save_kf.
 
-    Missing metadata or arrays, and filter matrices that do not fit the
-    three-component state and the standardizer's channel count or hold
-    non-finite values, raise :class:`DataError`.
+    Missing metadata or arrays, arrays that do not fit the three-component
+    state, its two velocities and one channel count or hold non-finite
+    values, and a standardizer scale that is not positive raise
+    :class:`DataError`.
     """
     kind, meta, arrays = _read_container(path)
     if kind != KIND_KF:
         raise DataError(f"{path}: expected a kf checkpoint, found {kind!r}")
     try:
-        model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"],
-                        C=arrays["kf.C"], Q=arrays["kf.Q"],
-                        ridge=meta["ridge"])
-        std = _standardizer_from(arrays, tuple(meta["degenerate_channels"]))
+        ridge = meta["ridge"]
+        degenerate = tuple(meta["degenerate_channels"])
         extra = meta["extra"]
+        observation = arrays["kf.C"]
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint missing {exc}") from exc
     except TypeError as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    c = std.feat_mean.size
+    c = len(observation) if observation.ndim else 0     # model's channels
     _check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
-                                 "kf.C": (c, 3), "kf.Q": (c, c)})
+                                 "kf.C": (c, 3), "kf.Q": (c, c),
+                                 **_std_shapes(c, 2)})
+    model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"], C=observation,
+                    Q=arrays["kf.Q"], ridge=ridge)
+    std = Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
+                       degenerate_channels=degenerate)
     return model, std, extra

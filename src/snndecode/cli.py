@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -163,24 +164,36 @@ def _merged_config(args) -> TrainConfig:
             merged[field] = value
     if args.fixed_tau:
         merged["trainable_tau"] = False
-    if "tau_init" in merged and isinstance(merged["tau_init"], list):
-        merged["tau_init"] = tuple(merged["tau_init"])
     try:
         return TrainConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad training configuration: {exc}") from exc
 
 
-def _standardized_split(frames: FrameSet, ratio: float):
-    train, val = split_train_val(frames, ratio)
-    std = Standardizer.fit(train)
-    return train, val, std
+def _check_output_paths(*paths):
+    """Refuse an output path that is a directory or lies in a missing one,
+    so a typo ends the command before its work, not after; creates
+    nothing."""
+    for path in paths:
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(path)))):
+            raise DataError(f"cannot write output {path}: it is a directory "
+                            f"or its directory does not exist")
+
+
+def _check_channels(data_path, frames: FrameSet, channels: int):
+    if frames.meta.channel_count != channels:
+        raise DataError(
+            f"{data_path}: {frames.meta.channel_count} channels, model "
+            f"expects {channels}")
 
 
 def _cmd_train(args) -> int:
     config = _merged_config(args)
+    _check_output_paths(args.out, args.log)
     frames = load_frames(args.data)
-    train, val, std = _standardized_split(frames, args.split_ratio)
+    train, val = split_train_val(frames, args.split_ratio)
+    std = Standardizer.fit(train)
     ftr, vtr = std.apply(train)
     fva, vva = std.apply(val)
     dataset = make_windows(ftr, vtr, config.window_len,
@@ -218,10 +231,7 @@ def _load_checkpoint(model_path, data_path, which, ratio):
     standardized features of the chosen split."""
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
-    if frames.meta.channel_count != spec.input_width:
-        raise DataError(
-            f"{data_path}: {frames.meta.channel_count} channels, model "
-            f"expects {spec.input_width}")
+    _check_channels(data_path, frames, spec.input_width)
     subset, offset = _select_split(frames, which, ratio)
     feats = std.apply_features(subset.features)
     return params, spec, std, subset, offset, feats
@@ -294,10 +304,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_kf(args) -> int:
     frames = load_frames(args.data)
-    train, val, std = _standardized_split(frames, args.split_ratio)
+    train, val = split_train_val(frames, args.split_ratio)
     if args.model:
         model, std, _ = ckpt.load_kf(args.model)
+        _check_channels(args.data, frames, len(model.C))
     else:
+        std = Standardizer.fit(train)
         ftr, vtr = std.apply(train)
         model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))
         if args.out:

@@ -326,6 +326,8 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
         raise ValueError("need at least one frame")
     if smoothness <= 1.0:
         raise ValueError("smoothness must exceed 1 frame")
+    # the file's rules on the counts and frame_ms, before anything is drawn
+    DatasetMeta(frame_ms, channels, n_frames, SYNTHETIC)
     rng = np.random.default_rng(seed)
 
     directions = rng.normal(size=(channels, 2))

@@ -64,7 +64,6 @@ class NetworkSpec:
     reset_mode: str = RESET_SUBTRACT
     normalize_output: bool = True    # normalize the readout's input current too
     bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
@@ -76,9 +75,6 @@ class NetworkSpec:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name}={getattr(self, name)!r} is not "
                                  f"positive and finite")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError(f"bn_momentum={self.bn_momentum!r} must lie "
-                             f"in (0, 1]")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout probability must lie in [0, 1)")
         if self.reset_mode not in RESET_MODES:
@@ -197,6 +193,13 @@ class TrainingCache:
     fed: list = field(default_factory=list)
 
 
+def _check_tau_init(tau_init):
+    taus = np.asarray(tau_init, dtype=float)
+    if not ((taus >= 0.0) & (taus <= 1.0)).all():      # NaN fails too
+        raise ValueError(f"tau_init={tau_init!r}: initial decay factors "
+                         f"must lie in [0, 1]")
+
+
 def init_params(spec: NetworkSpec, rng: np.random.Generator,
                 tau_init=(0.25, 0.75), dtype=np.float32) -> NetworkParams:
     """Draw fresh parameters for the given topology.
@@ -206,6 +209,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator,
     scalar.  Normalizer gain starts at 1, shift at 0, running statistics
     at the standard-normal values.
     """
+    _check_tau_init(tau_init)
     layers = []
     for l in range(spec.n_layers):
         fan_in = spec.layer_widths[l]
@@ -217,8 +221,6 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator,
         else:
             low, high = tau_init
             tau = rng.uniform(low, high, size=width)
-        if tau.min() < 0.0 or tau.max() > 1.0:
-            raise ValueError("initial decay factors must lie in [0, 1]")
         layers.append(LayerParams(
             weight=weight.astype(dtype),
             tau=tau.astype(dtype),
@@ -345,8 +347,9 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
     Parameters
     ----------
     windows : ndarray
-        ``(T, in_width)`` for a single sample or ``(B, T, in_width)`` for
-        a batch.  State starts at zero.
+        A batch of ``(B, T, in_width)`` windows; a single sequence goes
+        through :func:`~snndecode.train.decode_sequence`.  State starts
+        at zero.
     mode : str
         ``"train"`` runs the training pass: pooled batch+time
         normalization statistics and a fresh dropout mask per timestep
@@ -356,15 +359,11 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
     Returns
     -------
     (ndarray, TrainingCache)
-        Predictions of shape ``(B, T, out_width)`` (leading axis dropped
-        if the input was 2-D) and the cache of intermediates.  An
-        ``"eval"`` cache holds only the spikes.
+        Predictions of shape ``(B, T, out_width)`` and the cache of
+        intermediates.  An ``"eval"`` cache holds only the spikes.
     """
     _check_params(params, spec)
     windows = np.asarray(windows, dtype=params.dtype)
-    squeeze = windows.ndim == 2
-    if squeeze:
-        windows = windows[None]
     if windows.ndim != 3 or windows.shape[-1] != spec.input_width:
         raise ValueError(
             f"expected windows shaped (batch, time, {spec.input_width}), "
@@ -383,7 +382,7 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         preds = preds.transpose(1, 0, 2)
         cache = TrainingCache(mode=EVAL, inputs=windows, spikes=[
             s.transpose(1, 0, 2) for s in spikes] + [None])
-        return (preds[0] if squeeze else preds), cache
+        return preds, cache
 
     # the training pass runs time-major, (T, B, w); the cache holds
     # (B, T, w) views of its arrays
@@ -427,8 +426,7 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                              (cache.fed, act)):
             field.append(None if value is None else value.transpose(1, 0, 2))
 
-    preds = cache.potentials[-1]
-    return (preds[0] if squeeze else preds), cache
+    return cache.potentials[-1], cache
 
 
 def forward_streaming(params: NetworkParams, spec: NetworkSpec,

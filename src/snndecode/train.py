@@ -23,6 +23,7 @@ from .metrics import pearson
 from .network import (
     NetworkParams,
     NetworkSpec,
+    _check_tau_init,
     _layer_normalized,
     forward_unfolded,
     init_params,
@@ -71,18 +72,9 @@ class TrainConfig:
         if self.grad_clip is not None and not 0.0 < self.grad_clip < np.inf:
             raise ValueError(f"grad_clip={self.grad_clip!r} is neither None "
                              f"nor positive and finite")
-        taus = np.asarray(self.tau_init, dtype=float)
-        if not ((taus >= 0.0) & (taus <= 1.0)).all():      # NaN fails too
-            raise ValueError(f"tau_init={self.tau_init!r} does not lie in "
-                             f"[0, 1]")
+        _check_tau_init(self.tau_init)
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
-
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        if isinstance(d["tau_init"], tuple):
-            d["tau_init"] = list(d["tau_init"])
-        return d
 
 
 @dataclass
@@ -178,10 +170,6 @@ class TrainingLog:
     def canonical(self) -> str:
         return self.to_text(include_wall=False)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
 
 def decode_sequence(params: NetworkParams, spec: NetworkSpec,
                     features: np.ndarray) -> np.ndarray:
@@ -213,8 +201,12 @@ def decoder_spec(config: TrainConfig, input_width: int, output_width: int,
     )
 
 
+# Weight of a batch's statistics in the normalizers' running averages.
+BN_MOMENTUM = 0.1
+
+
 def _advance_running_stats(params: NetworkParams, cache, spec: NetworkSpec):
-    mom = spec.bn_momentum
+    mom = BN_MOMENTUM
     for l, layer in enumerate(params.layers):
         if not _layer_normalized(spec, l):
             continue
@@ -246,7 +238,6 @@ def _validation_r(params, spec, features, velocities):
 
 def fit(dataset: WindowDataset, config: TrainConfig,
         spec: NetworkSpec | None = None,
-        params: NetworkParams | None = None,
         val_features: np.ndarray | None = None,
         val_velocities: np.ndarray | None = None):
     """Train a decoder on a window dataset; returns ``(params, log)``.
@@ -254,7 +245,7 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     When ``spec`` is omitted it is :func:`decoder_spec` of the config and
     the dataset's widths; a given ``spec`` must agree with the config on
     the settings both carry, or ``ValueError`` names the first that
-    differs.  When ``params`` are omitted they are initialized from the
+    differs.  Training starts from :func:`init_params` drawn from the
     run's seed.  If validation arrays are given, each epoch records
     per-output Pearson correlations of the streamed validation decode.
     A non-finite loss aborts with a diagnostic.
@@ -277,11 +268,9 @@ def fit(dataset: WindowDataset, config: TrainConfig,
         )
 
     rng = np.random.default_rng(config.seed)
-    if params is None:
-        params = init_params(spec, rng, tau_init=config.tau_init)
+    params = init_params(spec, rng, tau_init=config.tau_init)
     opt_state = adamw_init(params)
-    log = TrainingLog(config={"spec": asdict(spec),
-                              **config.as_dict()})
+    log = TrainingLog(config={"spec": asdict(spec), **asdict(config)})
 
     for epoch in range(config.epochs):
         tic = time.perf_counter()

@@ -2,16 +2,9 @@
 
 import numpy as np
 
-from snndecode import (
-    TRAIN,
-    NetworkSpec,
-    batch_stats,
-    forward_unfolded,
-    init_params,
-    normalize,
-)
-from snndecode.batchnorm import tdbn_backward
-from snndecode.train import _advance_running_stats
+from snndecode import TRAIN, NetworkSpec, forward_unfolded, init_params
+from snndecode.batchnorm import batch_stats, normalize, tdbn_backward
+from snndecode.train import BN_MOMENTUM, _advance_running_stats
 
 
 class TestBatchStats:
@@ -80,9 +73,10 @@ class TestTdbnApply:
 
     def test_running_statistics_ema(self):
         """After a batch the trainer moves each running statistic a
-        ``bn_momentum`` step toward the batch statistic it pooled."""
+        ``BN_MOMENTUM`` (0.1) step toward the batch statistic it pooled."""
+        assert BN_MOMENTUM == 0.1
         spec = NetworkSpec(layer_widths=(3, 4, 2), window_len=5,
-                           dropout_p=0.0, bn_momentum=0.1)
+                           dropout_p=0.0)
         rng = np.random.default_rng(9)
         params = init_params(spec, rng, dtype=np.float64)
         for layer in params.layers:

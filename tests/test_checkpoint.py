@@ -208,6 +208,41 @@ def test_kf_rejects_misshaped_array(tmp_path, name):
         load_kf(path)
 
 
+def save_either(path, kind):
+    """A valid checkpoint of ``kind`` over five channels and two outputs."""
+    if kind == "snn":
+        params, spec = toy_model()
+        save_snn(path, params, spec, toy_standardizer())
+        return load_snn
+    rng = np.random.default_rng(1)
+    save_kf(path, kf_fit(rng.normal(size=(50, 5)), rng.normal(size=(50, 2))),
+            toy_standardizer())
+    return load_kf
+
+
+@pytest.mark.parametrize("kind", ["snn", "kf"])
+@pytest.mark.parametrize("name, edit", [
+    ("std.vel_std", lambda a: -a),
+    ("std.feat_std", lambda a: np.where(np.arange(a.size) == 2, 0.0, a)),
+    ("std.feat_std", lambda a: np.where(np.arange(a.size) == 2, np.nan, a)),
+    ("std.vel_mean", lambda a: np.zeros(5, dtype=a.dtype)),
+    ("std.feat_mean", lambda a: a[:4]),
+    ("std.vel_std", lambda a: a.astype(np.int32)),
+], ids=["negative-vel_std", "zero-feat_std", "nan-feat_std",
+        "five-long-vel_mean", "short-feat_mean", "integer-vel_std"])
+def test_rejects_unusable_standardizer(tmp_path, kind, name, edit):
+    """Both kinds of checkpoint refuse a standardizer array that is
+    misshaped for the model, not floating-point, not finite, or a scale
+    that is not positive, naming the file and the array."""
+    path = tmp_path / f"{kind}.ckpt"
+    load = save_either(path, kind)
+    rewritten(path, lambda meta, arrays: arrays.update(
+        {name: edit(arrays[name])}))
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(path) in str(err.value) and name in str(err.value)
+
+
 @pytest.mark.parametrize("key", ["ridge", "degenerate_channels", "extra"])
 def test_kf_rejects_missing_meta(tmp_path, key):
     rng = np.random.default_rng(1)

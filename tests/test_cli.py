@@ -126,6 +126,33 @@ def test_kf_subcommand(dataset, capsys, tmp_path):
     assert fit_out.splitlines()[-1] == reload_out.splitlines()[-1]
 
 
+def test_kf_model_checks_data_channels(dataset, capsys, tmp_path):
+    """A data file whose channel count differs from the kf model's is
+    refused naming the file and both counts."""
+    ckpt, narrow = tmp_path / "kf.ckpt", tmp_path / "narrow.bin"
+    assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+    assert main(["synth", "--frames", "100", "--channels", "6",
+                 "--out", str(narrow)]) == 0
+    capsys.readouterr()
+    assert main(["kf", "--data", str(narrow), "--model", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert str(narrow) in err and "6 channels" in err and "expects 96" in err
+
+
+def test_kf_model_rejects_negative_scale(dataset, capsys, tmp_path):
+    """A kf checkpoint whose velocity scale is negated would decode with
+    every velocity's sign flipped; it is refused at load."""
+    ckpt = tmp_path / "kf.ckpt"
+    assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+    kind, meta, arrays = _read_container(ckpt)
+    arrays["std.vel_std"] = -arrays["std.vel_std"]
+    _write_container(ckpt, kind, meta, list(arrays.items()))
+    capsys.readouterr()
+    assert main(["kf", "--data", str(dataset), "--model", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "std.vel_std" in err
+
+
 def test_config_file_and_flag_precedence(dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 1, "seed": 5,
@@ -173,12 +200,14 @@ def test_synth_rejects_bad_frame_ms(tmp_path, capsys, value):
 
 
 def test_synth_rejects_zero_channels(tmp_path, capsys):
-    """A file without channels would be refused by every loader."""
+    """A file without channels would be refused by every loader; a
+    negative count is refused by the same rule before anything is drawn."""
     out = tmp_path / "d.bin"
-    assert main(["synth", "--frames", "20", "--out", str(out),
-                 "--channels", "0"]) == 2
-    assert "channel_count" in capsys.readouterr().err
-    assert not out.exists()
+    for channels in ("0", "-1"):
+        assert main(["synth", "--frames", "20", "--out", str(out),
+                     "--channels", channels]) == 2
+        assert "channel_count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("field, flags, config", [
@@ -224,6 +253,8 @@ def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
     pytest.param(["train", "--data", "{data}", "--epochs", "1",
                   "--out", "{tmp}/m.ckpt", "--log", "{missing}"],
                  "{missing}", id="train-log"),
+    pytest.param(["train", "--data", "{data}", "--epochs", "1",
+                  "--out", "{tmp}"], "{tmp}", id="train-out-is-directory"),
     pytest.param(["eval", "--model", "{model}", "--data", "{data}",
                   "--trace", "{missing}"], "{missing}", id="eval-trace"),
     pytest.param(["profile", "--model", "{model}", "--data", "{data}",
@@ -235,12 +266,17 @@ def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
 ])
 def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
                                               capsys, args, expect):
-    """An output path in a missing directory, or a cost reference with
-    nothing to divide by, exits 2 naming it instead of a traceback."""
+    """An output path in a missing directory (or, for ``train``, naming a
+    directory), or a cost reference with nothing to divide by, exits 2
+    naming it instead of a traceback; ``train`` refuses before training."""
     fill = {"missing": tmp_path / "no_such_dir" / "out", "data": dataset,
             "model": trained[0], "tmp": tmp_path}
     assert main([a.format(**fill) for a in args]) == 2
-    assert expect.format(**fill) in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert expect.format(**fill) in err
+    if args[0] == "train":      # refused before the first epoch
+        assert "epoch=" not in out
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_exit_codes(dataset, tmp_path, capsys):

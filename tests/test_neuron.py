@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from snndecode import (
-    RESET_SUBTRACT,
-    RESET_ZERO,
-    NetworkSpec,
-    init_params,
-    lif_step,
-    output_step,
-    surrogate_grad,
-)
+from snndecode import NetworkSpec, init_params, lif_step, surrogate_grad
+from snndecode.neuron import RESET_SUBTRACT, RESET_ZERO, output_step
 
 
 def step(u, s, current, tau, reset_mode=RESET_SUBTRACT):
@@ -34,7 +27,8 @@ class TestNeuronParameterChecks:
     def test_rejects_tau_outside_unit_interval(self):
         spec = NetworkSpec(layer_widths=(3, 4, 2))
         rng = np.random.default_rng(0)
-        for tau_init in (1.2, -0.1, (0.5, 1.2), (-0.1, 0.5)):
+        for tau_init in (1.2, -0.1, (0.5, 1.2), (-0.1, 0.5), float("nan"),
+                         (0.25, float("nan"))):
             with pytest.raises(ValueError, match="decay factors"):
                 init_params(spec, rng, tau_init=tau_init)
 

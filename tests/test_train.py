@@ -83,12 +83,14 @@ def test_too_few_frames():
 # -------------------------------------------------------------------- fit
 
 def test_zero_epochs_returns_initial_params():
+    """Training starts from ``init_params`` drawn from the run's seed."""
     feats, vels = toy_data(40)
-    config = toy_config(epochs=0, seed=3)
+    config = toy_config(epochs=0, seed=3, tau_init=(0.4, 0.6))
     spec = toy_spec(config)
-    params = init_params(spec, np.random.default_rng(config.seed))
+    params = init_params(spec, np.random.default_rng(config.seed),
+                         tau_init=config.tau_init)
     ds = make_windows(feats, vels, config.window_len)
-    trained, log = fit(ds, config, spec=spec, params=params)
+    trained, log = fit(ds, config, spec=spec)
     for a, b in zip(trained.layers, params.layers):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.tau, b.tau)
@@ -200,7 +202,7 @@ def test_log_header_records_trained_spec():
     feats, vels = toy_data(40, seed=8)
     config = toy_config(epochs=1, reset_mode="zero", dropout_p=0.0)
     spec = dataclasses.replace(toy_spec(config), threshold=0.7,
-                               bn_momentum=0.3)
+                               bn_eps=1e-3)
     ds = make_windows(feats, vels, config.window_len)
     _, log = fit(ds, config, spec=spec)
     header = json.loads(log.canonical().splitlines()[0][len("# config "):])
@@ -220,7 +222,7 @@ def test_grad_clip_bounds_the_update(clip):
     init = init_params(spec, np.random.default_rng(config.seed),
                        tau_init=config.tau_init)
     ds = make_windows(feats, vels, config.window_len)
-    trained, _ = fit(ds, config, spec=spec, params=init.copy())
+    trained, _ = fit(ds, config, spec=spec)
     steps = -(-len(ds) // config.batch_size) * config.epochs
     decay = (1.0 - config.learning_rate * config.weight_decay) ** steps
     gap = max(float(np.abs(a.weight - decay * np.float64(b.weight)).max())
