@@ -31,13 +31,7 @@ import numpy as np
 
 from . import batchnorm
 from .errors import NumericError
-from .network import (
-    NetworkParams,
-    NetworkSpec,
-    TrainingCache,
-    _blocked_gemm,
-    _layer_normalized,
-)
+from .network import NetworkParams, NetworkSpec, TrainingCache, _blocked_gemm
 from .neuron import RESET_SUBTRACT, surrogate_grad
 
 
@@ -57,12 +51,6 @@ class Gradients:
     """Per-layer gradients, same nesting as the parameter set."""
 
     layers: list
-
-    def scale(self, factor: float) -> "Gradients":
-        return Gradients([
-            LayerGrads(**{name: a * factor for name, a in vars(g).items()})
-            for g in self.layers
-        ])
 
 
 def window_loss(predictions: np.ndarray, targets: np.ndarray,
@@ -167,14 +155,9 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             grad_norm[t] = gu
             gu_next = gu
 
-        if _layer_normalized(spec, l):
-            grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
-                grad_norm, cache.xhat[l].transpose(1, 0, 2),
-                cache.inv_std[l], layer.norm.gamma, thr)
-        else:
-            grad_cur = grad_norm
-            grad_gamma = np.zeros_like(layer.norm.gamma)
-            grad_beta = np.zeros_like(layer.norm.beta)
+        grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
+            grad_norm, cache.xhat[l].transpose(1, 0, 2), cache.inv_std[l],
+            layer.norm.gamma, thr)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs
         act_in = act_in.transpose(1, 0, 2)

@@ -167,7 +167,8 @@ def load_snn(path):
     """Read back (params, spec, standardizer, extra) saved by save_snn.
 
     A header without the topology, standardizer or extra fields, a
-    topology that does not validate, a missing or misshaped array, a
+    topology that does not validate or that sets a :class:`NetworkSpec`
+    constant to another value, a missing or misshaped array, a
     non-finite array value, a decay factor outside [0, 1], a negative
     running variance and a standardizer scale that is not positive all
     raise :class:`DataError`.
@@ -177,6 +178,12 @@ def load_snn(path):
         raise DataError(f"{path}: expected an snn checkpoint, found {kind!r}")
     try:
         sd = meta["spec"]
+        for name in ("normalize_output", "bn_eps"):
+            # constants now; older checkpoints store them as settings
+            if name in sd and sd[name] != getattr(NetworkSpec, name):
+                raise DataError(f"{path}: checkpoint spec {name}="
+                                f"{sd[name]!r} is not supported; every "
+                                f"decoder uses {getattr(NetworkSpec, name)!r}")
         spec = NetworkSpec(**{f.name: sd[f.name]
                               for f in dataclasses.fields(NetworkSpec)})
         degenerate = tuple(meta["degenerate_channels"])

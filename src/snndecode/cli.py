@@ -120,8 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kf", help="fit or evaluate the Kalman baseline")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", help="existing kf checkpoint (skip fitting)")
-    p.add_argument("--out", help="save the fitted model here")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--model", help="existing kf checkpoint (skip fitting)")
+    source.add_argument("--out", help="save the fitted model here")
     p.add_argument("--split-ratio", type=float, default=0.8)
 
     return top
@@ -190,7 +191,6 @@ def _check_channels(data_path, frames: FrameSet, channels: int):
 
 def _cmd_train(args) -> int:
     config = _merged_config(args)
-    _check_output_paths(args.out, args.log)
     frames = load_frames(args.data)
     train, val = split_train_val(frames, args.split_ratio)
     std = Standardizer.fit(train)
@@ -332,11 +332,23 @@ _COMMANDS = {
     "kf": _cmd_kf,
 }
 
+# Each subcommand's output flags, as argparse names them; main checks
+# their paths before any work.
+_OUTPUTS = {
+    "synth": ("out",),
+    "train": ("out", "log"),
+    "eval": ("trace",),
+    "profile": ("json_out",),
+    "kf": ("out",),
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_paths(*(getattr(args, name)
+                              for name in _OUTPUTS.get(args.command, ())))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -349,7 +361,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:      # inputs raise DataError; this is an output
+    except OSError as exc:      # an output that failed while being written
         print(f"data error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DATA
 

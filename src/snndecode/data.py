@@ -324,8 +324,14 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    if smoothness <= 1.0:
-        raise ValueError("smoothness must exceed 1 frame")
+    # NaN fails too, and so does a time constant so long (inf included)
+    # that the walk's decay 1 - 1/smoothness rounds to 1 and freezes it
+    if not (smoothness > 1.0 and 1.0 - 1.0 / smoothness < 1.0):
+        raise ValueError(f"smoothness={smoothness!r} must exceed 1 frame "
+                         f"and be short enough for the velocities to vary")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std={noise_std!r} must be non-negative "
+                         f"and finite")
     # the file's rules on the counts and frame_ms, before anything is drawn
     DatasetMeta(frame_ms, channels, n_frames, SYNTHETIC)
     rng = np.random.default_rng(seed)

@@ -40,40 +40,38 @@ def adamw_init(params: NetworkParams) -> AdamWState:
 
 
 def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
-               *, learning_rate: float, weight_decay: float):
-    """One optimizer step; returns ``(new_params, new_state)``.
+               *, learning_rate: float, weight_decay: float) -> None:
+    """One optimizer step, in place: updates ``params`` and the moments of
+    ``state`` and advances its step counter.
 
     Decoupled decay multiplies weights by ``1 - lr * weight_decay``
     independently of the gradient; decay factors are clamped to [0, 1]
-    afterwards.  Inputs are left untouched.  A step whose update overflows
-    (a finite gradient near the largest float can do that) raises
-    :class:`NumericError` instead of returning a non-finite parameter.
+    afterwards.  The gradients are left untouched.  A step whose update
+    overflows (a finite gradient near the largest float can do that)
+    raises :class:`NumericError`; the parameters are then partly updated
+    and must not be used.
     """
-    new_params = params.copy()
-    t = state.step + 1
+    state.step += 1
+    t = state.step
     bias1 = 1.0 - BETA1 ** t
     bias2 = 1.0 - BETA2 ** t
 
-    new_m, new_v = [], []
     for l, (layer, grad, m, v) in enumerate(zip(
-            new_params.layers, grads.layers, state.m, state.v)):
+            params.layers, grads.layers, state.m, state.v)):
         arrays = layer.arrays()
-        layer_m, layer_v = {}, {}
         for name in TRAINED:
             p = arrays[name]
             g = np.asarray(getattr(grad, name), dtype=p.dtype)
             if name == "weight" and weight_decay:
                 p *= 1.0 - learning_rate * weight_decay
-            layer_m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
-            layer_v[name] = BETA2 * v[name] + (1.0 - BETA2) * (g * g)
-            m_hat = layer_m[name] / bias1
-            v_hat = layer_v[name] / bias2
+            m[name] *= BETA1
+            m[name] += (1.0 - BETA1) * g
+            v[name] *= BETA2
+            v[name] += (1.0 - BETA2) * (g * g)
+            m_hat = m[name] / bias1
+            v_hat = v[name] / bias2
             p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
             if not np.isfinite(p).all():
                 raise NumericError(
                     f"AdamW step {t} left a non-finite {name} in layer {l}")
         np.clip(layer.tau, 0.0, 1.0, out=layer.tau)
-        new_m.append(layer_m)
-        new_v.append(layer_v)
-
-    return new_params, AdamWState(step=t, m=new_m, v=new_v)

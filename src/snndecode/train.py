@@ -24,7 +24,6 @@ from .network import (
     NetworkParams,
     NetworkSpec,
     _check_tau_init,
-    _layer_normalized,
     forward_unfolded,
     init_params,
 )
@@ -205,16 +204,16 @@ def decoder_spec(config: TrainConfig, input_width: int, output_width: int,
 BN_MOMENTUM = 0.1
 
 
-def _advance_running_stats(params: NetworkParams, cache, spec: NetworkSpec):
+def _advance_running_stats(params: NetworkParams, cache):
+    """Move every layer's running statistics, in place, toward the batch
+    statistics ``cache`` recorded."""
     mom = BN_MOMENTUM
-    for l, layer in enumerate(params.layers):
-        if not _layer_normalized(spec, l):
-            continue
+    for layer, mean, var in zip(params.layers, cache.mean, cache.var):
         n = layer.norm
-        mean = cache.mean[l].astype(n.run_mean.dtype)
-        var = cache.var[l].astype(n.run_var.dtype)
-        n.run_mean = (1.0 - mom) * n.run_mean + mom * mean
-        n.run_var = (1.0 - mom) * n.run_var + mom * var
+        n.run_mean *= 1.0 - mom
+        n.run_mean += mom * mean.astype(n.run_mean.dtype)
+        n.run_var *= 1.0 - mom
+        n.run_var += mom * var.astype(n.run_var.dtype)
 
 
 def _grad_global_norm(grads) -> float:
@@ -294,12 +293,13 @@ def fit(dataset: WindowDataset, config: TrainConfig,
             if config.grad_clip is not None:
                 norm = _grad_global_norm(grads)
                 if norm > config.grad_clip:
-                    grads = grads.scale(config.grad_clip / norm)
-            params, opt_state = adamw_step(
-                params, grads, opt_state,
-                learning_rate=config.learning_rate,
-                weight_decay=config.weight_decay)
-            _advance_running_stats(params, cache, spec)
+                    for g in grads.layers:
+                        for arr in vars(g).values():
+                            arr *= config.grad_clip / norm
+            adamw_step(params, grads, opt_state,
+                       learning_rate=config.learning_rate,
+                       weight_decay=config.weight_decay)
+            _advance_running_stats(params, cache)
             loss_sum += loss * len(idx)
 
         val_r = None

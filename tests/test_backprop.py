@@ -95,19 +95,22 @@ class TestOracleSelfCheck:
 
 class TestBackwardHandCases:
     def test_linear_regression_gradient(self):
-        """Readout-only network, T=1: backward is the plain lsq gradient."""
-        spec = NetworkSpec(layer_widths=(2, 1), window_len=1,
-                           normalize_output=False, dropout_p=0.0)
-        params = init_params(spec, np.random.default_rng(0), tau_init=0.0,
-                             dtype=np.float64)
-        params.layers[0].weight[:] = [[0.3, -0.2]]
-        window = np.array([[[1.0, 2.0]]])
-        target = np.array([[[0.5]]])
-        preds, cache = forward_unfolded(params, spec, window, mode=TRAIN)
-        assert preds[0, 0, 0] == pytest.approx(-0.1)
-        grads = backward(cache, params, spec, target)
-        np.testing.assert_allclose(grads.layers[0].weight, [[-1.2, -2.4]],
-                                   rtol=1e-12)
+        """Readout-only network over a batch of windows: backward matches
+        the tape oracle through the readout's normalizer (at a batch of
+        one window of one frame, the normalizer zeroes the only sample)."""
+        spec = NetworkSpec(layer_widths=(2, 1), window_len=1, dropout_p=0.0)
+        params = active_params(spec, seed=5)
+        window, targets, preds, cache = run_forward(spec, params, seed=6,
+                                                    batch=3)
+        assert np.ptp(preds) > 0.0
+        grads = backward(cache, params, spec, targets)
+        loss, w_g, tau_g, gam_g, bet_g = oracle_grads(
+            spec, params, window, targets, cache, 0)
+        assert window_loss(preds, targets, 0) == pytest.approx(loss)
+        g = grads.layers[0]
+        for got, want in ((g.weight, w_g[0]), (g.tau, tau_g[0]),
+                          (g.gamma, gam_g[0]), (g.beta, bet_g[0])):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_zero_loss_means_zero_gradients(self):
         spec = NetworkSpec(layer_widths=(3, 5, 2), window_len=4,
@@ -155,22 +158,6 @@ class TestBackwardVsTapeOracle:
             np.testing.assert_allclose(g.beta, bet_g[l], rtol=1e-5,
                                        atol=1e-10)
 
-    def test_unnormalized_readout(self):
-        spec = NetworkSpec(layer_widths=(3, 4, 2), window_len=3,
-                           dropout_p=0.0, normalize_output=False)
-        params = active_params(spec, seed=30)
-        window, targets, _, cache = run_forward(spec, params, seed=40,
-                                                batch=3)
-        grads = backward(cache, params, spec, targets)
-        _, w_g, tau_g, gam_g, _ = oracle_grads(
-            spec, params, window, targets, cache, 0)
-        for l, g in enumerate(grads.layers):
-            np.testing.assert_allclose(g.weight, w_g[l], rtol=1e-5,
-                                       atol=1e-10)
-            np.testing.assert_allclose(g.tau, tau_g[l], rtol=1e-5,
-                                       atol=1e-10)
-        np.testing.assert_array_equal(grads.layers[-1].gamma, 0.0)
-
     def test_single_sample_batch(self):
         spec = NetworkSpec(layer_widths=(2, 4, 2), window_len=3,
                            dropout_p=0.0)
@@ -189,22 +176,21 @@ class TestBackwardVsTapeOracle:
 
 class TestNumericOracle:
     def test_smooth_linear_path(self):
-        """With no unit inside the surrogate window the graph is smooth and
-        the finite difference should agree almost exactly."""
-        spec = NetworkSpec(layer_widths=(2, 1), window_len=1,
-                           normalize_output=False, dropout_p=0.0)
-        params = init_params(spec, np.random.default_rng(3), tau_init=0.0,
-                             dtype=np.float64)
-        params.layers[0].weight[:] = [[0.3, -0.2]]
-        window = np.array([[[1.0, 2.0]]])
-        target = np.array([[[0.5]]])
-        _, cache = forward_unfolded(params, spec, window, mode=TRAIN)
-        grads = backward(cache, params, spec, target)
-        for idx in range(2):
-            num = numeric_grad_oracle(params, spec, window, target,
-                                      (0, "weight", idx))
-            assert num == pytest.approx(grads.layers[0].weight.flat[idx],
-                                        abs=1e-6)
+        """With no spiking unit the graph is smooth and the finite
+        difference should agree almost exactly: a readout-only network
+        over a batch of windows, through the readout's normalizer."""
+        spec = NetworkSpec(layer_widths=(2, 1), window_len=1, dropout_p=0.0)
+        params = active_params(spec, seed=7)
+        window, targets, _, cache = run_forward(spec, params, seed=8,
+                                                batch=3)
+        grads = backward(cache, params, spec, targets)
+        g = grads.layers[0]
+        for field, arr in (("weight", g.weight), ("gamma", g.gamma),
+                           ("beta", g.beta)):
+            for idx in range(arr.size):
+                num = numeric_grad_oracle(params, spec, window, targets,
+                                          (0, field, idx), h=1e-5)
+                assert num == pytest.approx(arr.flat[idx], abs=1e-7)
 
     def test_output_layer_weight_and_tau(self):
         spec = NetworkSpec(layer_widths=(2, 4, 2), window_len=3,
@@ -249,8 +235,7 @@ class TestNumericOracle:
                 err_msg=f"layer {l} {field}[{idx}]")
 
     def test_step_underflow(self):
-        spec = NetworkSpec(layer_widths=(2, 1), window_len=1,
-                           normalize_output=False, dropout_p=0.0)
+        spec = NetworkSpec(layer_widths=(2, 1), window_len=1, dropout_p=0.0)
         params = init_params(spec, np.random.default_rng(4),
                              dtype=np.float64)
         window = np.zeros((1, 1, 2))

@@ -1,5 +1,7 @@
 """Unit tests for threshold-scaled batch normalization."""
 
+import copy
+
 import numpy as np
 
 from snndecode import TRAIN, NetworkSpec, forward_unfolded, init_params
@@ -83,10 +85,10 @@ class TestTdbnApply:
             layer.norm.run_mean[:] = rng.normal(size=layer.norm.run_mean.shape)
             layer.norm.run_var[:] = rng.uniform(0.5, 2.0,
                                                 layer.norm.run_var.shape)
-        before = params.copy()
+        before = copy.deepcopy(params)
         x = rng.normal(size=(6, 5, 3))
         _, cache = forward_unfolded(params, spec, x, mode=TRAIN)
-        _advance_running_stats(params, cache, spec)
+        _advance_running_stats(params, cache)
         act = x
         for l, (old, new) in enumerate(zip(before.layers, params.layers)):
             mean, var = batch_stats(act @ old.weight.T)

@@ -138,7 +138,11 @@ def rewritten(path, edit):
     # the rest edit the header and arrays of a valid checkpoint
     pytest.param(lambda m, a: m.pop("spec"), id="no-spec"),
     pytest.param(lambda m, a: m.update(spec=5), id="spec-not-a-dict"),
-    pytest.param(lambda m, a: m["spec"].pop("bn_eps"), id="no-bn_eps"),
+    pytest.param(lambda m, a: m["spec"].pop("threshold"), id="no-threshold"),
+    pytest.param(lambda m, a: m["spec"].update(bn_eps=1e-3),
+                 id="retired-bn_eps"),
+    pytest.param(lambda m, a: m["spec"].update(normalize_output=False),
+                 id="retired-normalize_output"),
     pytest.param(lambda m, a: m["spec"].update(threshold=-1.0),
                  id="bad-threshold"),
     pytest.param(lambda m, a: m["spec"].update(threshold=float("nan")),
@@ -184,11 +188,13 @@ def test_rejects_malformed_header(tmp_path, header):
 
 def test_loads_spec_with_retired_field(tmp_path):
     """A checkpoint written while the spec still had
-    ``dropout_before_output`` loads; the field is ignored."""
+    ``dropout_before_output`` loads; the field is ignored.  So do the
+    normalizer settings that are now constants, at the constants' values."""
     params, spec = toy_model()
     path = tmp_path / "old.ckpt"
     save_snn(path, params, spec, toy_standardizer())
-    rewritten(path, lambda m, a: m["spec"].update(dropout_before_output=True))
+    rewritten(path, lambda m, a: m["spec"].update(
+        dropout_before_output=True, normalize_output=True, bn_eps=1e-5))
     loaded, spec2, _, _ = load_snn(path)
     assert spec2 == spec
     for a, b in zip(loaded.layers, params.layers):

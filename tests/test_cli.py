@@ -190,12 +190,21 @@ def test_threshold_reaches_training_log(dataset, tmp_path, capsys):
     assert headers["0.4"] != headers["0.6"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_synth_rejects_bad_frame_ms(tmp_path, capsys, value):
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--frame-ms", v, id=v) for v in ("nan", "inf", "0", "-1")),
+    *(pytest.param("--noise-std", v, id=f"noise-std-{v}")
+      for v in ("nan", "inf", "-0.3")),
+    *(pytest.param("--smoothness", v, id=f"smoothness-{v}")
+      for v in ("nan", "inf", "1e17", "1")),
+])
+def test_synth_rejects_bad_frame_ms(tmp_path, capsys, flag, value):
+    """Settings that would write an unusable file (NaN features, constant
+    velocities, a frame length of no time) exit 2 naming the setting, and
+    write nothing."""
     out = tmp_path / "d.bin"
     assert main(["synth", "--frames", "20", "--out", str(out),
-                 "--frame-ms", value]) == 2
-    assert "frame_ms" in capsys.readouterr().err
+                 flag, value]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -266,17 +275,31 @@ def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
 ])
 def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
                                               capsys, args, expect):
-    """An output path in a missing directory (or, for ``train``, naming a
-    directory), or a cost reference with nothing to divide by, exits 2
-    naming it instead of a traceback; ``train`` refuses before training."""
+    """An output path in a missing directory (or naming a directory), or a
+    cost reference with nothing to divide by, exits 2 naming it instead of
+    a traceback, before any work: nothing is printed and no other output
+    is written."""
     fill = {"missing": tmp_path / "no_such_dir" / "out", "data": dataset,
             "model": trained[0], "tmp": tmp_path}
     assert main([a.format(**fill) for a in args]) == 2
     out, err = capsys.readouterr()
     assert expect.format(**fill) in err
-    if args[0] == "train":      # refused before the first epoch
-        assert "epoch=" not in out
-        assert not (tmp_path / "m.ckpt").exists()
+    assert out == ""
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_kf_refuses_model_with_out(dataset, tmp_path, capsys):
+    """``--out`` saves a fitted model, and ``--model`` skips fitting: the
+    two together are a usage error, not a silently unwritten file."""
+    ckpt = tmp_path / "kf.ckpt"
+    assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    new = tmp_path / "new.ckpt"
+    assert main(["kf", "--data", str(dataset), "--model", str(ckpt),
+                 "--out", str(new)]) == 1
+    out, err = capsys.readouterr()
+    assert "not allowed with argument" in err and not out
+    assert not new.exists()
 
 
 def test_exit_codes(dataset, tmp_path, capsys):
@@ -331,12 +354,30 @@ def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
     bad = tmp_path / "nospec.ckpt"
     bad.write_bytes(ckpt.read_bytes())
     kind, meta, arrays = _read_container(bad)
-    del meta["spec"]["bn_eps"]
+    del meta["spec"]["threshold"]
     _write_container(bad, kind, meta, list(arrays.items()))
     for command in ("eval", "stream"):
         assert main([command, "--model", str(bad),
                      "--data", str(dataset)]) == 2
-        assert "bn_eps" in capsys.readouterr().err
+        assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("bn_eps", 1e-3),
+                                        ("normalize_output", False)])
+def test_other_normalizer_checkpoint_exits_2(trained, dataset, tmp_path,
+                                             capsys, key, value):
+    """A spec that sets a normalizer constant, from before it was one, to
+    another value would decode with the wrong normalizer: it exits 2
+    naming the key."""
+    ckpt, _ = trained
+    bad = tmp_path / "other.ckpt"
+    bad.write_bytes(ckpt.read_bytes())
+    kind, meta, arrays = _read_container(bad)
+    meta["spec"][key] = value
+    _write_container(bad, kind, meta, list(arrays.items()))
+    assert main(["eval", "--model", str(bad), "--data", str(dataset)]) == 2
+    out, err = capsys.readouterr()
+    assert key in err and not out
 
 
 def test_flipped_dtype_bit_exits_2(trained, dataset, tmp_path, capsys):

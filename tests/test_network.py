@@ -49,11 +49,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             NetworkSpec(reset_mode="bounce")
         for bad in ({"threshold": 0.0}, {"threshold": np.nan},
-                    {"threshold": np.inf}, {"bn_eps": 0.0},
-                    {"bn_eps": np.nan}, {"window_len": 2.5}):
+                    {"threshold": np.inf}, {"window_len": 2.5}):
             name, = bad
             with pytest.raises(ValueError, match=name):
                 NetworkSpec(**bad)
+        # every layer is normalized with one epsilon: constants, not settings
+        assert NetworkSpec().normalize_output is True
+        assert NetworkSpec().bn_eps == 1e-5
+        for retired in ({"normalize_output": False}, {"bn_eps": 1e-3}):
+            with pytest.raises(TypeError):
+                NetworkSpec(**retired)
 
 
 class TestInitParams:
@@ -334,16 +339,14 @@ class TestStreaming:
     @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
            frames=st.integers(1, 12),
            reset_mode=st.sampled_from(RESET_MODES),
-           normalize_output=st.booleans(),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_unfolded_eval_property(self, widths, frames, reset_mode,
-                                            normalize_output, dtype, seed):
+                                            dtype, seed):
         """Streaming equals the unfolded inference pass bit for bit on any
-        small topology, reset mode, readout normalization and dtype."""
+        small topology, reset mode and dtype."""
         spec = NetworkSpec(layer_widths=widths, window_len=frames,
-                           reset_mode=reset_mode,
-                           normalize_output=normalize_output)
+                           reset_mode=reset_mode)
         rng = np.random.default_rng(seed)
         params = init_params(spec, rng, dtype=dtype)
         for layer in params.layers:

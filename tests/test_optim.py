@@ -1,5 +1,7 @@
 """Tests for the AdamW step and its decay-factor clamp."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,28 +35,24 @@ class TestClampTau:
         """The step clips decay factors into [0, 1] from either side."""
         params = make_params()
         params.layers[0].tau[:3] = [1.3, -0.1, 0.5]
-        clamped, _ = adamw_step(params, zero_grads(params),
-                                adamw_init(params), learning_rate=2e-3,
-                                weight_decay=0.0)
-        np.testing.assert_allclose(clamped.layers[0].tau[:3],
-                                   [1.0, 0.0, 0.5])
-        # original untouched
+        adamw_step(params, zero_grads(params), adamw_init(params),
+                   learning_rate=2e-3, weight_decay=0.0)
         np.testing.assert_allclose(params.layers[0].tau[:3],
-                                   [1.3, -0.1, 0.5])
+                                   [1.0, 0.0, 0.5])
 
 
 class TestAdamWStep:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = make_params()
+        before = copy.deepcopy(params)
         state = adamw_init(params)
-        new_params, new_state = adamw_step(
-            params, zero_grads(params), state,
-            learning_rate=2e-3, weight_decay=0.0)
-        for old, new in zip(params.layers, new_params.layers):
+        adamw_step(params, zero_grads(params), state,
+                   learning_rate=2e-3, weight_decay=0.0)
+        for old, new in zip(before.layers, params.layers):
             np.testing.assert_array_equal(old.weight, new.weight)
             np.testing.assert_array_equal(old.tau, new.tau)
             np.testing.assert_array_equal(old.norm.gamma, new.norm.gamma)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_first_step_is_sign_like(self):
         """From zeroed moments the bias correction cancels exactly and the
@@ -64,19 +62,19 @@ class TestAdamWStep:
         g = np.random.default_rng(1).normal(size=params.layers[0].weight.shape)
         grads.layers[0].weight = g
         lr = 2e-3
-        new_params, _ = adamw_step(params, grads, adamw_init(params),
-                                   learning_rate=lr, weight_decay=0.0)
         expect = params.layers[0].weight - lr * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(new_params.layers[0].weight, expect,
+        adamw_step(params, grads, adamw_init(params),
+                   learning_rate=lr, weight_decay=0.0)
+        np.testing.assert_allclose(params.layers[0].weight, expect,
                                    rtol=1e-12)
 
     def test_decay_shrinks_weights_only(self):
         params = make_params()
+        before = copy.deepcopy(params)
         lr, wd = 2e-3, 1e-2
-        new_params, _ = adamw_step(params, zero_grads(params),
-                                   adamw_init(params),
-                                   learning_rate=lr, weight_decay=wd)
-        for old, new in zip(params.layers, new_params.layers):
+        adamw_step(params, zero_grads(params), adamw_init(params),
+                   learning_rate=lr, weight_decay=wd)
+        for old, new in zip(before.layers, params.layers):
             np.testing.assert_allclose(new.weight, old.weight * (1 - lr * wd),
                                        rtol=1e-12)
             np.testing.assert_array_equal(new.tau, old.tau)
@@ -88,9 +86,9 @@ class TestAdamWStep:
         params.layers[0].tau[:] = 0.999
         grads = zero_grads(params)
         grads.layers[0].tau = -np.ones_like(params.layers[0].tau)
-        new_params, _ = adamw_step(params, grads, adamw_init(params),
-                                   learning_rate=0.1, weight_decay=0.0)
-        np.testing.assert_array_equal(new_params.layers[0].tau, 1.0)
+        adamw_step(params, grads, adamw_init(params),
+                   learning_rate=0.1, weight_decay=0.0)
+        np.testing.assert_array_equal(params.layers[0].tau, 1.0)
 
     def test_overflowing_step_raises(self):
         """A finite gradient near the largest float, scaled by the learning
@@ -104,17 +102,28 @@ class TestAdamWStep:
                 adamw_step(params, grads, adamw_init(params),
                            learning_rate=4.0, weight_decay=0.0)
 
-    def test_inputs_not_mutated(self):
+    def test_updates_in_place(self):
+        """The step writes into the parameter and moment arrays it was
+        given and advances the step; the gradients are left untouched."""
         params = make_params()
-        before = params.layers[0].weight.copy()
+        weight = params.layers[0].weight
+        before = weight.copy()
         grads = zero_grads(params)
         grads.layers[0].weight += 1.0
+        grads_before = copy.deepcopy(grads)
         state = adamw_init(params)
-        adamw_step(params, grads, state, learning_rate=1e-2,
-                   weight_decay=1e-2)
-        np.testing.assert_array_equal(params.layers[0].weight, before)
-        np.testing.assert_array_equal(state.m[0]["weight"], 0.0)
-        assert state.step == 0
+        m, v = state.m[0]["weight"], state.v[0]["weight"]
+        assert adamw_step(params, grads, state, learning_rate=1e-2,
+                          weight_decay=1e-2) is None
+        assert params.layers[0].weight is weight
+        assert (weight < before).all()
+        assert state.m[0]["weight"] is m and state.v[0]["weight"] is v
+        np.testing.assert_allclose(m, 0.1, rtol=1e-12)
+        np.testing.assert_allclose(v, 1e-3, rtol=1e-12)
+        assert state.step == 1
+        for got, want in zip(grads.layers, grads_before.layers):
+            for name, arr in vars(want).items():
+                np.testing.assert_array_equal(getattr(got, name), arr)
 
     def test_second_moment_nonnegative(self):
         params = make_params()
@@ -125,8 +134,8 @@ class TestAdamWStep:
             for lg in grads.layers:
                 lg.weight = rng.normal(size=lg.weight.shape)
                 lg.tau = rng.normal(size=lg.tau.shape)
-            params, state = adamw_step(params, grads, state,
-                                       learning_rate=1e-3, weight_decay=0.0)
+            adamw_step(params, grads, state, learning_rate=1e-3,
+                       weight_decay=0.0)
         for layer_v in state.v:
             for arr in layer_v.values():
                 assert (arr >= 0).all()
@@ -161,9 +170,9 @@ def test_tau_stays_in_unit_interval(dtype, learning_rate, weight_decay,
         ])
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                params, state = adamw_step(params, grads, state,
-                                           learning_rate=learning_rate,
-                                           weight_decay=weight_decay)
+                adamw_step(params, grads, state,
+                           learning_rate=learning_rate,
+                           weight_decay=weight_decay)
         except NumericError:
             return
         for layer in params.layers:

@@ -201,8 +201,7 @@ def test_fit_refuses_spec_disagreeing_with_config(name, value):
 def test_log_header_records_trained_spec():
     feats, vels = toy_data(40, seed=8)
     config = toy_config(epochs=1, reset_mode="zero", dropout_p=0.0)
-    spec = dataclasses.replace(toy_spec(config), threshold=0.7,
-                               bn_eps=1e-3)
+    spec = dataclasses.replace(toy_spec(config), threshold=0.7)
     ds = make_windows(feats, vels, config.window_len)
     _, log = fit(ds, config, spec=spec)
     header = json.loads(log.canonical().splitlines()[0][len("# config "):])
