@@ -12,6 +12,7 @@ import numpy as np
 
 from snndecode.data import Standardizer, split_train_val, synth_generate
 from snndecode.profiler import (
+    DENSE_ANN_MACS,
     ann_report,
     compare_report,
     count_spikes,
@@ -36,7 +37,7 @@ print("measured hidden spike rates:",
       f"{sum(spec.layer_widths[1:4])} hidden neurons)")
 
 table = compare_report([
-    ("dense-ann", ann_report(529_000)),
+    ("dense-ann", ann_report(DENSE_ANN_MACS)),
     ("snn", snn_cost(spec, stats.layer_rates)),
 ])
 print()

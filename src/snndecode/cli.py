@@ -37,7 +37,8 @@ from .kalman import kf_fit, kf_run
 from .metrics import evaluate
 from .network import NetworkSpec, forward_streaming, reset_state
 from .neuron import RESET_MODES
-from .profiler import ann_report, compare_report, count_spikes, snn_cost
+from .profiler import (DENSE_ANN_MACS, ann_report, compare_report,
+                       count_spikes, snn_cost)
 from .train import (
     TrainConfig,
     decode_sequence,
@@ -82,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="training log path")
     p.add_argument("--config", help="JSON file of TrainConfig fields; "
                                     "flags override it")
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--overlap", type=int,
-                   help="frames shared by consecutive windows "
-                        "(default: window length - 1)")
     p.add_argument("--threshold", type=float, default=NetworkSpec.threshold)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate")
@@ -98,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-tau", action="store_true", default=None,
                    help="keep membrane decay constants at their init")
     p.add_argument("--dropout", type=float, dest="dropout_p")
-    p.add_argument("--grad-clip", type=float)
 
     for name, extra in (("eval", "write metrics and an optional trace"),
                         ("stream", "stateful frame-by-frame decode"),
@@ -108,13 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--split", choices=("val", "train", "all"),
                        default="val")
-        p.add_argument("--split-ratio", type=float, default=0.8)
         if name == "eval":
             p.add_argument("--trace", help="CSV of true vs predicted "
                                            "velocities in original units")
         if name == "profile":
-            p.add_argument("--ann-mac", type=int, default=529000,
-                           help="MAC count of the dense reference decoder")
             p.add_argument("--json", dest="json_out",
                            help="also write the report as JSON")
 
@@ -123,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--model", help="existing kf checkpoint (skip fitting)")
     source.add_argument("--out", help="save the fitted model here")
-    p.add_argument("--split-ratio", type=float, default=0.8)
 
     return top
 
@@ -172,14 +164,15 @@ def _merged_config(args) -> TrainConfig:
 
 
 def _check_output_paths(*paths):
-    """Refuse an output path that is a directory or lies in a missing one,
-    so a typo ends the command before its work, not after; creates
-    nothing."""
+    """Refuse an output path that is empty, names a directory (a trailing
+    separator does) or lies in a missing one, so a typo ends the command
+    before its work, not after; creates nothing."""
     for path in paths:
-        if path is not None and (os.path.isdir(path) or not os.path.isdir(
-                os.path.dirname(os.path.abspath(path)))):
-            raise DataError(f"cannot write output {path}: it is a directory "
-                            f"or its directory does not exist")
+        if path is not None and (
+                not path or path.endswith(os.sep) or os.path.isdir(path)
+                or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            raise DataError(f"cannot write output {path!r}: it is empty or "
+                            f"a directory, or its directory does not exist")
 
 
 def _check_channels(data_path, frames: FrameSet, channels: int):
@@ -192,12 +185,11 @@ def _check_channels(data_path, frames: FrameSet, channels: int):
 def _cmd_train(args) -> int:
     config = _merged_config(args)
     frames = load_frames(args.data)
-    train, val = split_train_val(frames, args.split_ratio)
+    train, val = split_train_val(frames)
     std = Standardizer.fit(train)
     ftr, vtr = std.apply(train)
     fva, vva = std.apply(val)
-    dataset = make_windows(ftr, vtr, config.window_len,
-                           overlap=args.overlap)
+    dataset = make_windows(ftr, vtr, config.window_len)
     spec = decoder_spec(config, frames.meta.channel_count,
                         train.velocities.shape[1], threshold=args.threshold)
     params, log = fit(dataset, config, spec=spec,
@@ -216,30 +208,30 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _select_split(frames: FrameSet, which: str, ratio: float) -> tuple:
+def _select_split(frames: FrameSet, which: str) -> tuple:
     """Returns (subset FrameSet, index of its first frame in the file)."""
     if which == "all":
         return frames, 0
-    train, val = split_train_val(frames, ratio)
+    train, val = split_train_val(frames)
     if which == "train":
         return train, 0
     return val, train.meta.sample_count
 
 
-def _load_checkpoint(model_path, data_path, which, ratio):
+def _load_checkpoint(model_path, data_path, which):
     """Shared eval/stream/profile loading: the decoder and the
     standardized features of the chosen split."""
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
     _check_channels(data_path, frames, spec.input_width)
-    subset, offset = _select_split(frames, which, ratio)
+    subset, offset = _select_split(frames, which)
     feats = std.apply_features(subset.features)
     return params, spec, std, subset, offset, feats
 
 
 def _cmd_eval(args) -> int:
     params, spec, std, subset, offset, feats = _load_checkpoint(
-        args.model, args.data, args.split, args.split_ratio)
+        args.model, args.data, args.split)
     preds = std.invert_velocity(decode_sequence(params, spec, feats))
     report = evaluate(preds, subset.velocities)
     for line in report.lines():
@@ -259,7 +251,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stream(args) -> int:
     params, spec, std, subset, _, feats = _load_checkpoint(
-        args.model, args.data, args.split, args.split_ratio)
+        args.model, args.data, args.split)
     eval_rows = decode_sequence(params, spec, feats)
     state = reset_state(spec)
     rows = np.empty_like(eval_rows)
@@ -281,10 +273,10 @@ def _cmd_stream(args) -> int:
 
 def _cmd_profile(args) -> int:
     params, spec, _, _, _, feats = _load_checkpoint(
-        args.model, args.data, args.split, args.split_ratio)
+        args.model, args.data, args.split)
     stats = count_spikes(params, spec, feats)
     snn = snn_cost(spec, stats.layer_rates)
-    dense = ann_report(args.ann_mac)
+    dense = ann_report(DENSE_ANN_MACS)
     table = compare_report([("dense-ann", dense), ("snn", snn)])
     rates = " ".join(f"layer{l + 1}={r:.4f}"
                      for l, r in enumerate(stats.layer_rates))
@@ -304,7 +296,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_kf(args) -> int:
     frames = load_frames(args.data)
-    train, val = split_train_val(frames, args.split_ratio)
+    train, val = split_train_val(frames)
     if args.model:
         model, std, _ = ckpt.load_kf(args.model)
         _check_channels(args.data, frames, len(model.C))
@@ -312,12 +304,13 @@ def _cmd_kf(args) -> int:
         std = Standardizer.fit(train)
         ftr, vtr = std.apply(train)
         model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))
-        if args.out:
-            ckpt.save_kf(args.out, model, std, extra={"data": "fit"})
-            print(f"saved kf checkpoint to {args.out}")
     fva = std.apply_features(val.features).astype(np.float64)
     preds = std.invert_velocity(kf_run(model, fva))
     report = evaluate(preds, val.velocities)
+    # saved only once the model has decoded the validation part
+    if args.out:
+        ckpt.save_kf(args.out, model, std, extra={"data": "fit"})
+        print(f"saved kf checkpoint to {args.out}")
     for line in report.lines():
         print(line)
     return EXIT_OK

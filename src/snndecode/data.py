@@ -351,14 +351,21 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
         v = rho * v + drive * innovations[t]
         velocities[t] = v
 
-    jitter = JITTER_MULT * noise_std * rng.normal(size=(n_frames, 2))
-    hit = rng.random(size=(n_frames, 1)) < ARTIFACT_PROB
-    jitter += ARTIFACT_MULT * noise_std * hit * rng.normal(size=(n_frames, 2))
-    encoded = (velocities + jitter) @ directions.T      # (frames, channels)
-    features = np.logaddexp(0.0, baselines + gains * encoded)
-    if noise_std > 0:
-        clean = np.logaddexp(
-            0.0, baselines + gains * (velocities @ directions.T))
-        scale = noise_std * clean.std(axis=0)
-        features = features + rng.normal(size=features.shape) * scale
-    return _make_frameset(features, velocities, frame_ms, SYNTHETIC)
+    # a huge but finite noise_std overflows here; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        jitter = JITTER_MULT * noise_std * rng.normal(size=(n_frames, 2))
+        hit = rng.random(size=(n_frames, 1)) < ARTIFACT_PROB
+        jitter += (ARTIFACT_MULT * noise_std * hit
+                   * rng.normal(size=(n_frames, 2)))
+        encoded = (velocities + jitter) @ directions.T  # (frames, channels)
+        features = np.logaddexp(0.0, baselines + gains * encoded)
+        if noise_std > 0:
+            clean = np.logaddexp(
+                0.0, baselines + gains * (velocities @ directions.T))
+            scale = noise_std * clean.std(axis=0)
+            features = features + rng.normal(size=features.shape) * scale
+        frames = _make_frameset(features, velocities, frame_ms, SYNTHETIC)
+    if not np.isfinite(frames.features).all():
+        raise ValueError(f"noise_std={noise_std!r} is so large that the "
+                         f"features overflow float32")
+    return frames

@@ -24,7 +24,7 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar
 
 import numpy as np
@@ -76,8 +76,7 @@ class NetworkSpec:
         if not 0.0 < self.threshold < np.inf:
             raise ValueError(f"threshold={self.threshold!r} is not "
                              f"positive and finite")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout probability must lie in [0, 1)")
+        _check_dropout_p(self.dropout_p)
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
         if not isinstance(self.window_len, Integral) or self.window_len < 1:
@@ -187,34 +186,44 @@ class TrainingCache:
     fed: list = field(default_factory=list)
 
 
+def _check_dropout_p(dropout_p):
+    if (not isinstance(dropout_p, Real) or isinstance(dropout_p, bool)
+            or not 0.0 <= dropout_p < 1.0):
+        raise ValueError(f"dropout_p={dropout_p!r}: the dropout probability "
+                         f"must be a number in [0, 1)")
+
+
 def _check_tau_init(tau_init):
-    taus = np.asarray(tau_init, dtype=float)
-    if not ((taus >= 0.0) & (taus <= 1.0)).all():      # NaN fails too
+    """Refuse anything but a ``(low, high)`` pair of numbers with
+    ``0 <= low <= high <= 1``; a fixed value ``v`` is ``(v, v)``."""
+    pair = tau_init if isinstance(tau_init, (tuple, list)) else ()
+    if not (len(pair) == 2
+            and all(isinstance(v, Real) and not isinstance(v, bool)
+                    for v in pair)
+            and 0.0 <= pair[0] <= pair[1] <= 1.0):      # NaN fails too
         raise ValueError(f"tau_init={tau_init!r}: initial decay factors "
-                         f"must lie in [0, 1]")
+                         f"must be a (low, high) pair with "
+                         f"0 <= low <= high <= 1")
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator,
                 tau_init=(0.25, 0.75), dtype=np.float32) -> NetworkParams:
     """Draw fresh parameters for the given topology.
 
-    Weights are uniform with fan-in scaling, decay factors either uniform
-    over a ``(low, high)`` range or a constant when ``tau_init`` is a
-    scalar.  Normalizer gain starts at 1, shift at 0, running statistics
+    Weights are uniform with fan-in scaling, decay factors uniform over
+    the ``(low, high)`` range ``tau_init`` (``(v, v)`` fixes them at
+    ``v``).  Normalizer gain starts at 1, shift at 0, running statistics
     at the standard-normal values.
     """
     _check_tau_init(tau_init)
+    low, high = tau_init
     layers = []
     for l in range(spec.n_layers):
         fan_in = spec.layer_widths[l]
         width = spec.layer_widths[l + 1]
         bound = 1.0 / np.sqrt(fan_in)
         weight = rng.uniform(-bound, bound, size=(width, fan_in))
-        if np.isscalar(tau_init):
-            tau = np.full(width, float(tau_init))
-        else:
-            low, high = tau_init
-            tau = rng.uniform(low, high, size=width)
+        tau = rng.uniform(low, high, size=width)
         layers.append(LayerParams(
             weight=weight.astype(dtype),
             tau=tau.astype(dtype),

@@ -31,6 +31,9 @@ ADDS_PER_MAC = 3            # additions counted as one MAC-equivalent
 MEM_PER_MAC = 4             # operand + weight + accumulator read, one store
 MEM_PER_ADD = 3             # weight + accumulator read, one store
 
+# MAC count of the dense reference decoder every cost is compared against.
+DENSE_ANN_MACS = 529_000
+
 
 @dataclass
 class OpReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .metrics import pearson
 from .network import (
     NetworkParams,
     NetworkSpec,
+    _check_dropout_p,
     _check_tau_init,
     forward_unfolded,
     init_params,
@@ -44,15 +45,15 @@ class TrainConfig:
     seed: int = 0
     reset_mode: str = RESET_SUBTRACT
     trainable_tau: bool = True
-    tau_init: object = (0.25, 0.75)     # (low, high) range or a fixed scalar
+    tau_init: tuple = (0.25, 0.75)      # (low, high) range of decay factors
     dropout_p: float = 0.2
-    grad_clip: float | None = None
 
     def __post_init__(self):
         for name in ("batch_size", "window_len", "warmup_discard", "epochs",
                      "seed"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 0:
+            if (not isinstance(value, Integral) or isinstance(value, bool)
+                    or value < 0):
                 raise ValueError(
                     f"{name}={value!r} is not a non-negative integer")
         if self.batch_size < 1:
@@ -62,46 +63,51 @@ class TrainConfig:
                 f"warmup_discard={self.warmup_discard} must lie in "
                 f"[0, {self.window_len})"
             )
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"{name}={value!r} is not a number")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate={self.learning_rate!r} is not "
                              f"positive and finite")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay={self.weight_decay!r} is not "
                              f"non-negative and finite")
-        if self.grad_clip is not None and not 0.0 < self.grad_clip < np.inf:
-            raise ValueError(f"grad_clip={self.grad_clip!r} is neither None "
-                             f"nor positive and finite")
+        if not isinstance(self.trainable_tau, bool):
+            raise ValueError(f"trainable_tau={self.trainable_tau!r} is not "
+                             f"true or false")
         _check_tau_init(self.tau_init)
+        _check_dropout_p(self.dropout_p)
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
 
 
 @dataclass
 class WindowDataset:
-    """Sliding windows over a frame sequence, stored as base arrays plus
-    start offsets so materialization happens per batch."""
+    """Sliding windows over a frame sequence, one starting at every frame
+    that leaves room for a whole window; stored as the base arrays so
+    materialization happens per batch."""
 
     features: np.ndarray        # (frames, channels)
     velocities: np.ndarray      # (frames, outputs)
-    starts: np.ndarray          # (samples,)
     window_len: int
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.features) - self.window_len + 1
 
     def gather(self, idx):
-        """Materialize a batch: ``(B, T, channels)`` and ``(B, T, outputs)``."""
-        offsets = self.starts[idx][:, None] + np.arange(self.window_len)
+        """Materialize a batch: ``(B, T, channels)`` and ``(B, T, outputs)``;
+        window ``i`` spans frames ``i`` to ``i + window_len - 1``."""
+        offsets = idx[:, None] + np.arange(self.window_len)
         return self.features[offsets], self.velocities[offsets]
 
 
 def make_windows(features: np.ndarray, velocities: np.ndarray,
-                 window_len: int, overlap: int | None = None) -> WindowDataset:
-    """Cut a frame sequence into overlapping training windows.
+                 window_len: int) -> WindowDataset:
+    """Cut a frame sequence into training windows.
 
-    With the default ``overlap = window_len - 1`` consecutive windows
-    shift by one frame, giving ``n_frames - window_len + 1`` samples in
-    chronological order.
+    Consecutive windows shift by one frame, giving
+    ``n_frames - window_len + 1`` samples in chronological order.
     """
     features = np.asarray(features)
     velocities = np.asarray(velocities)
@@ -112,19 +118,13 @@ def make_windows(features: np.ndarray, velocities: np.ndarray,
             f"{len(features)} feature frames vs {len(velocities)} "
             f"velocity frames"
         )
-    if overlap is None:
-        overlap = window_len - 1
-    if not 0 <= overlap < window_len:
-        raise ValueError(f"overlap={overlap} must lie in [0, {window_len})")
     n = len(features)
     if n < window_len:
         raise ValueError(
             f"need at least {window_len} frames to cut one window, got {n}"
         )
-    stride = window_len - overlap
-    starts = np.arange(0, n - window_len + 1, stride)
     return WindowDataset(features=features, velocities=velocities,
-                         starts=starts, window_len=window_len)
+                         window_len=window_len)
 
 
 @dataclass
@@ -216,14 +216,6 @@ def _advance_running_stats(params: NetworkParams, cache):
         n.run_var += mom * var.astype(n.run_var.dtype)
 
 
-def _grad_global_norm(grads) -> float:
-    total = 0.0
-    for g in grads.layers:
-        for arr in vars(g).values():
-            total += float((arr * arr).sum())
-    return float(np.sqrt(total))
-
-
 def _validation_r(params, spec, features, velocities):
     preds = decode_sequence(params, spec, features)
     rs = []
@@ -290,12 +282,6 @@ def fit(dataset: WindowDataset, config: TrainConfig,
             if not config.trainable_tau:
                 for g in grads.layers:
                     g.tau = np.zeros_like(g.tau)
-            if config.grad_clip is not None:
-                norm = _grad_global_norm(grads)
-                if norm > config.grad_clip:
-                    for g in grads.layers:
-                        for arr in vars(g).values():
-                            arr *= config.grad_clip / norm
             adamw_step(params, grads, opt_state,
                        learning_rate=config.learning_rate,
                        weight_decay=config.weight_decay)

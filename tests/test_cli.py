@@ -1,7 +1,11 @@
+import argparse
 import json
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +197,7 @@ def test_threshold_reaches_training_log(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     *(pytest.param("--frame-ms", v, id=v) for v in ("nan", "inf", "0", "-1")),
     *(pytest.param("--noise-std", v, id=f"noise-std-{v}")
-      for v in ("nan", "inf", "-0.3")),
+      for v in ("nan", "inf", "-0.3", "1e308")),
     *(pytest.param("--smoothness", v, id=f"smoothness-{v}")
       for v in ("nan", "inf", "1e17", "1")),
 ])
@@ -227,9 +231,21 @@ def test_synth_rejects_zero_channels(tmp_path, capsys):
                  id="learning_rate-NaN"),
     pytest.param("tau_init", [], {"tau_init": [0.5, 1.5]},
                  id="tau_init-above-one"),
+    pytest.param("tau_init", [], {"tau_init": 0.5}, id="tau_init-scalar"),
+    pytest.param("tau_init", [], {"tau_init": [0.1, 0.2, 0.3]},
+                 id="tau_init-three"),
+    pytest.param("tau_init", [], {"tau_init": [0.9, 0.1]},
+                 id="tau_init-reversed"),
+    pytest.param("dropout_p", [], {"dropout_p": "0.2"},
+                 id="dropout_p-string"),
+    pytest.param("dropout_p", [], {"dropout_p": None}, id="dropout_p-null"),
+    pytest.param("epochs", [], {"epochs": True}, id="epochs-true"),
+    pytest.param("seed", [], {"seed": True}, id="seed-true"),
+    pytest.param("trainable_tau", [], {"trainable_tau": "no"},
+                 id="trainable_tau-string"),
+    pytest.param("grad_clip", [], {"grad_clip": None},
+                 id="grad_clip-retired"),
     pytest.param("learning_rate", ["--lr", "-0.01"], None, id="lr-negative"),
-    pytest.param("grad_clip", ["--grad-clip", "-1"], None,
-                 id="grad-clip-negative"),
     pytest.param("weight_decay", ["--weight-decay", "nan"], None,
                  id="weight-decay-nan"),
     pytest.param("threshold", ["--threshold", "nan"], None,
@@ -243,11 +259,12 @@ def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
     is written: no traceback, no training by gradient ascent, no
     divergence reported as a numeric failure."""
     ckpt = tmp_path / "m.ckpt"
-    args = ["train", "--data", str(dataset), "--out", str(ckpt),
-            "--epochs", "1", *flags]
-    if config is not None:
+    args = ["train", "--data", str(dataset), "--out", str(ckpt), *flags]
+    if config is None:
+        args += ["--epochs", "1"]
+    else:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps({"epochs": 1, **config}))
         args += ["--config", str(cfg)]
     assert main(args) == 2
     assert field in capsys.readouterr().err
@@ -270,15 +287,17 @@ def test_train_rejects_bad_setting(dataset, tmp_path, capsys, field, flags,
                   "--json", "{missing}"], "{missing}", id="profile-json"),
     pytest.param(["kf", "--data", "{data}", "--out", "{missing}"],
                  "{missing}", id="kf-out"),
+    pytest.param(["eval", "--model", "{model}", "--data", "{data}",
+                  "--trace", ""], "''", id="eval-trace-empty"),
     pytest.param(["profile", "--model", "{model}", "--data", "{data}",
-                  "--ann-mac", "0"], "'dense-ann'", id="profile-ann-mac-0"),
+                  "--json", "{tmp}/new/"], "{tmp}/new/",
+                 id="profile-json-trailing-separator"),
 ])
 def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
                                               capsys, args, expect):
-    """An output path in a missing directory (or naming a directory), or a
-    cost reference with nothing to divide by, exits 2 naming it instead of
-    a traceback, before any work: nothing is printed and no other output
-    is written."""
+    """An output path that is empty, in a missing directory or naming a
+    directory exits 2 naming it instead of a traceback, before any work:
+    nothing is printed and no other output is written."""
     fill = {"missing": tmp_path / "no_such_dir" / "out", "data": dataset,
             "model": trained[0], "tmp": tmp_path}
     assert main([a.format(**fill) for a in args]) == 2
@@ -286,6 +305,26 @@ def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
     assert expect.format(**fill) in err
     assert out == ""
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--data", "{data}", "--out", "{out}", "--grad-clip", "1"],
+    ["train", "--data", "{data}", "--out", "{out}", "--overlap", "0"],
+    ["train", "--data", "{data}", "--out", "{out}", "--split-ratio", "0.9"],
+    *([command, "--model", "{model}", "--data", "{data}", "--split-ratio",
+       "0.9"] for command in ("eval", "stream", "profile")),
+    ["profile", "--model", "{model}", "--data", "{data}", "--ann-mac", "1"],
+    ["kf", "--data", "{data}", "--out", "{out}", "--split-ratio", "0.9"],
+], ids=lambda a: f"{a[0]}{a[-2]}")
+def test_retired_flags_exit_1(trained, dataset, tmp_path, capsys, args):
+    """Gradient clipping, window overlap, the split ratio and the dense
+    reference's size are fixed, not settings: naming one is a usage
+    error, and nothing is written."""
+    out = tmp_path / "out"
+    fill = {"data": dataset, "model": trained[0], "out": out}
+    assert main([a.format(**fill) for a in args]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kf_refuses_model_with_out(dataset, tmp_path, capsys):
@@ -455,3 +494,22 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "snndecode", "nope"],
                           capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_readme_names_only_real_flags():
+    """Every ``--flag`` the README names (pip's aside) is an option of some
+    subcommand, and every ``snndecode`` line of its shell blocks parses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    parser = cli._build_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in commands.values() for action in sub._actions
+               for opt in action.option_strings}
+    named = set(re.findall(r"--[a-z][a-z-]*", readme))
+    assert named - options == {"--no-build-isolation"}
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("snndecode ")]
+    assert lines
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

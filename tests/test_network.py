@@ -18,7 +18,7 @@ from snndecode.backprop import backward
 from snndecode.errors import NumericError
 from snndecode.network import GEMM_BLOCK, NetworkState, _blocked_gemm
 from snndecode.neuron import RESET_MODES
-from snndecode.train import decode_sequence
+from snndecode.train import TrainConfig, decode_sequence
 
 SMALL = NetworkSpec(layer_widths=(6, 12, 12, 2), window_len=5)
 
@@ -85,9 +85,22 @@ class TestInitParams:
             np.testing.assert_array_equal(la.tau, lb.tau)
 
     def test_constant_tau(self):
-        params = init_params(SMALL, np.random.default_rng(0), tau_init=0.5)
+        params = init_params(SMALL, np.random.default_rng(0),
+                             tau_init=(0.5, 0.5))
         for layer in params.layers:
             np.testing.assert_array_equal(layer.tau, 0.5)
+
+    @pytest.mark.parametrize("tau_init", [
+        0.5, (0.1, 0.2, 0.3), (0.9, 0.1), (0.5, 1.5), (-0.1, 0.5),
+        (0.2, np.nan), "01", (True, True), None])
+    def test_tau_init_is_an_ordered_pair(self, tau_init):
+        """Both the initializer and a training config refuse anything but
+        a ``(low, high)`` pair with ``0 <= low <= high <= 1``, naming the
+        field."""
+        with pytest.raises(ValueError, match="tau_init"):
+            init_params(SMALL, np.random.default_rng(0), tau_init=tau_init)
+        with pytest.raises(ValueError, match="tau_init"):
+            TrainConfig(tau_init=tau_init)
 
 
 class TestResetState:

@@ -57,15 +57,6 @@ def test_window_count_full_overlap():
     assert len(ds) == 16331        # N - T + 1
 
 
-def test_window_disjoint():
-    feats, vels = toy_data(20)
-    ds = make_windows(feats, vels, 10, overlap=0)
-    assert len(ds) == 2
-    x, _ = ds.gather(np.arange(2))
-    assert np.array_equal(x[0], feats[:10])
-    assert np.array_equal(x[1], feats[10:])
-
-
 def test_window_contents_are_consecutive():
     feats, vels = toy_data(12)
     ds = make_windows(feats, vels, 5)
@@ -140,7 +131,8 @@ def test_tau_stays_clamped_through_training():
 
 def test_fixed_tau_untouched():
     feats, vels = toy_data(80, seed=6)
-    config = toy_config(epochs=3, trainable_tau=False, tau_init=0.5)
+    config = toy_config(epochs=3, trainable_tau=False,
+                        tau_init=(0.5, 0.5))
     ds = make_windows(feats, vels, config.window_len)
     params, _ = fit(ds, config)
     for layer in params.layers:
@@ -208,28 +200,6 @@ def test_log_header_records_trained_spec():
     assert header["spec"] == json.loads(json.dumps(dataclasses.asdict(spec)))
     assert header["spec"]["threshold"] == 0.7
     assert "spec_widths" not in header
-
-
-@pytest.mark.parametrize("clip", [1e-12, None])
-def test_grad_clip_bounds_the_update(clip):
-    """Clipped to a global norm of 1e-12, the gradient moves no weight
-    further than AdamW's epsilon allows, so only the decoupled decay is
-    left; unclipped, training moves the weights."""
-    feats, vels = toy_data(60, seed=12)
-    config = toy_config(epochs=2, grad_clip=clip)
-    spec = toy_spec(config)
-    init = init_params(spec, np.random.default_rng(config.seed),
-                       tau_init=config.tau_init)
-    ds = make_windows(feats, vels, config.window_len)
-    trained, _ = fit(ds, config, spec=spec)
-    steps = -(-len(ds) // config.batch_size) * config.epochs
-    decay = (1.0 - config.learning_rate * config.weight_decay) ** steps
-    gap = max(float(np.abs(a.weight - decay * np.float64(b.weight)).max())
-              for a, b in zip(trained.layers, init.layers))
-    if clip is None:
-        assert gap > 1e-3
-    else:
-        assert gap < 1e-5
 
 
 def test_log_one_record_per_epoch():
