@@ -1,107 +1,23 @@
-"""Versioned binary container for trained models.
-
-Layout (all little-endian)::
-
-    bytes 0..3   magic  b"SNNC"
-    bytes 4..5   format version, uint16 (currently 1)
-    bytes 6..9   header length in bytes, uint32
-    header       UTF-8 JSON, keys sorted: {"kind", "meta", "arrays"}
-                 where "arrays" is an ordered list of
-                 [name, dtype_str, shape_list] entries
-    payload      raw array bytes, C order, concatenated in manifest order
-
-Everything after the magic is a pure function of the saved content —
-no timestamps, hostnames, or dict-iteration nondeterminism — so saving
-the same model twice produces byte-identical files.  Two kinds share
-the container: ``"snn"`` (network parameters + architecture +
-standardizer) and ``"kf"`` (Kalman model + standardizer).
+"""Trained models on disk, as two kinds of :mod:`snndecode.container`:
+``"snn"`` (network parameters, architecture and standardizer) and
+``"kf"`` (Kalman model and standardizer).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import struct
 
-import numpy as np
-
+from . import container
 from .data import Standardizer
 from .errors import DataError
 from .kalman import KfModel
 from .network import LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec
-
-MAGIC = b"SNNC"
-VERSION = 1
-
-KIND_SNN = "snn"
-KIND_KF = "kf"
-
-_HEAD = struct.Struct("<HI")        # version, header byte length
 
 # The standardizer's arrays, in checkpoint order, each stored as
 # ``std.<name>``.  The ``feat_`` pair spans the model's input channels and
 # the ``vel_`` pair its outputs; the two ``_std`` scales divide, so they
 # must be positive.
 STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
-
-
-def _write_container(path, kind: str, meta: dict, arrays) -> None:
-    """``arrays`` is an ordered list of (name, ndarray) pairs."""
-    manifest = []
-    blobs = []
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        manifest.append([name, arr.dtype.str, list(arr.shape)])
-        blobs.append(arr.tobytes())
-    header = json.dumps(
-        {"arrays": manifest, "kind": kind, "meta": meta},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEAD.pack(VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def _read_container(path):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    if len(raw) < 4 + _HEAD.size:
-        raise DataError(f"{path}: truncated checkpoint (fixed header)")
-    version, hlen = _HEAD.unpack_from(raw, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        header = json.loads(raw[10:10 + hlen].decode("utf-8"))
-        kind, meta, manifest = header["kind"], header["meta"], header["arrays"]
-        arrays = {}
-        offset = 10 + hlen
-        for name, dtype_str, shape in manifest:
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            end = offset + count * dtype.itemsize
-            if end > len(raw):
-                raise DataError(
-                    f"{path}: truncated checkpoint (array {name!r})")
-            arrays[name] = np.frombuffer(
-                raw[offset:end], dtype=dtype).reshape(shape).copy()
-            offset = end
-    except (ValueError, KeyError, TypeError, SyntaxError,
-            OverflowError) as exc:
-        # np.dtype raises SyntaxError on some strings; huge shapes overflow
-        raise DataError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing bytes after checkpoint payload")
-    return kind, meta, arrays
 
 
 def _std_shapes(channels: int, outputs: int) -> dict:
@@ -124,7 +40,7 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
               for name, a in layer.arrays().items()]
     arrays += [(f"std.{name}", getattr(standardizer, name))
                for name in STD_ARRAYS]
-    _write_container(path, KIND_SNN, meta, arrays)
+    container.write(path, container.SNN, meta, arrays)
 
 
 def _snn_shapes(spec: NetworkSpec) -> dict:
@@ -140,29 +56,6 @@ def _snn_shapes(spec: NetworkSpec) -> dict:
     return shapes
 
 
-def _check_arrays(path, arrays: dict, shapes: dict) -> None:
-    """Each array ``shapes`` names must be present, of that shape, and hold
-    floating-point values the decoders can use."""
-    for name, shape in shapes.items():
-        arr = arrays.get(name)
-        if arr is None:
-            raise DataError(f"{path}: checkpoint missing array {name!r}")
-        if arr.shape != shape:
-            raise DataError(f"{path}: array {name!r} has shape {arr.shape}, "
-                            f"expected {shape}")
-        if arr.dtype.kind != "f" or not np.isfinite(arr).all():
-            raise DataError(f"{path}: array {name!r} holds non-finite or "
-                            f"non-float ({arr.dtype}) values")
-        if name.endswith(".tau") and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise DataError(f"{path}: array {name!r} has decay factors "
-                            f"outside [0, 1]")
-        if name.endswith(".run_var") and arr.min() < 0.0:
-            raise DataError(f"{path}: array {name!r} has a negative variance")
-        if name.endswith("_std") and arr.min() <= 0.0:
-            raise DataError(f"{path}: array {name!r} has a scale that is "
-                            f"not positive")
-
-
 def load_snn(path):
     """Read back (params, spec, standardizer, extra) saved by save_snn.
 
@@ -173,9 +66,7 @@ def load_snn(path):
     running variance and a standardizer scale that is not positive all
     raise :class:`DataError`.
     """
-    kind, meta, arrays = _read_container(path)
-    if kind != KIND_SNN:
-        raise DataError(f"{path}: expected an snn checkpoint, found {kind!r}")
+    meta, arrays = container.read(path, container.SNN)
     try:
         sd = meta["spec"]
         for name in ("normalize_output", "bn_eps"):
@@ -192,7 +83,7 @@ def load_snn(path):
         raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    _check_arrays(path, arrays, _snn_shapes(spec))
+    container.check_arrays(path, arrays, _snn_shapes(spec))
     layers = [
         LayerParams.from_arrays(
             {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
@@ -205,7 +96,7 @@ def load_snn(path):
 
 def save_kf(path, model: KfModel, standardizer: Standardizer,
             extra: dict | None = None) -> None:
-    """Write a fitted Kalman baseline in the same container family."""
+    """Write a fitted Kalman baseline plus its input/output scaling."""
     meta = {
         "degenerate_channels": list(standardizer.degenerate_channels),
         "ridge": model.ridge,
@@ -219,7 +110,7 @@ def save_kf(path, model: KfModel, standardizer: Standardizer,
     ]
     arrays += [(f"std.{name}", getattr(standardizer, name))
                for name in STD_ARRAYS]
-    _write_container(path, KIND_KF, meta, arrays)
+    container.write(path, container.KF, meta, arrays)
 
 
 def load_kf(path):
@@ -230,9 +121,7 @@ def load_kf(path):
     values, and a standardizer scale that is not positive raise
     :class:`DataError`.
     """
-    kind, meta, arrays = _read_container(path)
-    if kind != KIND_KF:
-        raise DataError(f"{path}: expected a kf checkpoint, found {kind!r}")
+    meta, arrays = container.read(path, container.KF)
     try:
         ridge = meta["ridge"]
         degenerate = tuple(meta["degenerate_channels"])
@@ -243,9 +132,9 @@ def load_kf(path):
     except TypeError as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
     c = len(observation) if observation.ndim else 0     # model's channels
-    _check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
-                                 "kf.C": (c, 3), "kf.Q": (c, c),
-                                 **_std_shapes(c, 2)})
+    container.check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
+                                          "kf.C": (c, 3), "kf.Q": (c, c),
+                                          **_std_shapes(c, 2)})
     model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"], C=observation,
                     Q=arrays["kf.Q"], ridge=ridge)
     std = Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},

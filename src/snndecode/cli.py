@@ -199,7 +199,9 @@ def _cmd_train(args) -> int:
     final_r = log.records[-1].val_r if log.records else None
     ckpt.save_snn(args.out, params, spec, std, extra={
         "train_config": log.config,
-        "final_val_r": list(final_r) if final_r is not None else None,
+        # a flat decode has no correlation, stored as null
+        "final_val_r": None if final_r is None else [
+            None if np.isnan(r) else r for r in final_r],
     })
     if args.log:
         with open(args.log, "w") as fh:

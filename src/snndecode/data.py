@@ -2,24 +2,23 @@
 
 A dataset is a chronological sequence of frames, each pairing a vector
 of band-power features with two finger velocities.  Two on-disk formats
-round-trip losslessly: a human-readable CSV and a compact binary
-container.  Helpers cover the chronological train/validation split, the
+round-trip losslessly: a human-readable CSV, for outside recordings,
+and the ``"frames"`` kind of the binary :mod:`snndecode.container`.
+Helpers cover the chronological train/validation split, the
 train-statistics standardizer, and a synthetic cosine-tuning generator
 that stands in for recordings that cannot be redistributed.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import DataError
 
-_BINARY_MAGIC = b"SNNF"
-_BINARY_VERSION = 1
+FRAME_ARRAYS = ("features", "velocities")       # each float32, one row a frame
 
 SYNTHETIC = "synthetic"
 EXTERNAL = "external"
@@ -91,30 +90,22 @@ def save_frames(frames: FrameSet, path, fmt: str = "binary") -> None:
     Output bytes are a pure function of the dataset, so identical data
     produce identical files.
     """
+    meta = frames.meta
     if fmt == "csv":
-        meta = frames.meta
         rows = np.hstack([frames.features, frames.velocities])
         with open(path, "w") as fh:
-            fh.write(f"# frames v{_BINARY_VERSION} "
+            fh.write(f"# frames v1 "
                      f"frame_ms={_fmt(np.float64(meta.frame_ms))} "
                      f"provenance={meta.provenance}\n")
             fh.write(_csv_header(meta.channel_count) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     elif fmt == "binary":
-        meta_doc = {
-            "frame_ms": frames.meta.frame_ms,
-            "channel_count": frames.meta.channel_count,
-            "sample_count": frames.meta.sample_count,
-            "provenance": frames.meta.provenance,
-        }
-        blob = json.dumps(meta_doc, sort_keys=True).encode()
-        rows = np.hstack([frames.features, frames.velocities]).astype("<f4")
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<II", _BINARY_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(rows.tobytes(order="C"))
+        container.write(path, container.FRAMES,
+                        {"frame_ms": float(meta.frame_ms),
+                         "provenance": meta.provenance},
+                        [(name, getattr(frames, name).astype(np.float32))
+                         for name in FRAME_ARRAYS])
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -161,57 +152,49 @@ def _parse_csv(path, raw: bytes):
             raise DataError(f"{path} line {off}: {e}") from e
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float32), frame_ms, provenance
+    with np.errstate(over="ignore"):    # beyond float32 is inf, refused next
+        table = np.array(rows, dtype=np.float32)
+    if not np.isfinite(table).all():
+        raise DataError(f"{path}: dataset contains non-finite values")
+    return table[:, :-2], table[:, -2:], frame_ms, provenance
 
 
-def _parse_binary(path, raw: bytes):
-    if raw[:4] != _BINARY_MAGIC:
-        raise DataError(f"{path}: not a frame container (bad magic)")
-    if len(raw) < 12:
-        raise DataError(f"{path}: truncated frame container (fixed header)")
-    version, blob_len = struct.unpack_from("<II", raw, 4)
-    if version != _BINARY_VERSION:
-        raise DataError(f"{path}: unsupported container version {version}")
+def _parse_container(path, raw: bytes):
+    meta, arrays = container.parse(path, raw, container.FRAMES)
+    # the frame and channel counts are the features' shape
+    n, c = (arrays.get("features", np.empty(0)).shape + (0, 0))[:2]
+    container.check_arrays(path, arrays, {"features": (n, c),
+                                          "velocities": (n, 2)})
+    for name in FRAME_ARRAYS:
+        if arrays[name].dtype != np.float32:
+            raise DataError(f"{path}: array {name!r} is not float32")
     try:
-        meta_doc = json.loads(raw[12:12 + blob_len])
-        # the header's counts size the body, so they are checked first
-        meta = DatasetMeta(frame_ms=float(meta_doc["frame_ms"]),
-                           channel_count=int(meta_doc["channel_count"]),
-                           sample_count=int(meta_doc["sample_count"]),
-                           provenance=str(meta_doc["provenance"]))
+        frame_ms, provenance = float(meta["frame_ms"]), str(meta["provenance"])
     except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise DataError(f"{path}: malformed frame header: {e!r}") from e
-    body = raw[12 + blob_len:]
-    shape = (meta.sample_count, meta.channel_count + 2)
-    expect = shape[0] * shape[1] * 4
-    if len(body) != expect:
-        raise DataError(
-            f"{path}: truncated body, expected {expect} bytes, "
-            f"got {len(body)}"
-        )
-    table = np.frombuffer(body, dtype="<f4").reshape(shape)
-    return table.copy(), meta.frame_ms, meta.provenance
+        raise DataError(f"{path}: malformed frame metadata: {e!r}") from e
+    return arrays["features"], arrays["velocities"], frame_ms, provenance
 
 
 def load_frames(path) -> FrameSet:
     """Load a dataset, sniffing its format from the first bytes.
 
-    Malformed content raises :class:`DataError` naming the file and,
-    in a CSV file, the offending line.  Non-finite values and a frame
-    duration that is not positive and finite are rejected.
+    Malformed content raises :class:`DataError` naming the file and the
+    offending CSV line or container key or array.  Non-finite values, a
+    frame duration that is not positive and finite, and the binary
+    layout that came before the container are rejected.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    parse = _parse_binary if raw[:4] == _BINARY_MAGIC else _parse_csv
-    table, frame_ms, provenance = parse(path, raw)
-    if not np.isfinite(table).all():
-        raise DataError(f"{path}: dataset contains non-finite values")
+    if raw[:4] == b"SNNF":
+        raise DataError(f"{path}: an SNNF frame file, a layout no longer "
+                        f"read; re-run synth or load the CSV")
+    parse = _parse_container if raw[:4] == container.MAGIC else _parse_csv
+    features, velocities, frame_ms, provenance = parse(path, raw)
     try:
-        return _make_frameset(table[:, :-2], table[:, -2:], frame_ms,
-                              provenance)
+        return _make_frameset(features, velocities, frame_ms, provenance)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -254,6 +237,9 @@ class Standardizer:
 
     @classmethod
     def fit(cls, frames: FrameSet) -> "Standardizer":
+        if len(frames) < 2:
+            raise DataError(f"standardizing needs at least two training "
+                            f"frames, got {len(frames)}")
         feat = frames.features.astype(np.float64)
         vel = frames.velocities.astype(np.float64)
         feat_mean = feat.mean(axis=0)

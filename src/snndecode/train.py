@@ -237,12 +237,15 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     the dataset's widths; a given ``spec`` must agree with the config on
     the settings both carry, or ``ValueError`` names the first that
     differs.  Training starts from :func:`init_params` drawn from the
-    run's seed.  If validation arrays are given, each epoch records
-    per-output Pearson correlations of the streamed validation decode.
-    A non-finite loss aborts with a diagnostic.
+    run's seed.  If validation arrays are given (two frames at least),
+    each epoch records per-output Pearson correlations of the streamed
+    validation decode.  A non-finite loss aborts with a diagnostic.
     """
     if len(dataset) == 0:
         raise ValueError("empty window dataset")
+    if val_features is not None and len(val_features) < 2:
+        raise ValueError(f"validation needs at least two frames, got "
+                         f"{len(val_features)}")
     if spec is None:
         spec = decoder_spec(config, dataset.features.shape[1],
                             dataset.velocities.shape[1])

@@ -2,7 +2,6 @@ import argparse
 import json
 import re
 import shlex
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,8 @@ import numpy as np
 import pytest
 
 from snndecode import cli
-from snndecode.checkpoint import _read_container, _write_container, load_snn
+from snndecode import container
+from snndecode.checkpoint import load_snn
 from snndecode.cli import main
 
 
@@ -148,9 +148,9 @@ def test_kf_model_rejects_negative_scale(dataset, capsys, tmp_path):
     every velocity's sign flipped; it is refused at load."""
     ckpt = tmp_path / "kf.ckpt"
     assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
-    kind, meta, arrays = _read_container(ckpt)
+    meta, arrays = container.read(ckpt, "kf")
     arrays["std.vel_std"] = -arrays["std.vel_std"]
-    _write_container(ckpt, kind, meta, list(arrays.items()))
+    container.write(ckpt, "kf", meta, list(arrays.items()))
     capsys.readouterr()
     assert main(["kf", "--data", str(dataset), "--model", str(ckpt)]) == 2
     err = capsys.readouterr().err
@@ -363,38 +363,127 @@ def test_exit_codes(dataset, tmp_path, capsys):
 def test_short_files_exit_2(dataset, tmp_path, capsys):
     # shorter than the fixed header that follows the magic
     frames = tmp_path / "short.bin"
-    frames.write_bytes(b"SNNF\x01\x00")
+    frames.write_bytes(container.MAGIC + b"\x01\x00")
     assert main(["train", "--data", str(frames),
                  "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "truncated" in capsys.readouterr().err
     model = tmp_path / "short.ckpt"
     model.write_bytes(b"SNNC\x01")
     assert main(["eval", "--model", str(model), "--data", str(dataset)]) == 2
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["channel_count", "sample_count",
-                                 "frame_ms", "provenance"])
-def test_frame_header_missing_key_exits_2(dataset, tmp_path, capsys, key):
-    raw = dataset.read_bytes()
-    _, blob_len = struct.unpack_from("<II", raw, 4)
-    meta = json.loads(raw[12:12 + blob_len])
-    del meta[key]
-    blob = json.dumps(meta).encode()
+@pytest.mark.parametrize("named, edit", [
+    pytest.param("frame_ms", lambda m, a: m.pop("frame_ms"), id="frame_ms"),
+    pytest.param("provenance", lambda m, a: m.pop("provenance"),
+                 id="provenance"),
+    # the channel and frame counts are the shapes of the arrays
+    pytest.param("features", lambda m, a: a.update(
+        features=a["features"].ravel()), id="channel_count"),
+    pytest.param("velocities", lambda m, a: a.update(
+        velocities=a["velocities"][1:]), id="sample_count"),
+    pytest.param("features", lambda m, a: a.pop("features"),
+                 id="no-features"),
+])
+def test_frame_header_missing_key_exits_2(dataset, tmp_path, capsys, named,
+                                          edit):
+    """A frames file missing a metadata key or an array, or with arrays
+    whose shapes disagree, exits 2 naming the file and what is at fault."""
     bad = tmp_path / "nokey.bin"
-    bad.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
-                    + raw[12 + blob_len:])
+    bad.write_bytes(dataset.read_bytes())
+    meta, arrays = container.read(bad, "frames")
+    edit(meta, arrays)
+    container.write(bad, "frames", meta, list(arrays.items()))
     assert main(["kf", "--data", str(bad),
                  "--out", str(tmp_path / "kf.ckpt")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and str(bad) in err
+
+
+@pytest.mark.parametrize("command, flag, given, expected", [
+    ("eval", "--model", "frames", "an snn checkpoint"),
+    ("kf", "--model", "snn", "a kf checkpoint"),
+    ("eval", "--data", "snn", "a frames file"),
+    ("kf", "--data", "kf", "a frames file"),
+    ("eval", "--data", "SNNF", None),       # the older frames layout
+    ("kf", "--data", "SNNF", None),
+])
+def test_wrong_kind_of_file_exits_2(trained, dataset, tmp_path, capsys,
+                                    command, flag, given, expected):
+    """A file of another kind than the flag wants is refused by name: the
+    kind expected and the kind found, or the retired frames layout."""
+    kf_ckpt = tmp_path / "kf.ckpt"
+    assert main(["kf", "--data", str(dataset), "--out", str(kf_ckpt)]) == 0
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"SNNF\x01\x00\x00\x00\x02\x00\x00\x00{}")
+    files = {"frames": dataset, "snn": trained[0], "kf": kf_ckpt,
+             "SNNF": old}
+    args = {"--data": dataset, flag: files[given]}
+    if command == "eval":
+        args.setdefault("--model", trained[0])
+    capsys.readouterr()
+    assert main([command, *(str(x) for kv in args.items() for x in kv)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and str(files[given]) in err
+    if expected is None:
+        assert "SNNF" in err and "re-run synth" in err
+    else:
+        assert f"expected {expected}, found {given!r}" in err
+
+
+def test_one_frame_validation_exits_2(tmp_path, capsys):
+    """Training whose validation part is one frame has no correlation to
+    record: it exits 2 before the first epoch and writes nothing."""
+    data, ckpt = tmp_path / "five.bin", tmp_path / "m.ckpt"
+    assert main(["synth", "--frames", "5", "--channels", "4",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--log", str(tmp_path / "train.log"),
+                 "--window", "3", "--discard", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "two frames, got 1" in err and not out
+    assert not ckpt.exists() and not (tmp_path / "train.log").exists()
+
+
+def test_flat_validation_r_stored_as_null(dataset, tmp_path, capsys,
+                                          monkeypatch):
+    """A validation decode too flat for a correlation logs nan and is
+    stored as null: the checkpoint header stays strict JSON."""
+    monkeypatch.setattr("snndecode.train._validation_r",
+                        lambda *args: (float("nan"), 0.5))
+    ckpt = tmp_path / "flat.ckpt"
+    assert main(["train", "--data", str(dataset), "--out", str(ckpt),
+                 "--epochs", "1"]) == 0
+    assert "val_r1=nan" in capsys.readouterr().out
+    assert b"NaN" not in ckpt.read_bytes()
+    assert load_snn(ckpt)[3]["final_val_r"] == [None, 0.5]
+
+
+@pytest.mark.parametrize("command", ["train", "kf"])
+def test_one_frame_training_part_exits_2(tmp_path, capsys, command):
+    """A 2-frame file leaves one training frame, too few to standardize:
+    exit 2 naming the count, with no numpy warning printed first."""
+    data = tmp_path / "two.bin"
+    assert main(["synth", "--frames", "2", "--channels", "4",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "snndecode", command,
+         "--data", str(data), "--out", str(tmp_path / "m.ckpt")],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == ("data error: standardizing needs at least two "
+                             "training frames, got 1\n")
 
 
 def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
     ckpt, _ = trained
     bad = tmp_path / "nospec.ckpt"
     bad.write_bytes(ckpt.read_bytes())
-    kind, meta, arrays = _read_container(bad)
+    meta, arrays = container.read(bad, "snn")
     del meta["spec"]["threshold"]
-    _write_container(bad, kind, meta, list(arrays.items()))
+    container.write(bad, "snn", meta, list(arrays.items()))
     for command in ("eval", "stream"):
         assert main([command, "--model", str(bad),
                      "--data", str(dataset)]) == 2
@@ -411,9 +500,9 @@ def test_other_normalizer_checkpoint_exits_2(trained, dataset, tmp_path,
     ckpt, _ = trained
     bad = tmp_path / "other.ckpt"
     bad.write_bytes(ckpt.read_bytes())
-    kind, meta, arrays = _read_container(bad)
+    meta, arrays = container.read(bad, "snn")
     meta["spec"][key] = value
-    _write_container(bad, kind, meta, list(arrays.items()))
+    container.write(bad, "snn", meta, list(arrays.items()))
     assert main(["eval", "--model", str(bad), "--data", str(dataset)]) == 2
     out, err = capsys.readouterr()
     assert key in err and not out
@@ -435,9 +524,9 @@ def test_overflowing_checkpoint_exits_3(trained, dataset, tmp_path, capsys):
     ckpt, _ = trained
     bad = tmp_path / "huge.ckpt"
     bad.write_bytes(ckpt.read_bytes())
-    kind, meta, arrays = _read_container(bad)
+    meta, arrays = container.read(bad, "snn")
     arrays["layer0.weight"][:] = 3e38
-    _write_container(bad, kind, meta, list(arrays.items()))
+    container.write(bad, "snn", meta, list(arrays.items()))
     for command in ("eval", "stream", "profile"):
         assert main([command, "--model", str(bad),
                      "--data", str(dataset)]) == 3
@@ -455,9 +544,9 @@ def test_poisoned_checkpoint_exits_2(trained, dataset, tmp_path, capsys,
     ckpt, _ = trained
     bad = tmp_path / "poisoned.ckpt"
     bad.write_bytes(ckpt.read_bytes())
-    kind, meta, arrays = _read_container(bad)
+    meta, arrays = container.read(bad, "snn")
     arrays[name].flat[0] = value
-    _write_container(bad, kind, meta, list(arrays.items()))
+    container.write(bad, "snn", meta, list(arrays.items()))
     for command in ("eval", "stream", "profile"):
         assert main([command, "--model", str(bad),
                      "--data", str(dataset)]) == 2

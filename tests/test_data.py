@@ -1,9 +1,7 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
+from snndecode import container
 from snndecode.data import (
     FrameSet,
     Standardizer,
@@ -13,6 +11,8 @@ from snndecode.data import (
     synth_generate,
 )
 from snndecode.errors import DataError
+
+from test_checkpoint import rewritten
 
 
 def small_frameset(n=3, channels=4, seed=0):
@@ -94,29 +94,61 @@ def test_nonfinite_rejected(tmp_path):
         load_frames(path)
 
 
+def test_cell_beyond_float32_rejected_without_warning(tmp_path):
+    """A cell that overflows float32 is refused as non-finite; the cast
+    prints no numpy warning first (the suite makes one an error)."""
+    path = tmp_path / "big.csv"
+    path.write_text("ch1,vel1,vel2\n1e39,1,2\n3,4,5\n")
+    with pytest.raises(DataError, match="non-finite"):
+        load_frames(path)
+
+
 def test_missing_file():
     with pytest.raises(DataError):
         load_frames("/nonexistent/frames.bin")
 
 
+def _one_frame(**arrays):
+    """The arrays of a valid one-frame, three-channel set, some replaced."""
+    return {"features": np.zeros((1, 3), np.float32),
+            "velocities": np.zeros((1, 2), np.float32), **arrays}
+
+
+_META = {"frame_ms": 50.0, "provenance": "external"}
+
+
 @pytest.mark.parametrize("header", [
-    {"channel_count": 0, "sample_count": 1, "frame_ms": 50.0,
-     "provenance": "external"},
-    {"channel_count": 1, "sample_count": -1, "frame_ms": 50.0,
-     "provenance": "external"},
-    {"channel_count": "many", "sample_count": 1, "frame_ms": 50.0,
-     "provenance": "external"},
-    [1, 2],
-    {"channel_count": float("inf"), "sample_count": 1, "frame_ms": 50.0,
-     "provenance": "external"},
+    # (meta, arrays, what the refusal names)
+    (_META, _one_frame(features=np.zeros((1, 0), np.float32)),
+     "channel_count"),
+    (_META, _one_frame(velocities=np.zeros((1, 3), np.float32)),
+     "velocities"),
+    (_META, _one_frame(features=np.zeros((1, 3), np.int32)), "features"),
+    ([1, 2], _one_frame(), "frame metadata"),
+    (_META, _one_frame(features=np.full((1, 3), np.inf, np.float32)),
+     "features"),
+    (_META, _one_frame(velocities=np.zeros((1, 2))), "velocities"),
+    ({"frame_ms": "fast", "provenance": "x"}, _one_frame(), "fast"),
 ])
 def test_bad_binary_header_rejected(tmp_path, header):
-    blob = json.dumps(header).encode()
+    meta, arrays, named = header
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"SNNF" + struct.pack("<II", 1, len(blob)) + blob
-                     + bytes(8))
-    with pytest.raises(DataError, match="frame header"):
+    container.write(path, "frames", meta, list(arrays.items()))
+    with pytest.raises(DataError, match=named) as err:
         load_frames(path)
+    assert str(path) in str(err.value)
+
+
+def test_frames_container_layout(tmp_path):
+    """A binary frames file is the container's ``frames`` kind: the two
+    float32 arrays, and only the duration and provenance as metadata."""
+    frames = small_frameset(n=7, channels=5, seed=2)
+    path = tmp_path / "d.bin"
+    save_frames(frames, path)
+    meta, arrays = container.read(path, "frames")
+    assert meta == {"frame_ms": 50.0, "provenance": "external"}
+    assert [(name, a.dtype, a.shape) for name, a in arrays.items()] == [
+        ("features", np.float32, (7, 5)), ("velocities", np.float32, (7, 2))]
 
 
 def test_unparseable_frame_ms_names_file(tmp_path):
@@ -132,7 +164,17 @@ def test_bad_frame_ms_names_file(tmp_path, fmt, value):
     frames = small_frameset()
     frames.meta.frame_ms = value
     path = tmp_path / "bad.frames"
-    save_frames(frames, path, fmt=fmt)
+    if fmt == "binary" and not np.isfinite(value):
+        # the container's header is strict JSON, so the writer refuses a
+        # NaN or an infinity; another writer could leave one there
+        with pytest.raises(ValueError):
+            save_frames(frames, path, fmt=fmt)
+        frames.meta.frame_ms = 50.0
+        save_frames(frames, path, fmt=fmt)
+        rewritten(path, lambda meta, arrays: meta.update(frame_ms=value),
+                  "frames")
+    else:
+        save_frames(frames, path, fmt=fmt)
     with pytest.raises(DataError, match="bad.frames"):
         load_frames(path)
 
@@ -298,3 +340,11 @@ def test_synth_all_finite_and_nonnegative_before_noise():
     assert np.isfinite(frames.features).all()
     # softplus outputs are strictly positive without additive noise
     assert (frames.features > 0).all()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_standardizer_needs_two_frames(n):
+    """Fewer than two frames have no sample deviation: refused before any
+    arithmetic, so no numpy warning comes first."""
+    with pytest.raises(DataError, match=f"two training frames, got {n}"):
+        Standardizer.fit(small_frameset(n=n))

@@ -2,9 +2,10 @@
 and saving what was loaded gives back the same bytes.
 
 Corrupt inputs are truncations and 1-3 bit flips of a valid SNN
-checkpoint, a valid Kalman checkpoint, a binary frames file and a CSV
-frames file.  Half of the flips land in the file's header, where a flip
-changes what the loader parses rather than only a payload value.
+checkpoint, a valid Kalman checkpoint, a binary frames file (the three
+kinds of the one container) and a CSV frames file.  Half of the flips
+land in the file's header, where a flip changes what the loader parses
+rather than only a payload value.
 """
 
 import numpy as np
@@ -56,10 +57,8 @@ def _reload_frames(fmt):
 
 def _header_len(kind, blob):
     """Bytes up to the end of the part a loader parses as metadata."""
-    if kind in ("snn", "kf"):
+    if kind in ("snn", "kf", "binary"):       # the container's three kinds
         return 10 + int.from_bytes(blob[6:10], "little")
-    if kind == "binary":
-        return 12 + int.from_bytes(blob[8:12], "little")
     return blob.index(b"\n", blob.index(b"\n") + 1) + 1      # csv: 2 lines
 
 

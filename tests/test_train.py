@@ -88,6 +88,17 @@ def test_zero_epochs_returns_initial_params():
     assert log.records == []
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_validation_needs_two_frames(n, monkeypatch):
+    """One validation frame has no correlation; refused before training."""
+    feats, vels = toy_data(60, seed=2)
+    config = toy_config(seed=11, epochs=3)
+    ds = make_windows(feats, vels, config.window_len)
+    monkeypatch.setattr("snndecode.train.forward_unfolded", None)
+    with pytest.raises(ValueError, match=f"two frames, got {n}"):
+        fit(ds, config, val_features=feats[:n], val_velocities=vels[:n])
+
+
 def test_same_seed_bitwise_identical_logs():
     feats, vels = toy_data(60, seed=2)
     logs = []
