@@ -10,7 +10,14 @@ that a unit-gain channel has standard deviation equal to the threshold:
 That scaling keeps layer firing rates in a workable range and is what
 makes deep spike-driven stacks trainable.  At inference time the running
 (exponential-moving-average) statistics are used instead, which makes the
-transform a fixed per-channel affine map, applicable one frame at a time.
+transform a fixed per-channel affine map.  The inference pass therefore
+does not call :func:`normalize`: it folds the map into the layer's
+weights and a bias (``network._fold``), with ``sigma = sqrt(run_var +
+eps)``:
+
+    W' = (threshold * gamma / sigma) * W
+    b  = beta - run_mean * threshold * gamma / sigma
+
 The trainer advances the running statistics after every batch.
 
 Variances are population (biased) moments throughout, including the

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -276,7 +277,9 @@ def _cmd_stream(args) -> int:
 def _cmd_profile(args) -> int:
     params, spec, _, _, _, feats = _load_checkpoint(
         args.model, args.data, args.split)
+    tic = time.perf_counter()
     stats = count_spikes(params, spec, feats)
+    frame_us = (time.perf_counter() - tic) / stats.frames * 1e6
     snn = snn_cost(spec, stats.layer_rates)
     dense = ann_report(DENSE_ANN_MACS)
     table = compare_report([("dense-ann", dense), ("snn", snn)])
@@ -285,6 +288,10 @@ def _cmd_profile(args) -> int:
     print(f"spike rates over {stats.frames} frames: {rates}")
     print(f"mean spikes per inference: {stats.spikes_per_frame:.1f}")
     print(table.to_text(), end="")
+    # wall time varies from run to run, so it stays out of the JSON report
+    print(f"snn measured: {frame_us:.1f} us per frame for "
+          f"{snn.total_ops:,} predicted ops (one inference pass over "
+          f"{stats.frames} frames)")
     if args.json_out:
         payload = table.to_dict()
         payload["spike_rates"] = list(stats.layer_rates)

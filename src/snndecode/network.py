@@ -13,16 +13,26 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
   rows, normalizes with the pooled batch and time statistics, keeps the
   potentials, applies dropout, and records every intermediate the
   backward pass needs (as ``(B, T, width)`` views);
-* the inference pass runs one matmul per frame, normalizes with the
-  running statistics and carries the membrane state on from a given
-  start.  :func:`forward_unfolded` in ``"eval"`` mode runs it from a zero
-  state; :func:`forward_streaming` runs it over a one-frame window from
-  the state a real-time session carries.  Streamed rows therefore equal
-  the unfolded rows by construction.
+* the inference pass runs one matmul per frame on weights with the
+  normalizer folded in (:func:`_fold`), adds the folded bias and carries
+  the membrane state on from a given start.  :func:`forward_unfolded` in
+  ``"eval"`` mode runs it from a zero state; :func:`forward_streaming`
+  runs it over a one-frame window from the state a real-time session
+  carries.  Streamed rows therefore equal the unfolded rows by
+  construction.
+
+A parameter set keeps its folded form once the first inference built it,
+and building it makes the source arrays read-only: an in-place write to a
+decoded parameter set raises instead of decoding with stale weights.
+Rebinding an array (``layer.weight = other``) is allowed and refolds on
+the next inference; a copy or an unpickled set folds its own.  Training
+writes its parameters in place, so its per-epoch validation folds afresh
+and leaves them writable.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import ClassVar
@@ -141,13 +151,23 @@ class LayerParams:
 
 @dataclass
 class NetworkParams:
-    """All trainable parameters plus running statistics, one entry per layer."""
+    """All trainable parameters plus running statistics, one entry per layer.
+
+    ``folded`` holds the inference operands built by :func:`_folded`
+    with what they were built from; it is never copied or pickled.
+    """
 
     layers: list
+    folded: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def dtype(self):
         return self.layers[0].weight.dtype
+
+    def __getstate__(self):
+        # a copy's arrays are new (and writable), so it folds its own
+        return {**self.__dict__, "folded": None}
 
 
 @dataclass
@@ -255,11 +275,56 @@ def _check_params(params: NetworkParams, spec: NetworkSpec):
             f"topology wants {spec.n_layers}"
         )
     for l, layer in enumerate(params.layers):
-        want = (spec.layer_widths[l + 1], spec.layer_widths[l])
-        if layer.weight.shape != want:
-            raise ValueError(
-                f"layer {l} weight shape {layer.weight.shape}, expected {want}"
-            )
+        width, fan_in = spec.layer_widths[l + 1], spec.layer_widths[l]
+        for name, arr in layer.arrays().items():
+            want = (width, fan_in) if name == "weight" else (width,)
+            if arr.shape != want:
+                raise ValueError(
+                    f"layer {l} {name} shape {arr.shape}, expected {want}")
+
+
+def _fold(params: NetworkParams, spec: NetworkSpec) -> list:
+    """Every layer's inference operands with the normalizer folded in.
+
+    Per layer ``(W'ᵀ, b, tau)`` with ``W' = (thr·γ/σ)·W``,
+    ``b = β − μ·thr·γ/σ`` and ``σ = √(run_var + eps)``, so that
+    ``act @ W'ᵀ + b`` is the normalized current of ``act @ Wᵀ`` up to
+    rounding.  The threshold scales the standardized current only, not β.
+    """
+    folded = []
+    for layer in params.layers:
+        n = layer.norm
+        scale = spec.threshold * n.gamma / np.sqrt(n.run_var + spec.bn_eps)
+        # the operand is laid out for act @ W'ᵀ: faster on one frame
+        weight_t = np.ascontiguousarray((scale[:, None] * layer.weight).T)
+        folded.append((weight_t, n.beta - n.run_mean * scale, layer.tau))
+    return folded
+
+
+def _folded(params: NetworkParams, spec: NetworkSpec) -> list:
+    """:func:`_fold` of ``params``, built once per parameter set.
+
+    The folded form is kept on ``params`` with the topology, the threshold
+    and the source arrays themselves, and reused while all of them are the
+    same.  Building it checks the parameters against ``spec`` and makes
+    every source array read-only, so the arrays cannot change under it.
+    """
+    sources = []
+    for layer in params.layers:
+        n = layer.norm
+        sources += (layer.weight, layer.tau, n.gamma, n.beta, n.run_mean,
+                    n.run_var)
+    key = (spec.layer_widths, spec.threshold)
+    held = params.folded
+    if (held is not None and held[0] == key and len(held[1]) == len(sources)
+            and all(map(operator.is_, held[1], sources))):
+        return held[2]
+    _check_params(params, spec)
+    folded = _fold(params, spec)
+    for a in sources:
+        a.setflags(write=False)
+    params.folded = (key, sources, folded)
+    return folded
 
 
 def _layer_normalized(spec: NetworkSpec, l: int) -> bool:
@@ -303,10 +368,11 @@ def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
     return out, u
 
 
-def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
+def _infer(folded: list, spec: NetworkSpec, frames: np.ndarray,
            state: NetworkState):
-    """The inference pass over checked, time-major ``(T, ..., in_width)``
-    frames, starting from ``state``.
+    """The inference pass of the :func:`_fold` layers ``folded`` over
+    checked, time-major ``(T, ..., in_width)`` frames, starting from
+    ``state``.
 
     The state's arrays have the shape of one frame's activations,
     ``(..., width)``; they are read, never written.  Returns the
@@ -319,26 +385,48 @@ def _infer(params: NetworkParams, spec: NetworkSpec, frames: np.ndarray,
     act = frames
     spikes = []
     ends = []
-    for l, layer in enumerate(params.layers):
+    n_hidden = spec.n_hidden
+    for l, (weight_t, bias, tau) in enumerate(folded):
         # a stack of one product per frame, each rounded as it would be
         # alone: a streamed frame is a window of T = 1
-        n = layer.norm
-        cur, _, _ = batchnorm.normalize(
-            act @ layer.weight.T, n.run_mean, n.run_var, n.gamma, n.beta,
-            spec.threshold, spec.bn_eps)
+        cur = act @ weight_t
+        cur += bias
         u = state.potentials[l]
-        if l < spec.n_hidden:
+        if l < n_hidden:
             # the spikes the start potentials fired, as lif_step made them
             s = (u >= spec.threshold).astype(u.dtype)
-            act, u = _recurrence(cur, layer.tau, spec, u, s)
+            act, u = _recurrence(cur, tau, spec, u, s)
             spikes.append(act)
         else:
-            act, u = _recurrence(cur, layer.tau, spec, u)
+            act, u = _recurrence(cur, tau, spec, u)
         ends.append(u)
     if not np.isfinite(np.concatenate(ends, axis=-1)).all():  # all layers
         bad = next(l for l, e in enumerate(ends) if not np.isfinite(e).all())
         raise NumericError(f"non-finite membrane potential in layer {bad}")
     return act, spikes, NetworkState(ends)
+
+
+def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
+    """The inference pass over checked ``(B, T, in_width)`` windows from a
+    zero state: ``(B, T, out_width)`` predictions and one ``(B, T, width)``
+    spike array per hidden layer."""
+    start = _zero_state(spec, (len(windows),), windows.dtype)
+    preds, spikes, _ = _infer(folded, spec, windows.transpose(1, 0, 2), start)
+    return preds.transpose(1, 0, 2), [s.transpose(1, 0, 2) for s in spikes]
+
+
+def _check_windows(windows, spec: NetworkSpec, dtype) -> np.ndarray:
+    """``windows`` as a ``(B, T, in_width)`` array of ``dtype``; a wrong
+    shape or a non-finite value raises ``ValueError``."""
+    windows = np.asarray(windows, dtype=dtype)
+    if windows.ndim != 3 or windows.shape[-1] != spec.input_width:
+        raise ValueError(
+            f"expected windows shaped (batch, time, {spec.input_width}), "
+            f"got {windows.shape}"
+        )
+    if not np.isfinite(windows).all():
+        raise ValueError("input features contain non-finite values")
+    return windows
 
 
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
@@ -356,7 +444,9 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         ``"train"`` runs the training pass: pooled batch+time
         normalization statistics and a fresh dropout mask per timestep
         (requires ``rng`` when dropout is active).  ``"eval"`` runs the
-        inference pass: running statistics and no dropout.
+        inference pass: the running statistics folded into the weights,
+        no dropout.  It makes the parameter arrays read-only (see the
+        module docstring).
 
     Returns
     -------
@@ -364,27 +454,18 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         Predictions of shape ``(B, T, out_width)`` and the cache of
         intermediates.  An ``"eval"`` cache holds only the spikes.
     """
-    _check_params(params, spec)
-    windows = np.asarray(windows, dtype=params.dtype)
-    if windows.ndim != 3 or windows.shape[-1] != spec.input_width:
-        raise ValueError(
-            f"expected windows shaped (batch, time, {spec.input_width}), "
-            f"got {windows.shape}"
-        )
-    if not np.isfinite(windows).all():
-        raise ValueError("input features contain non-finite values")
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == TRAIN and spec.dropout_p > 0.0 and rng is None:
-        raise ValueError("training-mode forward with dropout needs an rng")
     if mode == EVAL:
-        start = _zero_state(spec, (len(windows),), params.dtype)
-        preds, spikes, _ = _infer(params, spec, windows.transpose(1, 0, 2),
-                                  start)
-        preds = preds.transpose(1, 0, 2)
-        cache = TrainingCache(mode=EVAL, inputs=windows, spikes=[
-            s.transpose(1, 0, 2) for s in spikes] + [None])
-        return preds, cache
+        folded = _folded(params, spec)
+        windows = _check_windows(windows, spec, params.dtype)
+        preds, spikes = _eval_pass(folded, spec, windows)
+        return preds, TrainingCache(mode=EVAL, inputs=windows,
+                                    spikes=spikes + [None])
+    _check_params(params, spec)
+    windows = _check_windows(windows, spec, params.dtype)
+    if spec.dropout_p > 0.0 and rng is None:
+        raise ValueError("training-mode forward with dropout needs an rng")
 
     # the training pass runs time-major, (T, B, w); the cache holds
     # (B, T, w) views of its arrays
@@ -432,19 +513,21 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
     """Advance the persistent decoder state by one frame.
 
     Runs the inference pass of :func:`forward_unfolded` over a one-frame
-    window from ``state``: running normalization statistics, no dropout.
-    The passed-in state is left untouched; a fresh state is returned
-    alongside the prediction.  A frame holding a NaN or infinity is
-    rejected with ``ValueError``, as in :func:`forward_unfolded`, before
-    any state is computed, so one bad frame cannot poison the membrane
-    potentials of the frames after it.
+    window from ``state``: the running statistics folded into the
+    weights, no dropout.  The first frame folds the parameters and makes
+    their arrays read-only; later frames reuse the folded form.  Every
+    state array must be shaped ``(width,)``.  The passed-in state is left
+    untouched; a fresh state is returned alongside the prediction.  A
+    frame holding a NaN or infinity is rejected with ``ValueError``, as
+    in :func:`forward_unfolded`, before any state is computed, so one bad
+    frame cannot poison the membrane potentials of the frames after it.
 
     Returns
     -------
     (ndarray, NetworkState)
         ``(prediction, new_state)`` with the prediction of output width.
     """
-    _check_params(params, spec)
+    folded = _folded(params, spec)
     frame = np.asarray(frame, dtype=params.dtype)
     if frame.shape != (spec.input_width,):
         raise ValueError(
@@ -457,5 +540,11 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
             f"state has {len(state.potentials)} layers, "
             f"topology wants {spec.n_layers}"
         )
-    preds, _, new_state = _infer(params, spec, frame[None], state)
+    # the recurrence does not check shapes: a (1,) potential would broadcast
+    for l, (u, width) in enumerate(zip(state.potentials,
+                                       spec.layer_widths[1:])):
+        if u.shape != (width,):
+            raise ValueError(f"state shape mismatch in layer {l}: "
+                             f"{u.shape}, expected ({width},)")
+    preds, _, new_state = _infer(folded, spec, frame[None], state)
     return preds[0], new_state

@@ -39,7 +39,9 @@ def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
     ``"zero"`` clears the membrane entirely.  The threshold, reset mode
     and the range of ``tau`` are validated where they are set
     (:class:`~snndecode.network.NetworkSpec`, parameter initialization,
-    the optimizer's clamp and the checkpoint loader), not per step.
+    the optimizer's clamp and the checkpoint loader), not per step, and
+    the array shapes by the callers that build them: arrays of different
+    shapes broadcast.
 
     Returns
     -------
@@ -47,11 +49,6 @@ def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
         The new potentials and the spike vector (0/1 floats), which is
         the next step's ``last_spikes``.  The arguments are not modified.
     """
-    if not potential.shape == last_spikes.shape == current.shape:
-        raise ValueError(
-            f"shape mismatch: potential {potential.shape}, previous spikes "
-            f"{last_spikes.shape}, current {current.shape}"
-        )
     if reset_mode == RESET_SUBTRACT:
         u_next = tau * (potential - last_spikes * threshold) + current
     else:
@@ -63,20 +60,14 @@ def output_step(potential: np.ndarray, input_current: np.ndarray, tau: np.ndarra
     """Advance the non-spiking output integrators by one frame.
 
     The output neurons never fire and never reset; their membrane voltage
-    after integration is the prediction itself.
+    after integration is the prediction itself.  As in :func:`lif_step`,
+    the shapes are not checked.
 
     Returns
     -------
     (ndarray, ndarray)
         ``(new_potential, prediction)`` where both are the same array.
     """
-    potential = np.asarray(potential)
-    input_current = np.asarray(input_current)
-    if input_current.shape != potential.shape:
-        raise ValueError(
-            f"shape mismatch: potential {potential.shape}, "
-            f"current {input_current.shape}"
-        )
     u_next = tau * potential + input_current
     return u_next, u_next
 

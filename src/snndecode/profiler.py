@@ -10,9 +10,9 @@ additions as one MAC-equivalent, and memory traffic per operation
 class (loads of the two operands plus accumulator traffic) is tallied
 alongside.
 
-Normalization is assumed folded into the weights for deployment, so it
-adds nothing; threshold comparisons and resets are not tallied (the
-model tracks only the MAC/ADD classes).
+Normalization is folded into the weights and a per-neuron bias, as the
+inference pass runs it; the bias adds, threshold comparisons and resets
+are not tallied (the model tracks only the MAC/ADD classes).
 """
 
 from __future__ import annotations

@@ -25,6 +25,9 @@ from .network import (
     NetworkSpec,
     _check_dropout_p,
     _check_tau_init,
+    _check_windows,
+    _eval_pass,
+    _fold,
     forward_unfolded,
     init_params,
 )
@@ -217,11 +220,15 @@ def _advance_running_stats(params: NetworkParams, cache):
 
 
 def _validation_r(params, spec, features, velocities):
-    preds = decode_sequence(params, spec, features)
+    """Per-output correlation of the decode of checked ``(1, T, in)``
+    features.  The parameters are still being trained, so they are folded
+    afresh, not cached and frozen; the kernel is the one
+    :func:`decode_sequence` runs, so the rows are the same bits."""
+    preds, _ = _eval_pass(_fold(params, spec), spec, features)
     rs = []
-    for d in range(preds.shape[1]):
+    for d in range(preds.shape[-1]):
         try:
-            rs.append(pearson(preds[:, d], velocities[:, d]))
+            rs.append(pearson(preds[0, :, d], velocities[:, d]))
         except ValueError:          # flat prediction early in training
             rs.append(float("nan"))
     return tuple(rs)
@@ -238,8 +245,11 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     the settings both carry, or ``ValueError`` names the first that
     differs.  Training starts from :func:`init_params` drawn from the
     run's seed.  If validation arrays are given (two frames at least),
-    each epoch records per-output Pearson correlations of the streamed
-    validation decode.  A non-finite loss aborts with a diagnostic.
+    each epoch records per-output Pearson correlations of the validation
+    decode; misshaped or non-finite validation features are refused
+    before the first epoch.  A non-finite loss aborts with a diagnostic.
+    The returned parameters are writable: validation does not freeze
+    them.
     """
     if len(dataset) == 0:
         raise ValueError("empty window dataset")
@@ -263,6 +273,9 @@ def fit(dataset: WindowDataset, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     params = init_params(spec, rng, tau_init=config.tau_init)
+    if val_features is not None:
+        val_features = _check_windows(np.asarray(val_features)[None], spec,
+                                      params.dtype)
     opt_state = adamw_init(params)
     log = TrainingLog(config={"spec": asdict(spec), **asdict(config)})
 

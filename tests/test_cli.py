@@ -108,14 +108,21 @@ def test_stream_rejects_one_ulp_drift(trained, dataset, capsys, monkeypatch):
 
 
 def test_profile_subcommand(trained, dataset, capsys, tmp_path):
+    """``profile`` prints the measured time per frame beside the predicted
+    ops; the JSON report leaves the time out, so it is the same bytes on
+    every run."""
     ckpt, _ = trained
-    report = tmp_path / "cost.json"
-    assert main(["profile", "--model", str(ckpt), "--data", str(dataset),
-                 "--json", str(report)]) == 0
-    out = capsys.readouterr().out
-    assert "spike rates" in out
-    assert "Total ops" in out
-    doc = json.loads(report.read_text())
+    reports = [tmp_path / "cost.json", tmp_path / "again.json"]
+    for report in reports:
+        assert main(["profile", "--model", str(ckpt), "--data",
+                     str(dataset), "--json", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "spike rates" in out
+        assert "Total ops" in out
+        assert re.search(r"snn measured: \d+\.\d us per frame for "
+                         r"[\d,]+ predicted ops", out)
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    doc = json.loads(reports[0].read_text())
     assert doc["models"]["dense-ann"]["mac_count"] == 529_000
     assert len(doc["spike_rates"]) == 3
 

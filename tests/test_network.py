@@ -1,5 +1,9 @@
 """Tests for the assembled decoder network and its two forward passes."""
 
+import copy
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +20,14 @@ from snndecode import (
 )
 from snndecode.backprop import backward
 from snndecode.errors import NumericError
-from snndecode.network import GEMM_BLOCK, NetworkState, _blocked_gemm
-from snndecode.neuron import RESET_MODES
+from snndecode import batchnorm, network
+from snndecode.network import (
+    GEMM_BLOCK,
+    LAYER_ARRAYS,
+    NetworkState,
+    _blocked_gemm,
+)
+from snndecode.neuron import RESET_MODES, lif_step, output_step
 from snndecode.train import TrainConfig, decode_sequence
 
 SMALL = NetworkSpec(layer_widths=(6, 12, 12, 2), window_len=5)
@@ -31,6 +41,60 @@ def lively_params(spec, seed=0, dtype=np.float64):
         layer.norm.gamma[:] = 2.0
         layer.norm.beta[:] = 0.2
     return params
+
+
+FOLD = network._fold
+
+
+def unfolded_reference(params, spec, window):
+    """Decode a ``(T, in)`` window the way inference ran before the fold:
+    each layer's matmul, then ``batchnorm.normalize`` on the running
+    statistics, then the membrane recurrence, from a zero state."""
+    act = window
+    for l, layer in enumerate(params.layers):
+        n = layer.norm
+        cur, _, _ = batchnorm.normalize(
+            act @ layer.weight.T, n.run_mean, n.run_var, n.gamma, n.beta,
+            spec.threshold, spec.bn_eps)
+        u = s = np.zeros_like(cur[0])
+        out = np.empty_like(cur)
+        for t in range(len(cur)):
+            if l < spec.n_hidden:
+                u, s = lif_step(u, s, cur[t], layer.tau, spec.threshold,
+                                spec.reset_mode)
+                out[t] = s
+            else:
+                u, out[t] = output_step(u, cur[t], layer.tau)
+        act = out
+    return act
+
+
+def varied_params(spec, seed, dtype, min_var=1e-3):
+    """Parameters with every normalizer array drawn away from its initial
+    value; running variances spread log-uniformly down to ``min_var``, so
+    the normalizer's epsilon shows."""
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, rng, dtype=dtype)
+    for layer in params.layers:
+        n = layer.norm
+        n.gamma[:] = rng.uniform(0.5, 3.0, n.gamma.shape)
+        n.beta[:] = rng.uniform(-0.2, 0.4, n.beta.shape)
+        n.run_mean[:] = rng.normal(0.0, 0.5, n.run_mean.shape)
+        n.run_var[:] = np.exp(rng.uniform(np.log(min_var), np.log(2.0),
+                                          n.run_var.shape))
+    return params, rng
+
+
+def assert_kernel_matches_reference(spec, seed, dtype):
+    params, rng = varied_params(spec, seed, dtype)
+    window = rng.normal(size=(spec.window_len, spec.input_width)).astype(dtype)
+    reference = unfolded_reference(params, spec, window)
+    rows = decode_sequence(params, spec, window)
+    # the fold reorders a few roundings per layer: 3,000 random cases
+    # stayed within 7 eps of the largest row value
+    tol = 100 * np.finfo(dtype).eps
+    np.testing.assert_allclose(rows, reference, rtol=tol,
+                               atol=tol * max(1.0, np.abs(reference).max()))
 
 
 class TestSpec:
@@ -360,14 +424,7 @@ class TestStreaming:
         small topology, reset mode and dtype."""
         spec = NetworkSpec(layer_widths=widths, window_len=frames,
                            reset_mode=reset_mode)
-        rng = np.random.default_rng(seed)
-        params = init_params(spec, rng, dtype=dtype)
-        for layer in params.layers:
-            n = layer.norm
-            n.gamma[:] = rng.uniform(0.5, 3.0, n.gamma.shape)
-            n.beta[:] = rng.uniform(-0.2, 0.4, n.beta.shape)
-            n.run_mean[:] = rng.normal(0.0, 0.5, n.run_mean.shape)
-            n.run_var[:] = rng.uniform(0.2, 2.0, n.run_var.shape)
+        params, rng = varied_params(spec, seed, dtype)
         window = rng.normal(size=(frames, spec.input_width)).astype(dtype)
 
         unfolded, _ = forward_unfolded(params, spec, window[None], mode=EVAL)
@@ -377,6 +434,140 @@ class TestStreaming:
         for t, frame in enumerate(window):
             streamed[t], state = forward_streaming(params, spec, frame, state)
         assert streamed.tobytes() == unfolded.tobytes()
+
+
+class TestFoldedKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           frames=st.integers(1, 12),
+           reset_mode=st.sampled_from(RESET_MODES),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_unfolded_normalization_property(self, widths, frames,
+                                                     reset_mode, dtype, seed):
+        """The folded kernel decodes the rows of matmul, normalize on the
+        running statistics, then the recurrence, within the dtype's
+        rounding."""
+        spec = NetworkSpec(layer_widths=widths, window_len=frames,
+                           reset_mode=reset_mode)
+        assert_kernel_matches_reference(spec, seed, dtype)
+
+    @staticmethod
+    def beta_scaled_by_threshold(params, spec):
+        return [(w, b - (1.0 - spec.threshold) * layer.norm.beta, tau)
+                for (w, b, tau), layer in zip(FOLD(params, spec),
+                                              params.layers)]
+
+    @staticmethod
+    def sigma_without_eps(params, spec):
+        return FOLD(params, SimpleNamespace(threshold=spec.threshold,
+                                            bn_eps=0.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mutant", ["beta_scaled_by_threshold",
+                                        "sigma_without_eps"])
+    def test_property_catches_wrong_folds(self, mutant, dtype, monkeypatch):
+        """The property's tolerance is tight enough to fail a fold that
+        scales beta by the threshold or leaves epsilon out of sigma."""
+        monkeypatch.setattr(network, "_fold", getattr(self, mutant))
+        spec = NetworkSpec(layer_widths=(5, 6, 6, 2), window_len=8)
+        with pytest.raises(AssertionError):
+            assert_kernel_matches_reference(spec, 3, dtype)
+
+
+class TestFoldedCache:
+    @staticmethod
+    def decoded(spec=SMALL, seed=30, how="decode"):
+        params = lively_params(spec, seed=seed)
+        frames = np.random.default_rng(seed + 1).normal(
+            size=(6, spec.input_width))
+        if how == "decode":
+            rows = decode_sequence(params, spec, frames)
+        else:
+            state = reset_state(spec, dtype=params.dtype)
+            rows = np.empty((len(frames), spec.output_width))
+            for t, frame in enumerate(frames):
+                rows[t], state = forward_streaming(params, spec, frame, state)
+        return params, frames, rows
+
+    @pytest.mark.parametrize("how", ["decode", "stream"])
+    @pytest.mark.parametrize("name", LAYER_ARRAYS)
+    def test_in_place_write_raises(self, name, how):
+        """Inference freezes every source array: writing one in place
+        raises instead of decoding with the folded stale copy."""
+        params, _, _ = self.decoded(how=how)
+        for layer in params.layers:
+            arr = layer.arrays()[name]
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.5
+
+    def test_rebound_array_is_used(self):
+        params, frames, before = self.decoded()
+        fresh = lively_params(SMALL, seed=30)
+        for p in (params, fresh):
+            p.layers[1].weight = fresh.layers[1].weight * 2.0
+            p.layers[0].norm.beta = np.full_like(fresh.layers[0].norm.beta,
+                                                 -0.1)
+        after = decode_sequence(params, SMALL, frames)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == decode_sequence(fresh, SMALL,
+                                                  frames).tobytes()
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"])
+    def test_copy_written_in_place_decodes_new_values(self, duplicate):
+        """A copy of decoded parameters is writable and carries no folded
+        form, so what is written into it is what it decodes."""
+        params, frames, before = self.decoded()
+        twin = duplicate(params)
+        assert twin.folded is None
+        twin.layers[0].weight *= 2.0
+        twin.layers[1].norm.run_var[:] = 4.0
+        after = decode_sequence(twin, SMALL, frames)
+        fresh = lively_params(SMALL, seed=30)
+        fresh.layers[0].weight *= 2.0
+        fresh.layers[1].norm.run_var[:] = 4.0
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == decode_sequence(fresh, SMALL,
+                                                  frames).tobytes()
+        # the original still decodes its own values
+        np.testing.assert_array_equal(
+            decode_sequence(params, SMALL, frames), before)
+
+    def test_folded_once_per_parameter_set(self, monkeypatch):
+        """Frames after the first reuse the folded form; another threshold
+        folds again."""
+        calls = []
+        real = network._fold
+        monkeypatch.setattr(network, "_fold",
+                            lambda *a: calls.append(1) or real(*a))
+        params, frames, _ = self.decoded(how="stream")
+        decode_sequence(params, SMALL, frames)
+        assert len(calls) == 1
+        other = NetworkSpec(layer_widths=SMALL.layer_widths, threshold=0.5)
+        decode_sequence(params, other, frames)
+        assert len(calls) == 2
+
+    def test_topology_mismatch_still_raises(self):
+        params, frames, _ = self.decoded()
+        other = NetworkSpec(layer_widths=(6, 12, 2))
+        with pytest.raises(ValueError, match="topology wants 2"):
+            decode_sequence(params, other, frames)
+
+    @pytest.mark.parametrize("name", LAYER_ARRAYS)
+    def test_misshaped_array_refused(self, name):
+        """Every array is checked when the folded form is built: a (1,)
+        per-neuron array would broadcast through the fold silently."""
+        params = lively_params(SMALL)
+        layer = params.layers[1]
+        holder = layer if hasattr(layer, name) else layer.norm
+        setattr(holder, name, getattr(holder, name)[:1])
+        frame = np.zeros(SMALL.input_width)
+        with pytest.raises(ValueError, match=f"layer 1 {name} shape"):
+            forward_streaming(params, SMALL, frame, reset_state(SMALL))
+        with pytest.raises(ValueError, match=f"layer 1 {name} shape"):
+            decode_sequence(params, SMALL, frame[None])
 
 
 class TestBlockedGemm:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from snndecode import NetworkSpec, init_params, lif_step, surrogate_grad
+from snndecode import (NetworkSpec, forward_streaming, init_params,
+                       lif_step, reset_state, surrogate_grad)
 from snndecode.neuron import RESET_SUBTRACT, RESET_ZERO, output_step
 
 
@@ -12,6 +13,16 @@ def step(u, s, current, tau, reset_mode=RESET_SUBTRACT):
     return lif_step(np.asarray(u, dtype=float), np.asarray(s, dtype=float),
                     np.asarray(current, dtype=float),
                     np.asarray(tau, dtype=float), 0.4, reset_mode)
+
+
+def stream_with_potential(layer, shape):
+    """Stream one frame through a (3, 4, 2) decoder whose state has
+    ``layer``'s potential replaced by zeros of ``shape``."""
+    spec = NetworkSpec(layer_widths=(3, 4, 2))
+    params = init_params(spec, np.random.default_rng(0))
+    state = reset_state(spec)
+    state.potentials[layer] = np.zeros(shape, dtype=np.float32)
+    return forward_streaming(params, spec, np.ones(3), state)
 
 
 class TestNeuronParameterChecks:
@@ -96,10 +107,12 @@ class TestLifStep:
         assert set(np.unique(spikes)) <= {0.0, 1.0}
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            step([0.0, 0.0], [0.0, 0.0], [1.0, 2.0, 3.0], [0.5, 0.5])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            step([0.0, 0.0], [0.0], [1.0, 2.0], [0.5, 0.5])
+        """``lif_step`` does not check shapes; ``forward_streaming`` refuses
+        a hidden potential that would broadcast, or not fit, before any
+        step runs."""
+        for shape in ((1,), (3,), (1, 4)):
+            with pytest.raises(ValueError, match="shape mismatch in layer 0"):
+                stream_with_potential(0, shape)
 
 
 class TestOutputStep:
@@ -124,9 +137,11 @@ class TestOutputStep:
         np.testing.assert_allclose(pred, [0.42])
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            output_step(np.array([0.0, 0.0]), np.array([1.0]),
-                        np.array([0.5, 0.5]))
+        """The readout's potential is checked by ``forward_streaming``, not
+        by ``output_step``."""
+        for shape in ((1,), (3,), ()):
+            with pytest.raises(ValueError, match="shape mismatch in layer 1"):
+                stream_with_potential(1, shape)
 
 
 class TestSurrogateGrad:

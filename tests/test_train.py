@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from snndecode.errors import NumericError
+from snndecode.metrics import pearson
 from snndecode.network import NetworkSpec, init_params
 from snndecode.train import (
     TrainConfig,
@@ -108,6 +109,38 @@ def test_same_seed_bitwise_identical_logs():
         _, log = fit(ds, config, val_features=feats, val_velocities=vels)
         logs.append(log.canonical())
     assert logs[0] == logs[1]
+
+
+def test_fit_with_validation_returns_writable_params():
+    """Per-epoch validation folds the parameters afresh: the arrays fit
+    returns are not frozen, and its last validation r is the r of a later
+    decode of them."""
+    feats, vels = toy_data(60, seed=2)
+    config = toy_config(seed=11, epochs=2)
+    spec = toy_spec(config)
+    ds = make_windows(feats, vels, config.window_len)
+    params, log = fit(ds, config, spec=spec, val_features=feats,
+                      val_velocities=vels)
+    assert params.folded is None
+    for layer in params.layers:
+        for arr in layer.arrays().values():
+            assert arr.flags.writeable
+    preds = decode_sequence(params, spec, feats)
+    r = [pearson(preds[:, d], vels[:, d]) for d in range(2)]
+    assert tuple(r) == log.records[-1].val_r
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_validation_refused_before_training(bad, monkeypatch):
+    """Validation features are checked once, before the first epoch."""
+    feats, vels = toy_data(60, seed=2)
+    config = toy_config(seed=11, epochs=3)
+    ds = make_windows(feats, vels, config.window_len)
+    poisoned = feats.copy()
+    poisoned[7, 1] = bad
+    monkeypatch.setattr("snndecode.train.forward_unfolded", None)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(ds, config, val_features=poisoned, val_velocities=vels)
 
 
 def test_different_seed_differs():
