@@ -1,6 +1,9 @@
 """Trained models on disk, as two kinds of :mod:`snndecode.container`:
 ``"snn"`` (network parameters, architecture and standardizer) and
 ``"kf"`` (Kalman model and standardizer).
+
+The container checks only its format: a loaded parameter set meets
+``network._check_params``, and the standardizer's rules sit here.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from . import container
 from .data import Standardizer
 from .errors import DataError
 from .kalman import KfModel
-from .network import LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec
+from .network import (LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec,
+                      _check_params)
 
 # The standardizer's arrays, in checkpoint order, each stored as
 # ``std.<name>``.  The ``feat_`` pair spans the model's input channels and
@@ -20,11 +24,19 @@ from .network import LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec
 STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
 
 
-def _std_shapes(channels: int, outputs: int) -> dict:
-    """Standardizer array name -> the shape a model of that many input
-    channels and outputs needs."""
-    return {f"std.{name}": (channels if name.startswith("feat") else outputs,)
-            for name in STD_ARRAYS}
+def _load_standardizer(path, arrays: dict, channels: int, outputs: int,
+                       degenerate) -> Standardizer:
+    """The standardizer in ``arrays`` of a model of that many input
+    channels and outputs; an unusable array raises :class:`DataError`."""
+    container.check_arrays(path, arrays, {
+        f"std.{name}": (channels if name.startswith("feat") else outputs,)
+        for name in STD_ARRAYS})
+    for name in ("std.feat_std", "std.vel_std"):
+        if (arrays[name] <= 0.0).any():
+            raise DataError(f"{path}: array {name!r} has a scale that is "
+                            f"not positive")
+    return Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
+                        degenerate_channels=degenerate)
 
 
 def save_snn(path, params: NetworkParams, spec: NetworkSpec,
@@ -43,28 +55,17 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
     container.write(path, container.SNN, meta, arrays)
 
 
-def _snn_shapes(spec: NetworkSpec) -> dict:
-    """Array name -> the shape the topology needs."""
-    widths = spec.layer_widths
-    shapes = {}
-    for l in range(spec.n_layers):
-        for name in LAYER_ARRAYS:
-            shapes[f"layer{l}.{name}"] = (
-                (widths[l + 1], widths[l]) if name == "weight"
-                else (widths[l + 1],))
-    shapes.update(_std_shapes(spec.input_width, spec.output_width))
-    return shapes
-
-
 def load_snn(path):
     """Read back (params, spec, standardizer, extra) saved by save_snn.
 
     A header without the topology, standardizer or extra fields, a
     topology that does not validate or that sets a :class:`NetworkSpec`
-    constant to another value, a missing or misshaped array, a
-    non-finite array value, a decay factor outside [0, 1], a negative
-    running variance and a standardizer scale that is not positive all
-    raise :class:`DataError`.
+    constant to another value, a missing layer array, a parameter set the
+    decoder cannot run (``network._check_params``: shapes, one dtype,
+    finite values, decay factors in [0, 1], running variances of at least
+    0) and an unusable standardizer raise :class:`DataError` naming the
+    file and the array.  The standardizer's dtype is its own: the features
+    are float32 before the decoder sees them.
     """
     meta, arrays = container.read(path, container.SNN)
     try:
@@ -83,15 +84,19 @@ def load_snn(path):
         raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    container.check_arrays(path, arrays, _snn_shapes(spec))
-    layers = [
-        LayerParams.from_arrays(
-            {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
-        for l in range(spec.n_layers)
-    ]
-    std = Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
-                       degenerate_channels=degenerate)
-    return NetworkParams(layers=layers), spec, std, extra
+    try:
+        params = NetworkParams([
+            LayerParams.from_arrays(
+                {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
+            for l in range(spec.n_layers)])
+        _check_params(params, spec)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing array {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    std = _load_standardizer(path, arrays, spec.input_width,
+                             spec.output_width, degenerate)
+    return params, spec, std, extra
 
 
 def save_kf(path, model: KfModel, standardizer: Standardizer,
@@ -133,10 +138,8 @@ def load_kf(path):
         raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
     c = len(observation) if observation.ndim else 0     # model's channels
     container.check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
-                                          "kf.C": (c, 3), "kf.Q": (c, c),
-                                          **_std_shapes(c, 2)})
+                                          "kf.C": (c, 3), "kf.Q": (c, c)})
     model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"], C=observation,
                     Q=arrays["kf.Q"], ridge=ridge)
-    std = Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
-                       degenerate_channels=degenerate)
+    std = _load_standardizer(path, arrays, c, 2, degenerate)
     return model, std, extra

@@ -221,6 +221,13 @@ def _select_split(frames: FrameSet, which: str) -> tuple:
     return val, train.meta.sample_count
 
 
+def _check_scored(data_path, subset: FrameSet, which: str):
+    """Refuse a split too short to score: a correlation needs two frames."""
+    if len(subset) < 2:
+        raise DataError(f"{data_path}: the {which} split has {len(subset)} "
+                        f"frame(s); scoring needs at least two")
+
+
 def _load_checkpoint(model_path, data_path, which):
     """Shared eval/stream/profile loading: the decoder and the
     standardized features of the chosen split."""
@@ -235,6 +242,7 @@ def _load_checkpoint(model_path, data_path, which):
 def _cmd_eval(args) -> int:
     params, spec, std, subset, offset, feats = _load_checkpoint(
         args.model, args.data, args.split)
+    _check_scored(args.data, subset, args.split)
     preds = std.invert_velocity(decode_sequence(params, spec, feats))
     report = evaluate(preds, subset.velocities)
     for line in report.lines():
@@ -255,8 +263,9 @@ def _cmd_eval(args) -> int:
 def _cmd_stream(args) -> int:
     params, spec, std, subset, _, feats = _load_checkpoint(
         args.model, args.data, args.split)
+    _check_scored(args.data, subset, args.split)
     eval_rows = decode_sequence(params, spec, feats)
-    state = reset_state(spec)
+    state = reset_state(spec, dtype=params.dtype)
     rows = np.empty_like(eval_rows)
     for t, frame in enumerate(feats):
         rows[t], state = forward_streaming(params, spec, frame, state)
@@ -309,8 +318,10 @@ def _cmd_kf(args) -> int:
     if args.model:
         model, std, _ = ckpt.load_kf(args.model)
         _check_channels(args.data, frames, len(model.C))
+        _check_scored(args.data, val, "val")
     else:
-        std = Standardizer.fit(train)
+        std = Standardizer.fit(train)   # names a short training part first
+        _check_scored(args.data, val, "val")
         ftr, vtr = std.apply(train)
         model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))
     fva = std.apply_features(val.features).astype(np.float64)

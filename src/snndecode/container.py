@@ -13,6 +13,9 @@ Layout (all little-endian)::
 Saving the same content twice gives the same bytes; the header is strict
 JSON (no NaN).  Three kinds share the layout: ``"frames"``
 (:mod:`snndecode.data`), ``"snn"`` and ``"kf"`` (:mod:`snndecode.checkpoint`).
+The container knows only this format: :func:`check_arrays` checks the
+presence, shape, floating type and finiteness of the arrays a loader
+names, and each loader states what else its arrays must be.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ def parse(path, raw: bytes, kind: str):
 
 def check_arrays(path, arrays: dict, shapes: dict) -> None:
     """Each array ``shapes`` names must be present, of that shape, and hold
-    floating-point values the decoders can use."""
+    finite floating-point values.  What values a model can use is its
+    loader's rule, not the container's."""
     for name, shape in shapes.items():
         arr = arrays.get(name)
         if arr is None:
@@ -118,11 +122,3 @@ def check_arrays(path, arrays: dict, shapes: dict) -> None:
         if arr.dtype.kind != "f" or not np.isfinite(arr).all():
             raise DataError(f"{path}: array {name!r} holds non-finite or "
                             f"non-float ({arr.dtype}) values")
-        if name.endswith(".tau") and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise DataError(f"{path}: array {name!r} has decay factors "
-                            f"outside [0, 1]")
-        if name.endswith(".run_var") and arr.min() < 0.0:
-            raise DataError(f"{path}: array {name!r} has a negative variance")
-        if name.endswith("_std") and arr.min() <= 0.0:
-            raise DataError(f"{path}: array {name!r} has a scale that is "
-                            f"not positive")

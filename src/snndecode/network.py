@@ -21,6 +21,13 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
   carries.  Streamed rows therefore equal the unfolded rows by
   construction.
 
+One rule, :func:`_check_params`, says what a parameter set must be: the
+topology's layer count and array shapes, one dtype of :data:`DTYPES`
+shared by every layer array, finite values, decay factors in [0, 1] and
+running variances of at least 0.  A checkpoint meets it when it loads, a
+hand-built set at its first inference, and training at every step.  A
+streaming state must be in the decoder's dtype too.
+
 A parameter set keeps its folded form once the first inference built it,
 and building it makes the source arrays read-only: an in-place write to a
 decoded parameter set raises instead of decoding with stale weights.
@@ -57,6 +64,10 @@ GEMM_BLOCK = 256
 # optimizer trains the first four.
 LAYER_ARRAYS = ("weight", "tau", "gamma", "beta", "run_mean", "run_var")
 TRAINED = LAYER_ARRAYS[:4]
+
+# The dtypes a decoder runs in, every layer array in the same one: the two
+# in which the fold and streaming-equals-batch are tested.
+DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass
@@ -163,6 +174,8 @@ class NetworkParams:
 
     @property
     def dtype(self):
+        """The dtype every layer array shares: a set whose arrays do not
+        share one is refused at its first inference."""
         return self.layers[0].weight.dtype
 
     def __getstate__(self):
@@ -269,18 +282,32 @@ def _zero_state(spec: NetworkSpec, batch: tuple, dtype) -> NetworkState:
 
 
 def _check_params(params: NetworkParams, spec: NetworkSpec):
+    """Raise ``ValueError`` if ``params`` breaks the rule the module
+    docstring states, naming the array as a checkpoint does:
+    ``layer<l>.<name>``."""
     if len(params.layers) != spec.n_layers:
         raise ValueError(
             f"parameter set has {len(params.layers)} layers, "
             f"topology wants {spec.n_layers}"
         )
+    dtype = params.dtype
     for l, layer in enumerate(params.layers):
         width, fan_in = spec.layer_widths[l + 1], spec.layer_widths[l]
         for name, arr in layer.arrays().items():
             want = (width, fan_in) if name == "weight" else (width,)
             if arr.shape != want:
-                raise ValueError(
-                    f"layer {l} {name} shape {arr.shape}, expected {want}")
+                raise ValueError(f"layer{l}.{name} has shape {arr.shape}, "
+                                 f"expected {want}")
+            if arr.dtype != dtype or dtype not in DTYPES:
+                raise ValueError(f"layer{l}.{name} is {arr.dtype}; layer "
+                                 f"arrays must all be float32 or all float64")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"layer{l}.{name} holds non-finite values")
+        if not 0.0 <= layer.tau.min() <= layer.tau.max() <= 1.0:
+            raise ValueError(f"layer{l}.tau has a decay factor out of "
+                             f"[0, 1]")
+        if layer.norm.run_var.min() < 0.0:
+            raise ValueError(f"layer{l}.run_var has a negative variance")
 
 
 def _fold(params: NetworkParams, spec: NetworkSpec) -> list:
@@ -516,7 +543,8 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
     window from ``state``: the running statistics folded into the
     weights, no dropout.  The first frame folds the parameters and makes
     their arrays read-only; later frames reuse the folded form.  Every
-    state array must be shaped ``(width,)``.  The passed-in state is left
+    state array must be shaped ``(width,)`` and be of the decoder's dtype,
+    ``params.dtype``.  The passed-in state is left
     untouched; a fresh state is returned alongside the prediction.  A
     frame holding a NaN or infinity is rejected with ``ValueError``, as
     in :func:`forward_unfolded`, before any state is computed, so one bad
@@ -528,7 +556,8 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         ``(prediction, new_state)`` with the prediction of output width.
     """
     folded = _folded(params, spec)
-    frame = np.asarray(frame, dtype=params.dtype)
+    dtype = params.dtype
+    frame = np.asarray(frame, dtype=dtype)
     if frame.shape != (spec.input_width,):
         raise ValueError(
             f"expected a frame of shape ({spec.input_width},), got {frame.shape}"
@@ -540,11 +569,15 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
             f"state has {len(state.potentials)} layers, "
             f"topology wants {spec.n_layers}"
         )
-    # the recurrence does not check shapes: a (1,) potential would broadcast
+    # the recurrence does not check shapes: a (1,) potential would
+    # broadcast, and another dtype would promote away from the batch rows
     for l, (u, width) in enumerate(zip(state.potentials,
                                        spec.layer_widths[1:])):
         if u.shape != (width,):
             raise ValueError(f"state shape mismatch in layer {l}: "
                              f"{u.shape}, expected ({width},)")
+        if u.dtype != dtype:
+            raise ValueError(f"state dtype mismatch in layer {l}: "
+                             f"{u.dtype}, the decoder's is {dtype}")
     preds, _, new_state = _infer(folded, spec, frame[None], state)
     return preds[0], new_state

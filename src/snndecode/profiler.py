@@ -71,9 +71,12 @@ class SpikeStats:
 
 def count_spikes(params: NetworkParams, spec: NetworkSpec,
                  features: np.ndarray) -> SpikeStats:
-    """Exact firing frequencies of an inference-mode run over ``features``."""
+    """Exact firing frequencies of an inference-mode run over ``features``,
+    which must hold at least one frame."""
     features = np.asarray(features)
     _, cache = forward_unfolded(params, spec, features[None], mode=EVAL)
+    if not len(features):
+        raise ValueError("counting spikes needs at least one frame")
     per_neuron = [s[0].mean(axis=0, dtype=np.float64)
                   for s in cache.spikes[:-1]]
     layer_rates = tuple(float(r.mean()) for r in per_neuron)

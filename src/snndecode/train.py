@@ -209,14 +209,20 @@ BN_MOMENTUM = 0.1
 
 def _advance_running_stats(params: NetworkParams, cache):
     """Move every layer's running statistics, in place, toward the batch
-    statistics ``cache`` recorded."""
+    statistics ``cache`` recorded.  Statistics that overflow (a finite
+    loss can come with an infinite batch variance) raise
+    :class:`NumericError`."""
     mom = BN_MOMENTUM
-    for layer, mean, var in zip(params.layers, cache.mean, cache.var):
+    for l, (layer, mean, var) in enumerate(zip(params.layers, cache.mean,
+                                               cache.var)):
         n = layer.norm
         n.run_mean *= 1.0 - mom
         n.run_mean += mom * mean.astype(n.run_mean.dtype)
         n.run_var *= 1.0 - mom
         n.run_var += mom * var.astype(n.run_var.dtype)
+        if not all(np.isfinite(a).all() for a in (n.run_mean, n.run_var)):
+            raise NumericError(f"training diverged: non-finite running "
+                               f"statistics in layer {l}")
 
 
 def _validation_r(params, spec, features, velocities):
@@ -244,15 +250,20 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     the dataset's widths; a given ``spec`` must agree with the config on
     the settings both carry, or ``ValueError`` names the first that
     differs.  Training starts from :func:`init_params` drawn from the
-    run's seed.  If validation arrays are given (two frames at least),
-    each epoch records per-output Pearson correlations of the validation
-    decode; misshaped or non-finite validation features are refused
-    before the first epoch.  A non-finite loss aborts with a diagnostic.
-    The returned parameters are writable: validation does not freeze
-    them.
+    run's seed.  If validation arrays are given (both of them, two
+    frames at least), each epoch records per-output Pearson correlations
+    of the validation decode.  Misshaped or non-finite validation
+    features, velocities of another length than the features or another
+    width than the outputs or not finite, and either array without the
+    other are refused with ``ValueError`` before the first epoch.  A non-finite
+    loss aborts with a diagnostic.  The returned parameters are
+    writable: validation does not freeze them.
     """
     if len(dataset) == 0:
         raise ValueError("empty window dataset")
+    if (val_features is None) != (val_velocities is None):
+        raise ValueError("validation needs both val_features and "
+                         "val_velocities")
     if val_features is not None and len(val_features) < 2:
         raise ValueError(f"validation needs at least two frames, got "
                          f"{len(val_features)}")
@@ -276,6 +287,13 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     if val_features is not None:
         val_features = _check_windows(np.asarray(val_features)[None], spec,
                                       params.dtype)
+        val_velocities = np.asarray(val_velocities)
+        want = (val_features.shape[1], spec.output_width)
+        if val_velocities.shape != want:
+            raise ValueError(f"val_velocities shaped {val_velocities.shape},"
+                             f" expected {want}")
+        if not np.isfinite(val_velocities).all():
+            raise ValueError("val_velocities contain non-finite values")
     opt_state = adamw_init(params)
     log = TrainingLog(config={"spec": asdict(spec), **asdict(config)})
 

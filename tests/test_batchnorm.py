@@ -3,9 +3,11 @@
 import copy
 
 import numpy as np
+import pytest
 
 from snndecode import TRAIN, NetworkSpec, forward_unfolded, init_params
 from snndecode.batchnorm import batch_stats, normalize, tdbn_backward
+from snndecode.errors import NumericError
 from snndecode.train import BN_MOMENTUM, _advance_running_stats
 
 
@@ -98,6 +100,19 @@ class TestTdbnApply:
                 new.norm.run_var, 0.9 * old.norm.run_var + 0.1 * var)
             if l < spec.n_hidden:
                 act = cache.spikes[l]
+
+    def test_overflowing_running_statistics_raise(self):
+        """A batch variance that overflowed while the loss stayed finite
+        ends training as a divergence, not as a parameter set the next
+        step refuses."""
+        spec = NetworkSpec(layer_widths=(3, 4, 2), window_len=5,
+                           dropout_p=0.0)
+        params = init_params(spec, np.random.default_rng(9))
+        x = np.random.default_rng(10).normal(size=(6, 5, 3))
+        _, cache = forward_unfolded(params, spec, x, mode=TRAIN)
+        cache.var[1] = np.full_like(cache.var[1], np.inf)
+        with pytest.raises(NumericError, match="statistics in layer 1"):
+            _advance_running_stats(params, cache)
 
     def test_eval_uses_and_keeps_running_statistics(self):
         rng = np.random.default_rng(13)

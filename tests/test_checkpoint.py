@@ -176,6 +176,13 @@ def rewritten(path, edit, kind="snn"):
     pytest.param(lambda m, a: a.update({"layer0.beta":
                                         a["layer0.beta"].astype(np.int32)}),
                  id="integer-beta"),
+    pytest.param(lambda m, a: a.update({name: v.astype(np.float16)
+                                        for name, v in a.items()
+                                        if name.startswith("layer")}),
+                 id="float16-layers"),
+    pytest.param(lambda m, a: a.update(
+        {"layer1.weight": a["layer1.weight"].astype(np.float64)}),
+                 id="one-float64-weight"),
 ])
 def test_rejects_malformed_header(tmp_path, header):
     bad = tmp_path / "bad.ckpt"

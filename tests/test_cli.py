@@ -561,6 +561,98 @@ def test_poisoned_checkpoint_exits_2(trained, dataset, tmp_path, capsys,
         assert name in err and str(bad) in err
 
 
+def _retyped_checkpoint(ckpt, bad, retype):
+    """Copy ``ckpt`` to ``bad`` with every layer array passed through
+    ``retype(name, array)``; the standardizer is left as it was."""
+    meta, arrays = container.read(ckpt, "snn")
+    container.write(bad, "snn", meta, [
+        (name, retype(name, a) if name.startswith("layer") else a)
+        for name, a in arrays.items()])
+    return bad
+
+
+@pytest.mark.parametrize("retype, first", [
+    pytest.param(lambda name, a: a.astype(np.float16), "layer0.weight",
+                 id="float16"),
+    pytest.param(lambda name, a: a.astype(np.float64)
+                 if name == "layer1.weight" else a, "layer1.weight",
+                 id="one-float64-weight"),
+])
+def test_checkpoint_not_of_one_dtype_exits_2(trained, dataset, tmp_path,
+                                             capsys, retype, first):
+    """Layer arrays in half precision, or in two dtypes, are refused at
+    load by every command, naming the file and the first array at fault:
+    a half-precision decode breaks stream ≡ eval."""
+    bad = _retyped_checkpoint(trained[0], tmp_path / "retyped.ckpt", retype)
+    for command in ("eval", "stream", "profile"):
+        assert main([command, "--model", str(bad),
+                     "--data", str(dataset)]) == 2
+        out, err = capsys.readouterr()
+        assert f"{bad}: {first} is " in err and not out
+
+
+def test_float64_checkpoint_streams_bit_identical(trained, dataset, tmp_path,
+                                                  capsys):
+    """A float64 decoder, with the float32 standardizer ``train`` fitted,
+    streams in its own dtype, bit for bit equal to ``eval``."""
+    wide = _retyped_checkpoint(trained[0], tmp_path / "f64.ckpt",
+                               lambda name, a: a.astype(np.float64))
+    params, _, std, _ = load_snn(wide)
+    assert params.dtype == np.float64 and std.feat_std.dtype == np.float32
+    assert main(["eval", "--model", str(wide), "--data", str(dataset)]) == 0
+    eval_out = capsys.readouterr().out
+    assert main(["stream", "--model", str(wide), "--data", str(dataset)]) == 0
+    stream_out = capsys.readouterr().out
+    assert "bit-identical to eval over 80 frames" in stream_out
+    # the same rows, so the same figures
+    assert stream_out.splitlines()[:-1] == eval_out.splitlines()
+
+
+@pytest.fixture(scope="module")
+def one_frame_split(tmp_path_factory):
+    """A 5-frame file, whose validation part is one frame, and a model
+    for its four channels."""
+    d = tmp_path_factory.mktemp("one-frame")
+    five, forty = d / "five.bin", d / "forty.bin"
+    models = {"snn": d / "m.ckpt", "kf": d / "kf.ckpt"}
+    for argv in (["synth", "--frames", "5", "--channels", "4",
+                  "--out", five],
+                 ["synth", "--frames", "40", "--channels", "4",
+                  "--out", forty],
+                 ["train", "--data", forty, "--out", models["snn"],
+                  "--epochs", "1", "--batch-size", "8"],
+                 ["kf", "--data", forty, "--out", models["kf"]]):
+        assert main([str(a) for a in argv]) == 0
+    return five, models
+
+
+@pytest.mark.parametrize("command, model", [
+    ("eval", "snn"), ("stream", "snn"), ("kf", None), ("kf", "kf")])
+def test_one_frame_split_exits_2(one_frame_split, capsys, monkeypatch,
+                                 command, model):
+    """A split of one frame has no correlation: exit 2 naming the data
+    file and the split, before any decode or fit."""
+    five, models = one_frame_split
+    for name in ("decode_sequence", "kf_fit", "kf_run"):
+        monkeypatch.setattr(cli, name, None)
+    capsys.readouterr()
+    argv = [command, "--data", str(five)]
+    if model:
+        argv += ["--model", str(models[model])]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"{five}: the val split has 1 frame" in err and not out
+
+
+def test_one_frame_split_profiles(one_frame_split, capsys):
+    """``profile`` reports no correlation, so one frame is enough."""
+    five, models = one_frame_split
+    capsys.readouterr()
+    assert main(["profile", "--model", str(models["snn"]),
+                 "--data", str(five)]) == 0
+    assert "spike rates over 1 frames" in capsys.readouterr().out
+
+
 def test_profile_runs_one_inference_pass(trained, dataset, capsys,
                                          monkeypatch):
     """``profile`` needs only the spike counts: one unfolded pass."""

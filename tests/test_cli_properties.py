@@ -16,13 +16,16 @@ property ignores numpy's RuntimeWarning and checks the exit code instead.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snndecode import container
 from snndecode.cli import _OUTPUTS, main
 from snndecode.train import TrainConfig
 
@@ -195,3 +198,50 @@ def test_every_failure_ends_in_its_exit_code(files, data):
         if code != 0:
             assert out.getvalue() == "", argv
             assert not any(path.exists() for path in fresh), argv
+
+
+FLOATS = (np.float16, np.float32, np.float64)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_dtype_mix_exits_2_or_streams_as_eval(files, data):
+    """Each checkpoint array retyped to float16, float32 or float64 (half
+    the time one dtype for every layer array): ``eval`` and ``stream``
+    exit 2 naming a layer array, or exit 0 with every streamed row equal
+    to eval's bit for bit.  Neither exits 3, and the standardizer's dtype
+    never matters."""
+    meta, arrays = container.read(files["snn"], "snn")
+    shared = data.draw(st.sampled_from(FLOATS) | st.none(), label="shared")
+    retyped = []
+    for name, a in arrays.items():
+        dtype = shared if name.startswith("layer") else None
+        if dtype is None:
+            dtype = data.draw(st.sampled_from(FLOATS), label=name)
+        retyped.append((name, a.astype(dtype)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "retyped.ckpt"
+        container.write(path, "snn", meta, retyped)
+        args = ["--model", str(path), "--data", str(files["data"])]
+        eval_code, eval_out, eval_err = _run(["eval", *args])
+        code, out, err = _run(["stream", *args])
+    layer_dtypes = {a.dtype for name, a in retyped
+                    if name.startswith("layer")}
+    usable = (len(layer_dtypes) == 1
+              and layer_dtypes <= {np.dtype(np.float32), np.dtype(np.float64)})
+    assert (code, eval_code) == ((0, 0) if usable else (2, 2)), err
+    if usable:
+        assert "bit-identical to eval" in out
+        assert out.splitlines()[:-1] == eval_out.splitlines()
+    else:
+        assert err == eval_err
+        assert re.match(rf"data error: {re.escape(str(path))}: "
+                        rf"layer\d\.\w+ is float", err), err

@@ -564,10 +564,72 @@ class TestFoldedCache:
         holder = layer if hasattr(layer, name) else layer.norm
         setattr(holder, name, getattr(holder, name)[:1])
         frame = np.zeros(SMALL.input_width)
-        with pytest.raises(ValueError, match=f"layer 1 {name} shape"):
+        with pytest.raises(ValueError, match=rf"layer1\.{name} has shape"):
             forward_streaming(params, SMALL, frame, reset_state(SMALL))
-        with pytest.raises(ValueError, match=f"layer 1 {name} shape"):
+        with pytest.raises(ValueError, match=rf"layer1\.{name} has shape"):
             decode_sequence(params, SMALL, frame[None])
+
+
+def _retyped(params, l, name, dtype):
+    """Rebind array ``name`` of layer ``l`` as a copy of ``dtype``."""
+    layer = params.layers[l]
+    holder = layer if hasattr(layer, name) else layer.norm
+    setattr(holder, name, getattr(holder, name).astype(dtype))
+
+
+def _poked(l, name, value):
+    """An edit setting the first element of one array to ``value``."""
+    def edit(params):
+        params.layers[l].arrays()[name].flat[0] = value
+    return edit
+
+
+class TestOneRule:
+    """A hand-built parameter set meets the same rule a checkpoint does, at
+    its first inference, before any of its arrays are frozen."""
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda p: _retyped(p, 1, "weight", np.float32),
+                     r"layer1\.weight is float32", id="mixed-dtypes"),
+        pytest.param(lambda p: [_retyped(p, l, name, np.float16)
+                                for l in range(3) for name in LAYER_ARRAYS],
+                     r"layer0\.weight is float16", id="float16"),
+        pytest.param(_poked(1, "weight", np.nan), r"layer1\.weight",
+                     id="nan-weight"),
+        pytest.param(_poked(2, "tau", 1.5), r"layer2\.tau", id="tau-1.5"),
+        pytest.param(_poked(0, "run_var", -1.0), r"layer0\.run_var",
+                     id="negative-run_var"),
+    ])
+    @pytest.mark.parametrize("how", ["decode", "stream"])
+    def test_unusable_set_refused_and_left_writable(self, edit, named, how):
+        params = lively_params(SMALL, seed=40)
+        edit(params)
+        frames = np.zeros((3, SMALL.input_width))
+        with pytest.raises(ValueError, match=named):
+            if how == "decode":
+                decode_sequence(params, SMALL, frames)
+            else:
+                forward_streaming(params, SMALL, frames[0],
+                                  reset_state(SMALL, dtype=params.dtype))
+        assert params.folded is None
+        for layer in params.layers:
+            for arr in layer.arrays().values():
+                assert arr.flags.writeable
+
+    @pytest.mark.parametrize("decoder, state", [
+        (np.float32, np.float64), (np.float64, np.float32)])
+    def test_state_of_another_dtype_refused(self, decoder, state):
+        """A state in another dtype would promote the recurrence away from
+        the batch rows: it is refused, naming the layer."""
+        params = lively_params(SMALL, seed=41, dtype=decoder)
+        frame = np.zeros(SMALL.input_width)
+        good = reset_state(SMALL, dtype=decoder)
+        forward_streaming(params, SMALL, frame, good)
+        bad = NetworkState(list(good.potentials))
+        bad.potentials[1] = bad.potentials[1].astype(state)
+        with pytest.raises(ValueError, match="state dtype mismatch in "
+                                             "layer 1"):
+            forward_streaming(params, SMALL, frame, bad)
 
 
 class TestBlockedGemm:

@@ -15,6 +15,7 @@ from snndecode.profiler import (
     mlp_mac_count,
     snn_cost,
 )
+from snndecode.train import decode_sequence
 
 REFERENCE_RATES = (0.26, 0.24, 0.09)
 
@@ -127,6 +128,17 @@ def test_count_spikes_rates_consistent():
     for vec, w in zip(stats.per_neuron, widths):
         assert vec.shape == (w,)
         assert vec.dtype == np.float64
+
+
+def test_count_spikes_refuses_no_frames():
+    """No frames give no rate: ValueError, not a numpy warning and a
+    division by zero; the decode of no frames stays empty."""
+    spec = NetworkSpec(layer_widths=(4, 8, 8, 8, 2), window_len=3)
+    params = init_params(spec, np.random.default_rng(4))
+    frames = np.zeros((0, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match="at least one frame"):
+        count_spikes(params, spec, frames)
+    assert decode_sequence(params, spec, frames).shape == (0, 2)
 
 
 def test_table_renders_deterministically():

@@ -143,6 +143,28 @@ def test_nonfinite_validation_refused_before_training(bad, monkeypatch):
         fit(ds, config, val_features=poisoned, val_velocities=vels)
 
 
+@pytest.mark.parametrize("val_arrays, match", [
+    pytest.param(lambda f, v: (f, v[:-1]), "shaped", id="short-velocities"),
+    pytest.param(lambda f, v: (f, v[:, :1]), "shaped", id="one-column"),
+    pytest.param(lambda f, v: (f, None), "both", id="no-velocities"),
+    pytest.param(lambda f, v: (None, v), "both", id="no-features"),
+    pytest.param(lambda f, v: (f, np.where(v == v[3, 0], np.nan, v)),
+                 "non-finite", id="nan-velocity"),
+])
+def test_unscorable_validation_refused_before_training(val_arrays, match,
+                                                        monkeypatch):
+    """Validation arrays that cannot give one correlation per output are
+    refused before the first epoch, not logged as NaN or raised later."""
+    feats, vels = toy_data(200, channels=6, seed=2)
+    config = toy_config(seed=11, epochs=2)
+    ds = make_windows(feats[:160], vels[:160], config.window_len)
+    val_features, val_velocities = val_arrays(feats[160:], vels[160:])
+    monkeypatch.setattr("snndecode.train.forward_unfolded", None)
+    with pytest.raises(ValueError, match=match):
+        fit(ds, config, val_features=val_features,
+            val_velocities=val_velocities)
+
+
 def test_different_seed_differs():
     feats, vels = toy_data(60, seed=2)
     outs = []
