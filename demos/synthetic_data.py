@@ -22,11 +22,12 @@ from snndecode.data import (
     synth_generate,
 )
 
+# A FrameSet is its two arrays plus the frame length and provenance; the
+# frame and channel counts are the arrays' shapes.
 frames = synth_generate(n_frames=3000, seed=42)
-meta = frames.meta
-print(f"{meta.sample_count} frames x {meta.channel_count} channels, "
-      f"{meta.frame_ms:.0f} ms each = {meta.duration_s:.0f} s of data "
-      f"({meta.provenance})")
+print(f"{len(frames)} frames x {frames.channel_count} channels, "
+      f"{frames.frame_ms:.0f} ms each = {frames.duration_s:.0f} s of data "
+      f"({frames.provenance})")
 print("velocity range:",
       np.round(frames.velocities.min(axis=0), 2), "to",
       np.round(frames.velocities.max(axis=0), 2))

@@ -3,7 +3,9 @@
 ``"kf"`` (Kalman model and standardizer).
 
 The container checks only its format: a loaded parameter set meets
-``network._check_params``, and the standardizer's rules sit here.
+``network._check_params``, and the standardizer's rules sit here.  Each
+loader reads only the metadata keys it names, so a key an older writer
+added is ignored.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .network import (LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec,
 STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
 
 
-def _load_standardizer(path, arrays: dict, channels: int, outputs: int,
-                       degenerate) -> Standardizer:
+def _load_standardizer(path, arrays: dict, channels: int,
+                       outputs: int) -> Standardizer:
     """The standardizer in ``arrays`` of a model of that many input
     channels and outputs; an unusable array raises :class:`DataError`."""
     container.check_arrays(path, arrays, {
@@ -35,18 +37,13 @@ def _load_standardizer(path, arrays: dict, channels: int, outputs: int,
         if (arrays[name] <= 0.0).any():
             raise DataError(f"{path}: array {name!r} has a scale that is "
                             f"not positive")
-    return Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS},
-                        degenerate_channels=degenerate)
+    return Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS})
 
 
 def save_snn(path, params: NetworkParams, spec: NetworkSpec,
              standardizer: Standardizer, extra: dict | None = None) -> None:
     """Write a trained spiking decoder plus its input/output scaling."""
-    meta = {
-        "spec": dataclasses.asdict(spec),
-        "degenerate_channels": list(standardizer.degenerate_channels),
-        "extra": extra or {},
-    }
+    meta = {"spec": dataclasses.asdict(spec), "extra": extra or {}}
     arrays = [(f"layer{l}.{name}", a)
               for l, layer in enumerate(params.layers)
               for name, a in layer.arrays().items()]
@@ -58,14 +55,14 @@ def save_snn(path, params: NetworkParams, spec: NetworkSpec,
 def load_snn(path):
     """Read back (params, spec, standardizer, extra) saved by save_snn.
 
-    A header without the topology, standardizer or extra fields, a
-    topology that does not validate or that sets a :class:`NetworkSpec`
-    constant to another value, a missing layer array, a parameter set the
-    decoder cannot run (``network._check_params``: shapes, one dtype,
-    finite values, decay factors in [0, 1], running variances of at least
-    0) and an unusable standardizer raise :class:`DataError` naming the
-    file and the array.  The standardizer's dtype is its own: the features
-    are float32 before the decoder sees them.
+    A header without the topology or extra fields, a topology that does
+    not validate or that sets a :class:`NetworkSpec` constant to another
+    value, a missing layer array, a parameter set the decoder cannot run
+    (``network._check_params``: shapes, one dtype, finite values, decay
+    factors in [0, 1], running variances of at least 0) and an unusable
+    standardizer raise :class:`DataError` naming the file and the array.
+    The standardizer's dtype is its own: the features are float32 before
+    the decoder sees them.
     """
     meta, arrays = container.read(path, container.SNN)
     try:
@@ -78,7 +75,6 @@ def load_snn(path):
                                 f"decoder uses {getattr(NetworkSpec, name)!r}")
         spec = NetworkSpec(**{f.name: sd[f.name]
                               for f in dataclasses.fields(NetworkSpec)})
-        degenerate = tuple(meta["degenerate_channels"])
         extra = meta["extra"]
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
@@ -95,18 +91,14 @@ def load_snn(path):
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     std = _load_standardizer(path, arrays, spec.input_width,
-                             spec.output_width, degenerate)
+                             spec.output_width)
     return params, spec, std, extra
 
 
 def save_kf(path, model: KfModel, standardizer: Standardizer,
             extra: dict | None = None) -> None:
     """Write a fitted Kalman baseline plus its input/output scaling."""
-    meta = {
-        "degenerate_channels": list(standardizer.degenerate_channels),
-        "ridge": model.ridge,
-        "extra": extra or {},
-    }
+    meta = {"ridge": model.ridge, "extra": extra or {}}
     arrays = [
         ("kf.A", model.A),
         ("kf.W", model.W),
@@ -129,7 +121,6 @@ def load_kf(path):
     meta, arrays = container.read(path, container.KF)
     try:
         ridge = meta["ridge"]
-        degenerate = tuple(meta["degenerate_channels"])
         extra = meta["extra"]
         observation = arrays["kf.C"]
     except KeyError as exc:
@@ -141,5 +132,5 @@ def load_kf(path):
                                           "kf.C": (c, 3), "kf.Q": (c, c)})
     model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"], C=observation,
                     Q=arrays["kf.Q"], ridge=ridge)
-    std = _load_standardizer(path, arrays, c, 2, degenerate)
+    std = _load_standardizer(path, arrays, c, 2)
     return model, std, extra

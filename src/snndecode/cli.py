@@ -127,9 +127,8 @@ def _cmd_synth(args) -> int:
                             smoothness=args.smoothness,
                             frame_ms=args.frame_ms)
     save_frames(frames, args.out, fmt=args.format)
-    print(f"wrote {frames.meta.sample_count} frames "
-          f"({frames.meta.channel_count} channels, "
-          f"{frames.meta.duration_s:.0f} s) to {args.out}")
+    print(f"wrote {len(frames)} frames ({frames.channel_count} channels, "
+          f"{frames.duration_s:.0f} s) to {args.out}")
     return EXIT_OK
 
 
@@ -177,9 +176,9 @@ def _check_output_paths(*paths):
 
 
 def _check_channels(data_path, frames: FrameSet, channels: int):
-    if frames.meta.channel_count != channels:
+    if frames.channel_count != channels:
         raise DataError(
-            f"{data_path}: {frames.meta.channel_count} channels, model "
+            f"{data_path}: {frames.channel_count} channels, model "
             f"expects {channels}")
 
 
@@ -191,7 +190,7 @@ def _cmd_train(args) -> int:
     ftr, vtr = std.apply(train)
     fva, vva = std.apply(val)
     dataset = make_windows(ftr, vtr, config.window_len)
-    spec = decoder_spec(config, frames.meta.channel_count,
+    spec = decoder_spec(config, frames.channel_count,
                         train.velocities.shape[1], threshold=args.threshold)
     params, log = fit(dataset, config, spec=spec,
                       val_features=fva, val_velocities=vva)
@@ -218,7 +217,7 @@ def _select_split(frames: FrameSet, which: str) -> tuple:
     train, val = split_train_val(frames)
     if which == "train":
         return train, 0
-    return val, train.meta.sample_count
+    return val, len(train)
 
 
 def _check_scored(data_path, subset: FrameSet, which: str):
@@ -248,7 +247,7 @@ def _cmd_eval(args) -> int:
     for line in report.lines():
         print(line)
     if args.trace:
-        frame_s = subset.meta.frame_ms / 1000.0
+        frame_s = subset.frame_ms / 1000.0
         with open(args.trace, "w") as fh:
             fh.write("time_s,true_v1,pred_v1,true_v2,pred_v2\n")
             for i in range(len(preds)):

@@ -1,9 +1,11 @@
 """Frame-level dataset handling.
 
 A dataset is a chronological sequence of frames, each pairing a vector
-of band-power features with two finger velocities.  Two on-disk formats
-round-trip losslessly: a human-readable CSV, for outside recordings,
-and the ``"frames"`` kind of the binary :mod:`snndecode.container`.
+of band-power features with two finger velocities: a :class:`FrameSet`,
+whose constructor is the one rule of a usable set, for loaded, split,
+generated and hand-built sets alike.  Two on-disk formats round-trip
+losslessly: a human-readable CSV, for outside recordings, and the
+``"frames"`` kind of the binary :mod:`snndecode.container`.
 Helpers cover the chronological train/validation split, the
 train-statistics standardizer, and a synthetic cosine-tuning generator
 that stands in for recordings that cannot be redistributed.
@@ -32,45 +34,52 @@ ARTIFACT_MULT = 15.0
 
 
 @dataclass
-class DatasetMeta:
-    frame_ms: float
-    channel_count: int
-    sample_count: int
-    provenance: str = EXTERNAL
-
-    def __post_init__(self):
-        if not 0.0 < self.frame_ms < np.inf:
-            raise ValueError(f"frame_ms={self.frame_ms} is not a positive "
-                             f"finite duration")
-        if self.channel_count < 1:
-            raise ValueError(f"channel_count={self.channel_count} must be "
-                             f"at least 1")
-        if self.sample_count < 0:
-            raise ValueError(f"sample_count={self.sample_count} is negative")
-
-    @property
-    def duration_s(self) -> float:
-        return self.sample_count * self.frame_ms / 1000.0
-
-
-@dataclass
 class FrameSet:
-    """A feature/velocity sequence plus its metadata."""
+    """A recording: one row of ``features`` and of ``velocities`` per frame.
+
+    Building one is the single statement of a usable frame set: the arrays
+    become contiguous float32 (values beyond float32 turn infinite), and
+    then ``features`` must be ``(frames, channels)`` with at least one
+    channel, ``velocities`` ``(frames, 2)``, both finite, and ``frame_ms``
+    a positive, finite duration; anything else raises ``ValueError``
+    naming the array or value.  The frame and channel counts are the
+    arrays' shapes.
+    """
 
     features: np.ndarray        # (frames, channels) float32
     velocities: np.ndarray      # (frames, 2) float32
-    meta: DatasetMeta
+    frame_ms: float
+    provenance: str = EXTERNAL
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):    # beyond float32 is inf
+            for name in FRAME_ARRAYS:
+                setattr(self, name, np.ascontiguousarray(
+                    getattr(self, name), dtype=np.float32))
+        shape = self.features.shape
+        if len(shape) != 2 or shape[1] < 1:
+            raise ValueError(f"features has shape {shape}, expected "
+                             f"(frames, channel_count >= 1)")
+        if self.velocities.shape != (shape[0], 2):
+            raise ValueError(f"velocities has shape {self.velocities.shape},"
+                             f" expected ({shape[0]}, 2)")
+        for name in FRAME_ARRAYS:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} holds non-finite float32 values")
+        if not 0.0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms={self.frame_ms!r} is not a positive "
+                             f"finite duration")
 
     def __len__(self) -> int:
         return len(self.features)
 
+    @property
+    def channel_count(self) -> int:
+        return self.features.shape[1]
 
-def _make_frameset(features, velocities, frame_ms, provenance):
-    features = np.ascontiguousarray(features, dtype=np.float32)
-    velocities = np.ascontiguousarray(velocities, dtype=np.float32)
-    meta = DatasetMeta(frame_ms=frame_ms, channel_count=features.shape[1],
-                       sample_count=len(features), provenance=provenance)
-    return FrameSet(features=features, velocities=velocities, meta=meta)
+    @property
+    def duration_s(self) -> float:
+        return len(self) * self.frame_ms / 1000.0
 
 
 def _csv_header(channels: int) -> str:
@@ -90,20 +99,19 @@ def save_frames(frames: FrameSet, path, fmt: str = "binary") -> None:
     Output bytes are a pure function of the dataset, so identical data
     produce identical files.
     """
-    meta = frames.meta
     if fmt == "csv":
         rows = np.hstack([frames.features, frames.velocities])
         with open(path, "w") as fh:
             fh.write(f"# frames v1 "
-                     f"frame_ms={_fmt(np.float64(meta.frame_ms))} "
-                     f"provenance={meta.provenance}\n")
-            fh.write(_csv_header(meta.channel_count) + "\n")
+                     f"frame_ms={_fmt(np.float64(frames.frame_ms))} "
+                     f"provenance={frames.provenance}\n")
+            fh.write(_csv_header(frames.channel_count) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     elif fmt == "binary":
         container.write(path, container.FRAMES,
-                        {"frame_ms": float(meta.frame_ms),
-                         "provenance": meta.provenance},
+                        {"frame_ms": float(frames.frame_ms),
+                         "provenance": frames.provenance},
                         [(name, getattr(frames, name).astype(np.float32))
                          for name in FRAME_ARRAYS])
     else:
@@ -152,20 +160,15 @@ def _parse_csv(path, raw: bytes):
             raise DataError(f"{path} line {off}: {e}") from e
     if not rows:
         raise DataError(f"{path}: no data rows")
-    with np.errstate(over="ignore"):    # beyond float32 is inf, refused next
-        table = np.array(rows, dtype=np.float32)
-    if not np.isfinite(table).all():
-        raise DataError(f"{path}: dataset contains non-finite values")
+    table = np.array(rows)
     return table[:, :-2], table[:, -2:], frame_ms, provenance
 
 
 def _parse_container(path, raw: bytes):
     meta, arrays = container.parse(path, raw, container.FRAMES)
-    # the frame and channel counts are the features' shape
-    n, c = (arrays.get("features", np.empty(0)).shape + (0, 0))[:2]
-    container.check_arrays(path, arrays, {"features": (n, c),
-                                          "velocities": (n, 2)})
     for name in FRAME_ARRAYS:
+        if name not in arrays:
+            raise DataError(f"{path}: missing array {name!r}")
         if arrays[name].dtype != np.float32:
             raise DataError(f"{path}: array {name!r} is not float32")
     try:
@@ -178,10 +181,11 @@ def _parse_container(path, raw: bytes):
 def load_frames(path) -> FrameSet:
     """Load a dataset, sniffing its format from the first bytes.
 
-    Malformed content raises :class:`DataError` naming the file and the
-    offending CSV line or container key or array.  Non-finite values, a
-    frame duration that is not positive and finite, and the binary
-    layout that came before the container are rejected.
+    The loader holds only the formats' rules: CSV syntax, named by line,
+    and the container's kind, its two float32 arrays and its metadata
+    keys; the binary layout that came before the container is refused.
+    What the arrays and the frame duration must be is :class:`FrameSet`'s
+    rule.  Every refusal is a :class:`DataError` naming the file.
     """
     try:
         with open(path, "rb") as fh:
@@ -192,9 +196,8 @@ def load_frames(path) -> FrameSet:
         raise DataError(f"{path}: an SNNF frame file, a layout no longer "
                         f"read; re-run synth or load the CSV")
     parse = _parse_container if raw[:4] == container.MAGIC else _parse_csv
-    features, velocities, frame_ms, provenance = parse(path, raw)
     try:
-        return _make_frameset(features, velocities, frame_ms, provenance)
+        return FrameSet(*parse(path, raw))
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -212,11 +215,10 @@ def split_train_val(frames: FrameSet, ratio: float = 0.8):
         raise DataError(
             f"split of {n} frames at ratio {ratio} leaves an empty side"
         )
-    meta = frames.meta
 
     def piece(sl):
-        return _make_frameset(frames.features[sl], frames.velocities[sl],
-                              meta.frame_ms, meta.provenance)
+        return FrameSet(frames.features[sl], frames.velocities[sl],
+                        frames.frame_ms, frames.provenance)
 
     return piece(slice(None, cut)), piece(slice(cut, None))
 
@@ -225,15 +227,13 @@ def split_train_val(frames: FrameSet, ratio: float = 0.8):
 class Standardizer:
     """Per-channel affine maps fit on the training split only.
 
-    Channels whose training standard deviation is zero keep scale 1 and
-    are listed in ``degenerate_channels``.
+    Channels whose training standard deviation is zero keep scale 1.
     """
 
     feat_mean: np.ndarray
     feat_std: np.ndarray
     vel_mean: np.ndarray
     vel_std: np.ndarray
-    degenerate_channels: tuple = ()
 
     @classmethod
     def fit(cls, frames: FrameSet) -> "Standardizer":
@@ -246,7 +246,6 @@ class Standardizer:
         feat_std = feat.std(axis=0, ddof=1)
         vel_mean = vel.mean(axis=0)
         vel_std = vel.std(axis=0, ddof=1)
-        degenerate = tuple(int(i) for i in np.flatnonzero(feat_std == 0))
         feat_std = np.where(feat_std == 0, 1.0, feat_std)
         vel_std = np.where(vel_std == 0, 1.0, vel_std)
         return cls(
@@ -254,7 +253,6 @@ class Standardizer:
             feat_std=feat_std.astype(np.float32),
             vel_mean=vel_mean.astype(np.float32),
             vel_std=vel_std.astype(np.float32),
-            degenerate_channels=degenerate,
         )
 
     def apply_features(self, features) -> np.ndarray:
@@ -308,8 +306,9 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
     ``noise_std=0`` disables all three sources.  Everything is a
     deterministic function of ``seed`` and the config.
     """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
+    if n_frames < 1 or channels < 1:      # sizes that cannot be drawn
+        raise ValueError(f"n_frames={n_frames} and channel_count={channels} "
+                         f"must both be at least 1")
     # NaN fails too, and so does a time constant so long (inf included)
     # that the walk's decay 1 - 1/smoothness rounds to 1 and freezes it
     if not (smoothness > 1.0 and 1.0 - 1.0 / smoothness < 1.0):
@@ -318,8 +317,6 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
     if not 0.0 <= noise_std < np.inf:
         raise ValueError(f"noise_std={noise_std!r} must be non-negative "
                          f"and finite")
-    # the file's rules on the counts and frame_ms, before anything is drawn
-    DatasetMeta(frame_ms, channels, n_frames, SYNTHETIC)
     rng = np.random.default_rng(seed)
 
     directions = rng.normal(size=(channels, 2))
@@ -350,8 +347,8 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
                 0.0, baselines + gains * (velocities @ directions.T))
             scale = noise_std * clean.std(axis=0)
             features = features + rng.normal(size=features.shape) * scale
-        frames = _make_frameset(features, velocities, frame_ms, SYNTHETIC)
-    if not np.isfinite(frames.features).all():
+        features = features.astype(np.float32)
+    if not np.isfinite(features).all():
         raise ValueError(f"noise_std={noise_std!r} is so large that the "
                          f"features overflow float32")
-    return frames
+    return FrameSet(features, velocities, frame_ms, SYNTHETIC)

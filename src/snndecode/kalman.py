@@ -88,9 +88,11 @@ def kf_init(model: KfModel) -> KfState:
 def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
     """One predict/update cycle; returns ``(state', velocity_estimate)``.
 
-    The passed-in state is not modified.  A numerically singular
-    innovation covariance raises :class:`NumericError` with its
-    condition estimate.
+    The passed-in state is not modified.  An observation of another shape
+    or holding a NaN or an infinity raises ``ValueError`` before any
+    arithmetic, so the caller can go on from the same state.  A
+    numerically singular innovation covariance raises
+    :class:`NumericError` with its condition estimate.
     """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape != (model.C.shape[0],):
@@ -98,6 +100,8 @@ def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
             f"expected an observation of shape ({model.C.shape[0]},), "
             f"got {observation.shape}"
         )
+    if not np.isfinite(observation).all():
+        raise ValueError("observation contains non-finite values")
 
     mean_pred = model.A @ state.mean
     cov_pred = model.A @ state.cov @ model.A.T + model.W

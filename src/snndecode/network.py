@@ -89,18 +89,19 @@ class NetworkSpec:
     bn_eps: ClassVar[float] = 1e-5
 
     def __post_init__(self):
+        if not all(_is_int(w) and w > 0 for w in self.layer_widths):
+            raise ValueError(f"layer widths must be positive integers: "
+                             f"{self.layer_widths!r}")
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
         if len(self.layer_widths) < 2:
             raise ValueError("need at least input and output widths")
-        if any(w <= 0 for w in self.layer_widths):
-            raise ValueError(f"layer widths must be positive: {self.layer_widths}")
         if not 0.0 < self.threshold < np.inf:
             raise ValueError(f"threshold={self.threshold!r} is not "
                              f"positive and finite")
         _check_dropout_p(self.dropout_p)
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
-        if not isinstance(self.window_len, Integral) or self.window_len < 1:
+        if not _is_int(self.window_len) or self.window_len < 1:
             raise ValueError(f"window_len={self.window_len!r} is not an "
                              f"integer of at least 1")
 
@@ -217,6 +218,11 @@ class TrainingCache:
     spikes: list = field(default_factory=list)
     masks: list = field(default_factory=list)
     fed: list = field(default_factory=list)
+
+
+def _is_int(value) -> bool:
+    """An integer of Python or numpy, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_dropout_p(dropout_p):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .network import (
     _check_windows,
     _eval_pass,
     _fold,
+    _is_int,
     forward_unfolded,
     init_params,
 )
@@ -55,8 +56,7 @@ class TrainConfig:
         for name in ("batch_size", "window_len", "warmup_discard", "epochs",
                      "seed"):
             value = getattr(self, name)
-            if (not isinstance(value, Integral) or isinstance(value, bool)
-                    or value < 0):
+            if not _is_int(value) or value < 0:
                 raise ValueError(
                     f"{name}={value!r} is not a non-negative integer")
         if self.batch_size < 1:
@@ -110,7 +110,9 @@ def make_windows(features: np.ndarray, velocities: np.ndarray,
     """Cut a frame sequence into training windows.
 
     Consecutive windows shift by one frame, giving
-    ``n_frames - window_len + 1`` samples in chronological order.
+    ``n_frames - window_len + 1`` samples in chronological order.  Arrays
+    of the wrong rank or length raise ``ValueError``, and so does a NaN or
+    an infinity in either, naming the array.
     """
     features = np.asarray(features)
     velocities = np.asarray(velocities)
@@ -121,6 +123,9 @@ def make_windows(features: np.ndarray, velocities: np.ndarray,
             f"{len(features)} feature frames vs {len(velocities)} "
             f"velocity frames"
         )
+    for name, arr in (("features", features), ("velocities", velocities)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contain non-finite values")
     n = len(features)
     if n < window_len:
         raise ValueError(

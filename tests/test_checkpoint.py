@@ -18,7 +18,6 @@ def toy_standardizer(channels=5):
         feat_std=np.full(channels, 2.0, dtype=np.float32),
         vel_mean=np.array([0.1, -0.2], dtype=np.float32),
         vel_std=np.array([1.5, 0.5], dtype=np.float32),
-        degenerate_channels=(3,),
     )
 
 
@@ -45,8 +44,8 @@ def test_snn_round_trip_lossless(tmp_path):
         assert np.array_equal(a.norm.beta, b.norm.beta)
         assert np.array_equal(a.norm.run_mean, b.norm.run_mean)
         assert np.array_equal(a.norm.run_var, b.norm.run_var)
-    assert np.array_equal(std2.feat_mean, std.feat_mean)
-    assert std2.degenerate_channels == (3,)
+    for name in ("feat_mean", "feat_std", "vel_mean", "vel_std"):
+        assert np.array_equal(getattr(std2, name), getattr(std, name))
 
 
 def test_snn_array_names_and_order(tmp_path):
@@ -69,6 +68,34 @@ def test_snn_bytes_deterministic(tmp_path):
     save_snn(a, params, spec, std)
     save_snn(b, params, spec, std)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_big_endian_array_written_little_endian(tmp_path):
+    """The container stores every array little-endian: a big-endian array
+    gives the same bytes as its little-endian twin."""
+    little = np.arange(12, dtype="<f4").reshape(3, 4) / 7
+    paths = tmp_path / "le.bin", tmp_path / "be.bin"
+    for path, arr in zip(paths, (little, little.astype(">f4"))):
+        container.write(path, "frames", {"x": 1}, [("a", arr)])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _, arrays = container.read(paths[1], "frames")
+    assert arrays["a"].dtype.str == "<f4"
+    assert np.array_equal(arrays["a"], little)
+
+
+@pytest.mark.parametrize("kind", ["snn", "kf"])
+def test_older_checkpoint_with_unread_key_loads(tmp_path, kind):
+    """Checkpoints of either kind once carried a list of zero-variance
+    channels; a file that still has it loads as if it had not."""
+    path, older = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+    load = save_either(path, kind)
+    save_either(older, kind)
+    rewritten(older, lambda m, a: m.update(degenerate_channels=[3]), kind)
+    assert "degenerate_channels" not in container.read(path, kind)[0]
+    (*_, old_std, old_extra), (*_, new_std, new_extra) = load(older), load(path)
+    assert old_extra == new_extra
+    for name in ("feat_mean", "feat_std", "vel_mean", "vel_std"):
+        assert np.array_equal(getattr(old_std, name), getattr(new_std, name))
 
 
 def test_kf_round_trip(tmp_path):
@@ -151,8 +178,8 @@ def rewritten(path, edit, kind="snn"):
                  id="bad-threshold"),
     pytest.param(lambda m, a: m["spec"].update(threshold=float("nan")),
                  id="nan-threshold"),
-    pytest.param(lambda m, a: m.pop("degenerate_channels"),
-                 id="no-degenerate_channels"),
+    pytest.param(lambda m, a: m["spec"].update(layer_widths=[5, 7.9, 7, 7, 2]),
+                 id="fractional-width"),
     pytest.param(lambda m, a: m.pop("extra"), id="no-extra"),
     pytest.param(lambda m, a: a.update({"layer0.tau": a["layer0.tau"][:5]}),
                  id="short-tau"),
@@ -260,7 +287,7 @@ def test_rejects_unusable_standardizer(tmp_path, kind, name, edit):
     assert str(path) in str(err.value) and name in str(err.value)
 
 
-@pytest.mark.parametrize("key", ["ridge", "degenerate_channels", "extra"])
+@pytest.mark.parametrize("key", ["ridge", "extra"])
 def test_kf_rejects_missing_meta(tmp_path, key):
     rng = np.random.default_rng(1)
     path = tmp_path / "k.ckpt"

@@ -73,6 +73,21 @@ def test_train_then_eval(trained, dataset, capsys, tmp_path):
     assert first[0] == 16.0                 # val split starts at frame 320
 
 
+@pytest.mark.parametrize("split, frames", [("train", 320), ("all", 400)])
+def test_eval_trace_of_train_and_all_splits(trained, dataset, capsys,
+                                            tmp_path, split, frames):
+    """The training part and the whole file both start at the file's first
+    frame, so their traces start at time 0 and step one frame a row."""
+    trace = tmp_path / "trace.csv"
+    assert main(["eval", "--model", str(trained[0]), "--data", str(dataset),
+                 "--split", split, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    times = [float(row.split(",")[0])
+             for row in trace.read_text().splitlines()[1:]]
+    assert len(times) == frames
+    assert times[0] == 0.0 and times[-1] == round((frames - 1) * 0.05, 6)
+
+
 def test_eval_stream_agree(trained, dataset, capsys):
     ckpt, _ = trained
     assert main(["eval", "--model", str(ckpt),
@@ -220,8 +235,8 @@ def test_synth_rejects_bad_frame_ms(tmp_path, capsys, flag, value):
 
 
 def test_synth_rejects_zero_channels(tmp_path, capsys):
-    """A file without channels would be refused by every loader; a
-    negative count is refused by the same rule before anything is drawn."""
+    """A file without channels would be refused by every loader; synth
+    refuses it, and a negative count, before anything is drawn."""
     out = tmp_path / "d.bin"
     for channels in ("0", "-1"):
         assert main(["synth", "--frames", "20", "--out", str(out),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,58 @@ from test_checkpoint import rewritten
 
 def small_frameset(n=3, channels=4, seed=0):
     rng = np.random.default_rng(seed)
-    from snndecode.data import _make_frameset
-    return _make_frameset(rng.normal(size=(n, channels)),
-                          rng.normal(size=(n, 2)), 50.0, "external")
+    return FrameSet(rng.normal(size=(n, channels)), rng.normal(size=(n, 2)),
+                    50.0, "external")
+
+
+# -------------------------------------------------------------- frame set
+
+def _arrays(n=4, channels=3):
+    rng = np.random.default_rng(1)
+    return rng.normal(size=(n, channels)), rng.normal(size=(n, 2))
+
+
+def test_frameset_holds_contiguous_float32():
+    feats, vels = _arrays()
+    frames = FrameSet(feats[:, ::-1], vels, 25.0)
+    assert frames.features.dtype == frames.velocities.dtype == np.float32
+    assert frames.features.flags.c_contiguous
+    assert np.array_equal(frames.features, feats[:, ::-1].astype(np.float32))
+    assert (len(frames), frames.channel_count) == (4, 3)
+    assert frames.duration_s == 0.1
+    assert frames.provenance == "external"
+
+
+def _poisoned(value, name="features"):
+    feats, vels = _arrays()
+    arrays = {"features": feats, "velocities": vels}
+    arrays[name][2, 1] = value
+    return arrays["features"], arrays["velocities"], 50.0
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param(_poisoned(np.nan), "features", id="nan-feature"),
+    pytest.param(_poisoned(np.inf, "velocities"), "velocities",
+                 id="inf-velocity"),
+    pytest.param(_poisoned(1e39), "features", id="beyond-float32"),
+    pytest.param((_arrays()[0], _arrays(n=5)[1], 50.0), "velocities",
+                 id="mismatched-lengths"),
+    pytest.param((np.zeros((4, 0)), _arrays()[1], 50.0), "channel_count",
+                 id="zero-channels"),
+    pytest.param((np.zeros(4), _arrays()[1], 50.0), "features",
+                 id="one-dimensional-features"),
+    pytest.param((_arrays()[0], np.zeros((4, 3)), 50.0), "velocities",
+                 id="three-velocities"),
+    pytest.param((*_arrays(), 0.0), "frame_ms=0.0", id="zero-frame_ms"),
+    pytest.param((*_arrays(), -5.0), "frame_ms=-5.0", id="negative-frame_ms"),
+    pytest.param((*_arrays(), np.nan), "frame_ms=nan", id="nan-frame_ms"),
+    pytest.param((*_arrays(), np.inf), "frame_ms=inf", id="inf-frame_ms"),
+])
+def test_unusable_frameset_refused(args, named):
+    """A hand-built set meets the same rule as a loaded one: ValueError
+    naming the array or the value, and no numpy warning first."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        FrameSet(*args)
 
 
 # ---------------------------------------------------------------- file io
@@ -31,8 +82,8 @@ def test_csv_round_trip_exact(tmp_path):
     back = load_frames(path)
     assert np.array_equal(back.features, frames.features)
     assert np.array_equal(back.velocities, frames.velocities)
-    assert back.meta.frame_ms == 50.0
-    assert back.meta.sample_count == 3
+    assert back.frame_ms == 50.0
+    assert len(back) == 3
 
 
 def test_csv_known_values(tmp_path):
@@ -57,8 +108,8 @@ def test_binary_round_trip(tmp_path):
     back = load_frames(path)
     assert np.array_equal(back.features, frames.features)
     assert np.array_equal(back.velocities, frames.velocities)
-    assert back.meta.channel_count == 5
-    assert back.meta.provenance == "external"
+    assert back.channel_count == 5
+    assert back.provenance == "external"
 
 
 def test_save_is_deterministic(tmp_path):
@@ -162,14 +213,14 @@ def test_unparseable_frame_ms_names_file(tmp_path):
 @pytest.mark.parametrize("value", [-5.0, 0.0, np.nan, np.inf])
 def test_bad_frame_ms_names_file(tmp_path, fmt, value):
     frames = small_frameset()
-    frames.meta.frame_ms = value
+    frames.frame_ms = value
     path = tmp_path / "bad.frames"
     if fmt == "binary" and not np.isfinite(value):
         # the container's header is strict JSON, so the writer refuses a
         # NaN or an infinity; another writer could leave one there
         with pytest.raises(ValueError):
             save_frames(frames, path, fmt=fmt)
-        frames.meta.frame_ms = 50.0
+        frames.frame_ms = 50.0
         save_frames(frames, path, fmt=fmt)
         rewritten(path, lambda meta, arrays: meta.update(frame_ms=value),
                   "frames")
@@ -184,11 +235,11 @@ def test_csv_keeps_frame_ms_exact(tmp_path, frame_ms):
     """A CSV round trip keeps the float64 frame duration, so the reloaded
     set saves to the same binary bytes as the original."""
     frames = small_frameset()
-    frames.meta.frame_ms = frame_ms
+    frames.frame_ms = frame_ms
     csv, direct, via_csv = (tmp_path / n for n in ("f.csv", "a.bin", "b.bin"))
     save_frames(frames, csv, fmt="csv")
     back = load_frames(csv)
-    assert back.meta.frame_ms == frame_ms
+    assert back.frame_ms == frame_ms
     save_frames(frames, direct)
     save_frames(back, via_csv)
     assert via_csv.read_bytes() == direct.read_bytes()
@@ -223,18 +274,16 @@ def test_format_sniffing(tmp_path):
 def test_split_10_frames():
     frames = small_frameset(n=10)
     train, val = split_train_val(frames)
-    assert train.meta.sample_count == 8
-    assert val.meta.sample_count == 2
+    assert len(train) == 8
+    assert len(val) == 2
 
 
 def test_split_16340_frames():
-    from snndecode.data import _make_frameset
     n = 16340
-    frames = _make_frameset(np.zeros((n, 1)), np.zeros((n, 2)), 50.0,
-                            "external")
+    frames = FrameSet(np.zeros((n, 1)), np.zeros((n, 2)), 50.0, "external")
     train, val = split_train_val(frames)
-    assert train.meta.sample_count == 13072     # floor(0.8 * 16340)
-    assert val.meta.sample_count == 3268
+    assert len(train) == 13072     # floor(0.8 * 16340)
+    assert len(val) == 3268
 
 
 def test_split_is_chronological_partition():
@@ -275,26 +324,22 @@ def test_invert_apply_identity():
 def test_validation_uses_training_statistics():
     # the validation half is shifted, so standardizing it with training
     # statistics must leave a visibly nonzero mean
-    from snndecode.data import _make_frameset
     rng = np.random.default_rng(7)
     feats = rng.normal(size=(100, 3)).astype(np.float32)
     feats[50:] += 5.0
-    frames = _make_frameset(feats, rng.normal(size=(100, 2)), 50.0,
-                            "external")
+    frames = FrameSet(feats, rng.normal(size=(100, 2)), 50.0, "external")
     train, val = split_train_val(frames, ratio=0.5)
     std = Standardizer.fit(train)
     val_feats = std.apply_features(val.features)
     assert np.abs(val_feats.mean(axis=0)).min() > 1.0
 
 
-def test_degenerate_channel_flagged():
-    from snndecode.data import _make_frameset
+def test_degenerate_channel_keeps_unit_scale():
     feats = np.ones((10, 2), dtype=np.float32)
     feats[:, 1] = np.arange(10)
-    frames = _make_frameset(feats, np.random.default_rng(0).normal(
-        size=(10, 2)), 50.0, "external")
+    frames = FrameSet(feats, np.random.default_rng(0).normal(size=(10, 2)),
+                      50.0, "external")
     std = Standardizer.fit(frames)
-    assert std.degenerate_channels == (0,)
     assert std.feat_std[0] == 1.0
     out = std.apply_features(frames.features)
     assert np.isfinite(out).all()
@@ -313,9 +358,9 @@ def test_synth_same_seed_identical():
 
 def test_synth_duration():
     frames = synth_generate(12000, seed=0)
-    assert frames.meta.duration_s == 600.0
-    assert frames.meta.channel_count == 96
-    assert frames.meta.provenance == "synthetic"
+    assert frames.duration_s == 600.0
+    assert frames.channel_count == 96
+    assert frames.provenance == "synthetic"
 
 
 def test_synth_noiseless_linearly_decodable():
@@ -324,11 +369,11 @@ def test_synth_noiseless_linearly_decodable():
     frames = synth_generate(4000, seed=3, noise_std=0.0)
     train, val = split_train_val(frames)
     X = np.column_stack([train.features,
-                         np.ones(train.meta.sample_count)])
+                         np.ones(len(train))])
     W, *_ = np.linalg.lstsq(X.astype(np.float64),
                             train.velocities.astype(np.float64),
                             rcond=None)
-    Xv = np.column_stack([val.features, np.ones(val.meta.sample_count)])
+    Xv = np.column_stack([val.features, np.ones(len(val))])
     pred = Xv @ W
     from snndecode.metrics import pearson
     for d in range(2):

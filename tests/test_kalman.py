@@ -112,6 +112,30 @@ def test_singular_innovation_raises_with_condition():
         kf_step(model, state, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_observation_refused_state_kept(bad):
+    """A NaN frame is refused before any arithmetic and the state passed in
+    is untouched, so decoding goes on from it; without the check every
+    later estimate of ``kf_run`` would be NaN."""
+    rng = np.random.default_rng(8)
+    model = kf_fit(rng.normal(size=(200, 5)), rng.normal(size=(200, 2)))
+    obs = rng.normal(size=(5, 5))
+    state, _ = kf_step(model, kf_init(model), obs[0])
+    mean, cov = state.mean.copy(), state.cov.copy()
+    poisoned = obs[1].copy()
+    poisoned[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kf_step(model, state, poisoned)
+    assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
+    for frame in obs[2:]:
+        state, est = kf_step(model, state, frame)
+        assert np.isfinite(est).all()
+    features = obs.copy()
+    features[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kf_run(model, features)
+
+
 def test_fit_requires_two_frames():
     with pytest.raises(ValueError):
         kf_fit(np.ones((1, 4)), np.ones((1, 2)))

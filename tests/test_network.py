@@ -113,10 +113,19 @@ class TestSpec:
         with pytest.raises(ValueError):
             NetworkSpec(reset_mode="bounce")
         for bad in ({"threshold": 0.0}, {"threshold": np.nan},
-                    {"threshold": np.inf}, {"window_len": 2.5}):
+                    {"threshold": np.inf}, {"window_len": 2.5},
+                    {"window_len": True}):
             name, = bad
             with pytest.raises(ValueError, match=name):
                 NetworkSpec(**bad)
+        # widths are integers as given, never rounded or read from bools
+        for widths in ((96.7, 4.2, 2), (96, 4.0, 2), (96, True, 2),
+                       (96, 0, 2), (96, -4, 2)):
+            with pytest.raises(ValueError, match="layer widths"):
+                NetworkSpec(layer_widths=widths)
+        widths = NetworkSpec(layer_widths=(np.int64(6), 4, np.int32(2)))
+        assert widths.layer_widths == (6, 4, 2)
+        assert all(type(w) is int for w in widths.layer_widths)
         # every layer is normalized with one epsilon: constants, not settings
         assert NetworkSpec().normalize_output is True
         assert NetworkSpec().bn_eps == 1e-5

@@ -72,6 +72,17 @@ def test_too_few_frames():
         make_windows(feats, vels, 10)
 
 
+@pytest.mark.parametrize("name", ["features", "velocities"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_frames_refused(name, bad):
+    """Bad input is named where it enters, not reported as a diverged
+    training run at its first batch."""
+    arrays = dict(zip(("features", "velocities"), toy_data(20)))
+    arrays[name][6, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} contain non-finite"):
+        make_windows(arrays["features"], arrays["velocities"], 5)
+
+
 # -------------------------------------------------------------------- fit
 
 def test_zero_epochs_returns_initial_params():
