@@ -2,42 +2,62 @@
 ``"snn"`` (network parameters, architecture and standardizer) and
 ``"kf"`` (Kalman model and standardizer).
 
-The container checks only its format: a loaded parameter set meets
-``network._check_params``, and the standardizer's rules sit here.  Each
-loader reads only the metadata keys it names, so a key an older writer
-added is ignored.
+The container checks only its format.  What the arrays must be is each
+type's rule: a loaded parameter set meets ``network._check_params``, and
+a :class:`Standardizer` or :class:`KfModel` is built, so its constructor
+checks it.  The loaders add only what ties the parts together (the
+standardizer spans the model's channels and outputs) and turn every
+refusal into a :class:`DataError` naming the file and the array as
+stored.  Each loader reads only the metadata keys it names, so a key an
+older writer added is ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 
 from . import container
 from .data import Standardizer
 from .errors import DataError
-from .kalman import KfModel
+from .kalman import KF_ARRAYS, KfModel
 from .network import (LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec,
                       _check_params)
 
 # The standardizer's arrays, in checkpoint order, each stored as
 # ``std.<name>``.  The ``feat_`` pair spans the model's input channels and
-# the ``vel_`` pair its outputs; the two ``_std`` scales divide, so they
-# must be positive.
+# the ``vel_`` pair its outputs.
 STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
+
+
+@contextmanager
+def _refused_as_data_error(path, prefix: str = ""):
+    """Re-raise a refusal inside the block as :class:`DataError` naming the
+    file: a missing array or key, metadata of the wrong type, or a
+    ``ValueError`` whose message starts with what is at fault, as stored
+    once ``prefix`` (``"kf."``, ``"std."``) is put before it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: no array or metadata key {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {prefix}{exc}") from exc
 
 
 def _load_standardizer(path, arrays: dict, channels: int,
                        outputs: int) -> Standardizer:
     """The standardizer in ``arrays`` of a model of that many input
     channels and outputs; an unusable array raises :class:`DataError`."""
-    container.check_arrays(path, arrays, {
-        f"std.{name}": (channels if name.startswith("feat") else outputs,)
-        for name in STD_ARRAYS})
-    for name in ("std.feat_std", "std.vel_std"):
-        if (arrays[name] <= 0.0).any():
-            raise DataError(f"{path}: array {name!r} has a scale that is "
-                            f"not positive")
-    return Standardizer(**{name: arrays[f"std.{name}"] for name in STD_ARRAYS})
+    with _refused_as_data_error(path, "std."):
+        std = Standardizer(**{name: arrays[f"std.{name}"]
+                              for name in STD_ARRAYS})
+    for name, width in (("feat_mean", channels), ("vel_mean", outputs)):
+        if len(getattr(std, name)) != width:
+            raise DataError(f"{path}: std.{name} and its scale do not have "
+                            f"the model's {width} columns")
+    return std
 
 
 def save_snn(path, params: NetworkParams, spec: NetworkSpec,
@@ -65,7 +85,7 @@ def load_snn(path):
     the decoder sees them.
     """
     meta, arrays = container.read(path, container.SNN)
-    try:
+    with _refused_as_data_error(path, "corrupt checkpoint metadata: "):
         sd = meta["spec"]
         for name in ("normalize_output", "bn_eps"):
             # constants now; older checkpoints store them as settings
@@ -76,20 +96,12 @@ def load_snn(path):
         spec = NetworkSpec(**{f.name: sd[f.name]
                               for f in dataclasses.fields(NetworkSpec)})
         extra = meta["extra"]
-    except KeyError as exc:
-        raise DataError(f"{path}: checkpoint metadata missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    try:
+    with _refused_as_data_error(path):
         params = NetworkParams([
             LayerParams.from_arrays(
                 {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
             for l in range(spec.n_layers)])
         _check_params(params, spec)
-    except KeyError as exc:
-        raise DataError(f"{path}: missing array {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
     std = _load_standardizer(path, arrays, spec.input_width,
                              spec.output_width)
     return params, spec, std, extra
@@ -99,12 +111,7 @@ def save_kf(path, model: KfModel, standardizer: Standardizer,
             extra: dict | None = None) -> None:
     """Write a fitted Kalman baseline plus its input/output scaling."""
     meta = {"ridge": model.ridge, "extra": extra or {}}
-    arrays = [
-        ("kf.A", model.A),
-        ("kf.W", model.W),
-        ("kf.C", model.C),
-        ("kf.Q", model.Q),
-    ]
+    arrays = [(f"kf.{name}", getattr(model, name)) for name in KF_ARRAYS]
     arrays += [(f"std.{name}", getattr(standardizer, name))
                for name in STD_ARRAYS]
     container.write(path, container.KF, meta, arrays)
@@ -113,24 +120,16 @@ def save_kf(path, model: KfModel, standardizer: Standardizer,
 def load_kf(path):
     """Read back (model, standardizer, extra) saved by save_kf.
 
-    Missing metadata or arrays, arrays that do not fit the three-component
-    state, its two velocities and one channel count or hold non-finite
-    values, and a standardizer scale that is not positive raise
-    :class:`DataError`.
+    Missing metadata or arrays, a model that :class:`KfModel` refuses
+    (shapes for one channel count, float64, finite values, a
+    non-negative ridge) and a standardizer that :class:`Standardizer`
+    refuses or that does not span the model's channels and two outputs
+    raise :class:`DataError` naming the file and the array.
     """
     meta, arrays = container.read(path, container.KF)
-    try:
-        ridge = meta["ridge"]
+    with _refused_as_data_error(path, "kf."):
+        model = KfModel(**{name: arrays[f"kf.{name}"] for name in KF_ARRAYS},
+                        ridge=meta["ridge"])
         extra = meta["extra"]
-        observation = arrays["kf.C"]
-    except KeyError as exc:
-        raise DataError(f"{path}: checkpoint missing {exc}") from exc
-    except TypeError as exc:
-        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    c = len(observation) if observation.ndim else 0     # model's channels
-    container.check_arrays(path, arrays, {"kf.A": (3, 3), "kf.W": (3, 3),
-                                          "kf.C": (c, 3), "kf.Q": (c, c)})
-    model = KfModel(A=arrays["kf.A"], W=arrays["kf.W"], C=observation,
-                    Q=arrays["kf.Q"], ridge=ridge)
-    std = _load_standardizer(path, arrays, c, 2)
+    std = _load_standardizer(path, arrays, len(model.C), 2)
     return model, std, extra

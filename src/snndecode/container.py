@@ -13,9 +13,9 @@ Layout (all little-endian)::
 Saving the same content twice gives the same bytes; the header is strict
 JSON (no NaN).  Three kinds share the layout: ``"frames"``
 (:mod:`snndecode.data`), ``"snn"`` and ``"kf"`` (:mod:`snndecode.checkpoint`).
-The container knows only this format: :func:`check_arrays` checks the
-presence, shape, floating type and finiteness of the arrays a loader
-names, and each loader states what else its arrays must be.
+The container knows only this format: it checks no array's shape, dtype
+or values.  What a kind's arrays must be is the rule of the type each
+loader builds from them.
 """
 
 from __future__ import annotations
@@ -106,19 +106,3 @@ def parse(path, raw: bytes, kind: str):
     if offset != len(raw):
         raise DataError(f"{path}: trailing bytes after container payload")
     return meta, arrays
-
-
-def check_arrays(path, arrays: dict, shapes: dict) -> None:
-    """Each array ``shapes`` names must be present, of that shape, and hold
-    finite floating-point values.  What values a model can use is its
-    loader's rule, not the container's."""
-    for name, shape in shapes.items():
-        arr = arrays.get(name)
-        if arr is None:
-            raise DataError(f"{path}: missing array {name!r}")
-        if arr.shape != shape:
-            raise DataError(f"{path}: array {name!r} has shape {arr.shape}, "
-                            f"expected {shape}")
-        if arr.dtype.kind != "f" or not np.isfinite(arr).all():
-            raise DataError(f"{path}: array {name!r} holds non-finite or "
-                            f"non-float ({arr.dtype}) values")

@@ -7,8 +7,9 @@ generated and hand-built sets alike.  Two on-disk formats round-trip
 losslessly: a human-readable CSV, for outside recordings, and the
 ``"frames"`` kind of the binary :mod:`snndecode.container`.
 Helpers cover the chronological train/validation split, the
-train-statistics standardizer, and a synthetic cosine-tuning generator
-that stands in for recordings that cannot be redistributed.
+train-statistics :class:`Standardizer`, and a synthetic cosine-tuning
+generator that stands in for recordings that cannot be redistributed.
+Both value types are frozen, and each one's constructor is its rule.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ ARTIFACT_PROB = 0.25
 ARTIFACT_MULT = 15.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSet:
     """A recording: one row of ``features`` and of ``velocities`` per frame.
 
@@ -43,7 +44,8 @@ class FrameSet:
     channel, ``velocities`` ``(frames, 2)``, both finite, and ``frame_ms``
     a positive, finite duration; anything else raises ``ValueError``
     naming the array or value.  The frame and channel counts are the
-    arrays' shapes.
+    arrays' shapes.  The set is frozen, so no field escapes the rule by
+    being reassigned later.
     """
 
     features: np.ndarray        # (frames, channels) float32
@@ -54,7 +56,7 @@ class FrameSet:
     def __post_init__(self):
         with np.errstate(over="ignore"):    # beyond float32 is inf
             for name in FRAME_ARRAYS:
-                setattr(self, name, np.ascontiguousarray(
+                object.__setattr__(self, name, np.ascontiguousarray(
                     getattr(self, name), dtype=np.float32))
         shape = self.features.shape
         if len(shape) != 2 or shape[1] < 1:
@@ -223,11 +225,16 @@ def split_train_val(frames: FrameSet, ratio: float = 0.8):
     return piece(slice(None, cut)), piece(slice(cut, None))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Standardizer:
     """Per-channel affine maps fit on the training split only.
 
     Channels whose training standard deviation is zero keep scale 1.
+    Building one is its one rule: each array is 1-D, floating-point (of
+    any width: a loaded standardizer keeps its dtype) and finite, each
+    ``_std`` scale is as long as its ``_mean`` and every scale is
+    positive; anything else raises ``ValueError`` whose message starts
+    with the array's name.
     """
 
     feat_mean: np.ndarray
@@ -235,25 +242,31 @@ class Standardizer:
     vel_mean: np.ndarray
     vel_std: np.ndarray
 
+    def __post_init__(self):
+        for name, arr in vars(self).items():
+            if not (isinstance(arr, np.ndarray) and arr.ndim == 1
+                    and arr.dtype.kind == "f" and np.isfinite(arr).all()):
+                raise ValueError(f"{name} is not a 1-D array of finite "
+                                 f"floating-point values")
+        for mean in ("feat_mean", "vel_mean"):
+            scale = mean.replace("mean", "std")
+            if getattr(self, mean).shape != getattr(self, scale).shape:
+                raise ValueError(f"{mean} and its scale {scale} differ in "
+                                 f"length")
+            if not (getattr(self, scale) > 0.0).all():
+                raise ValueError(f"{scale} has a scale that is not positive")
+
     @classmethod
     def fit(cls, frames: FrameSet) -> "Standardizer":
         if len(frames) < 2:
             raise DataError(f"standardizing needs at least two training "
                             f"frames, got {len(frames)}")
-        feat = frames.features.astype(np.float64)
-        vel = frames.velocities.astype(np.float64)
-        feat_mean = feat.mean(axis=0)
-        feat_std = feat.std(axis=0, ddof=1)
-        vel_mean = vel.mean(axis=0)
-        vel_std = vel.std(axis=0, ddof=1)
-        feat_std = np.where(feat_std == 0, 1.0, feat_std)
-        vel_std = np.where(vel_std == 0, 1.0, vel_std)
-        return cls(
-            feat_mean=feat_mean.astype(np.float32),
-            feat_std=feat_std.astype(np.float32),
-            vel_mean=vel_mean.astype(np.float32),
-            vel_std=vel_std.astype(np.float32),
-        )
+        stats = []
+        for arr in (frames.features, frames.velocities):
+            arr = arr.astype(np.float64)
+            std = arr.std(axis=0, ddof=1)
+            stats += [arr.mean(axis=0), np.where(std == 0, 1.0, std)]
+        return cls(*(a.astype(np.float32) for a in stats))
 
     def apply_features(self, features) -> np.ndarray:
         return ((np.asarray(features) - self.feat_mean)

@@ -5,7 +5,9 @@ bias component.  The transition and observation matrices are fit by
 ordinary least squares on the training split, the noise covariances
 from the fit residuals.  Decoding is the standard predict/update
 recursion with the Joseph-form covariance update, which keeps the
-posterior covariance symmetric positive semi-definite.
+posterior covariance symmetric positive semi-definite.  A
+:class:`KfModel` is frozen and its constructor is its one rule, for a
+fitted, loaded or hand-built filter alike.
 """
 
 from __future__ import annotations
@@ -18,16 +20,42 @@ from .errors import NumericError
 
 _COND_LIMIT = 1e12
 
+# The filter's matrices, in checkpoint order, each stored as ``kf.<name>``.
+KF_ARRAYS = ("A", "W", "C", "Q")
 
-@dataclass
+
+@dataclass(frozen=True)
 class KfModel:
-    """Fitted filter matrices (in standardized units)."""
+    """Fitted filter matrices (in standardized units).
+
+    Building one is the model's one rule: ``A`` and ``W`` are ``(3, 3)``,
+    ``C`` is ``(channels, 3)`` with at least one channel and ``Q``
+    ``(channels, channels)``, all finite float64 (the dtype
+    :func:`kf_fit` gives), and ``ridge`` is a non-negative, finite
+    number; anything else raises ``ValueError`` whose message starts
+    with the field's name.
+    """
 
     A: np.ndarray               # (3, 3) state transition
     W: np.ndarray               # (3, 3) process noise covariance
     C: np.ndarray               # (channels, 3) observation matrix
     Q: np.ndarray               # (channels, channels) observation noise
     ridge: float = 0.0          # regularizer used if the fit was deficient
+
+    def __post_init__(self):
+        c = len(self.C) if getattr(self.C, "ndim", 0) == 2 else 0
+        for name, want in zip(KF_ARRAYS,
+                              ((3, 3), (3, 3), (max(c, 1), 3), (c, c))):
+            arr = getattr(self, name)
+            if not (getattr(arr, "dtype", None) == np.float64
+                    and arr.shape == want and np.isfinite(arr).all()):
+                raise ValueError(
+                    f"{name} is {getattr(arr, 'dtype', type(arr))} of shape "
+                    f"{np.shape(arr)}, not finite float64 of shape {want}")
+        if not (isinstance(self.ridge, (int, float))
+                and 0.0 <= self.ridge < np.inf):
+            raise ValueError(f"ridge={self.ridge!r} is not a non-negative, "
+                             f"finite number")
 
 
 @dataclass

@@ -259,8 +259,9 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     frames at least), each epoch records per-output Pearson correlations
     of the validation decode.  Misshaped or non-finite validation
     features, velocities of another length than the features or another
-    width than the outputs or not finite, and either array without the
-    other are refused with ``ValueError`` before the first epoch.  A non-finite
+    width than the outputs or not finite or with a column whose values
+    are all equal, and either array without the other are refused with
+    ``ValueError`` before the first epoch.  A non-finite
     loss aborts with a diagnostic.  The returned parameters are
     writable: validation does not freeze them.
     """
@@ -299,6 +300,10 @@ def fit(dataset: WindowDataset, config: TrainConfig,
                              f" expected {want}")
         if not np.isfinite(val_velocities).all():
             raise ValueError("val_velocities contain non-finite values")
+        flat = (val_velocities == val_velocities[0]).all(axis=0)
+        if flat.any():
+            raise ValueError(f"val_velocities column {flat.argmax() + 1} "
+                             f"is constant, so its correlation is undefined")
     opt_state = adamw_init(params)
     log = TrainingLog(config={"spec": asdict(spec), **asdict(config)})
 

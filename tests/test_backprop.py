@@ -133,6 +133,27 @@ class TestBackwardHandCases:
             backward(cache, params, spec, np.zeros((2, 2, 2)))
 
 
+    @pytest.mark.parametrize("case, match", [
+        ("other-topology", "topology"),
+        ("short-targets", "target shape"),
+        ("wide-targets", "target shape"),
+    ])
+    def test_refuses_foreign_cache_or_targets(self, case, match):
+        """A cache of a net with another layer count, and targets not
+        shaped like the predictions, are refused before any gradient."""
+        params = active_params(TINY, 3)
+        _, targets, _, cache = run_forward(TINY, params, 3)
+        spec = TINY
+        if case == "other-topology":
+            spec = NetworkSpec(layer_widths=(2, 4, 2), window_len=3)
+        elif case == "short-targets":
+            targets = targets[:, :-1]
+        else:
+            targets = np.concatenate([targets, targets], axis=-1)
+        with pytest.raises(ValueError, match=match):
+            backward(cache, params, spec, targets)
+
+
 class TestBackwardVsTapeOracle:
     @pytest.mark.parametrize("reset_mode", ["subtract", "zero"])
     @pytest.mark.parametrize("warmup", [0, 1])

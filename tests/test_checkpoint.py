@@ -1,15 +1,18 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snndecode import container
-from snndecode.checkpoint import load_kf, load_snn, save_kf, save_snn
+from snndecode.checkpoint import (STD_ARRAYS, load_kf, load_snn, save_kf,
+                                  save_snn)
 from snndecode.data import Standardizer
 from snndecode.errors import DataError
-from snndecode.kalman import kf_fit
-from snndecode.network import NetworkSpec, init_params
+from snndecode.kalman import KF_ARRAYS, kf_fit
+from snndecode.network import LAYER_ARRAYS, NetworkSpec, init_params
 
 
 def toy_standardizer(channels=5):
@@ -250,6 +253,28 @@ def test_kf_rejects_misshaped_array(tmp_path, name):
     rewritten(path, lambda m, a: a.update({name: a[name][:-1, :-1]}), "kf")
     with pytest.raises(DataError, match=name):
         load_kf(path)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, "0.0", None, [0.0]],
+                         ids=["negative", "string", "null", "list"])
+def test_kf_rejects_unusable_ridge(tmp_path, ridge):
+    path = tmp_path / "k.ckpt"
+    save_either(path, "kf")
+    rewritten(path, lambda m, a: m.update(ridge=ridge), "kf")
+    with pytest.raises(DataError, match="ridge"):
+        load_kf(path)
+
+
+def test_readme_binary_kinds_table():
+    """The README's table of binary kinds names exactly the arrays the
+    writers store: the layer and standardizer arrays for ``snn``, the
+    filter and standardizer arrays for ``kf``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = dict(re.findall(r"^\s*\| `(\w+)` \| (.*?) \|", readme, re.M))
+    named = {kind: re.findall(r"`[\w<>]*\.(\w+)`", rows[kind])
+             for kind in ("snn", "kf")}
+    assert named["snn"] == [*LAYER_ARRAYS, *STD_ARRAYS]
+    assert named["kf"] == [*KF_ARRAYS, *STD_ARRAYS]
 
 
 def save_either(path, kind):

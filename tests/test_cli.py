@@ -13,6 +13,7 @@ from snndecode import cli
 from snndecode import container
 from snndecode.checkpoint import load_snn
 from snndecode.cli import main
+from snndecode.data import FrameSet, save_frames, synth_generate
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,22 @@ def test_kf_model_rejects_negative_scale(dataset, capsys, tmp_path):
     assert str(ckpt) in err and "std.vel_std" in err
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_kf_model_rejects_narrow_float(dataset, capsys, tmp_path, dtype):
+    """A kf checkpoint rewritten in a narrower float would decode at that
+    precision; it is refused at load, naming the file and the array."""
+    ckpt = tmp_path / "kf.ckpt"
+    assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+    meta, arrays = container.read(ckpt, "kf")
+    container.write(ckpt, "kf", meta, [
+        (name, a.astype(dtype) if name.startswith("kf.") else a)
+        for name, a in arrays.items()])
+    capsys.readouterr()
+    assert main(["kf", "--data", str(dataset), "--model", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert f"{ckpt}: kf.A is {np.dtype(dtype)}" in err and not out
+
+
 def test_config_file_and_flag_precedence(dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 1, "seed": 5,
@@ -267,6 +284,14 @@ def test_synth_rejects_zero_channels(tmp_path, capsys):
                  id="trainable_tau-string"),
     pytest.param("grad_clip", [], {"grad_clip": None},
                  id="grad_clip-retired"),
+    pytest.param("batch_size", [], {"batch_size": 0}, id="batch_size-0"),
+    pytest.param("warmup_discard", [],
+                 {"window_len": 4, "warmup_discard": 4},
+                 id="warmup_discard-whole-window"),
+    pytest.param("learning_rate", [], {"learning_rate": "fast"},
+                 id="learning_rate-string"),
+    pytest.param("reset mode", [], {"reset_mode": "hard"},
+                 id="reset_mode-unknown"),
     pytest.param("learning_rate", ["--lr", "-0.01"], None, id="lr-negative"),
     pytest.param("weight_decay", ["--weight-decay", "nan"], None,
                  id="weight-decay-nan"),
@@ -382,6 +407,19 @@ def test_exit_codes(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_config_exits_2(dataset, tmp_path, capsys, where):
+    cfg = tmp_path / "cfg.json"
+    if where == "directory":
+        cfg.mkdir()
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(dataset), "--out", str(ckpt),
+                 "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "cannot read config file" in err and str(cfg) in err and not out
+    assert not ckpt.exists()
+
+
 def test_short_files_exit_2(dataset, tmp_path, capsys):
     # shorter than the fixed header that follows the magic
     frames = tmp_path / "short.bin"
@@ -466,6 +504,22 @@ def test_one_frame_validation_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "two frames, got 1" in err and not out
     assert not ckpt.exists() and not (tmp_path / "train.log").exists()
+
+
+def test_constant_validation_velocity_exits_2(tmp_path, capsys):
+    """A validation part whose vel1 never changes has no correlation for
+    that output: train exits 2 before the first epoch, as eval would on
+    the same split, and writes nothing."""
+    frames = synth_generate(300, channels=8, seed=3)
+    vels = frames.velocities.copy()
+    vels[240:, 0] = 0.25
+    data, ckpt = tmp_path / "flat.bin", tmp_path / "m.ckpt"
+    save_frames(FrameSet(frames.features, vels, frames.frame_ms), data)
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--epochs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "val_velocities column 1 is constant" in err and not out
+    assert not ckpt.exists()
 
 
 def test_flat_validation_r_stored_as_null(dataset, tmp_path, capsys,

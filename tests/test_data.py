@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -138,6 +139,26 @@ def test_unparseable_cell_names_row(tmp_path):
         load_frames(path)
 
 
+@pytest.mark.parametrize("text, named", [
+    pytest.param("ch1,vel1,vel2\n", "no data rows", id="header-only"),
+    pytest.param("# frames v1\nch1,vel1,vel2\n\n\n", "no data rows",
+                 id="blank-rows-only"),
+])
+def test_csv_without_rows_names_file(tmp_path, text, named):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"empty.csv: {named}"):
+        load_frames(path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("ch1,vel1,vel2\n1,2,3\n\n4,5,6\n\n")
+    frames = load_frames(path)
+    assert np.array_equal(frames.features, [[1.0], [4.0]])
+    assert np.array_equal(frames.velocities, [[2.0, 3.0], [5.0, 6.0]])
+
+
 def test_nonfinite_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ch1,vel1,vel2\n1,2,inf\n")
@@ -212,20 +233,22 @@ def test_unparseable_frame_ms_names_file(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 @pytest.mark.parametrize("value", [-5.0, 0.0, np.nan, np.inf])
 def test_bad_frame_ms_names_file(tmp_path, fmt, value):
-    frames = small_frameset()
-    frames.frame_ms = value
+    """A frame set cannot hold such a duration, so the bad file is another
+    writer's: a good file with its CSV comment line or its container
+    metadata edited."""
     path = tmp_path / "bad.frames"
-    if fmt == "binary" and not np.isfinite(value):
-        # the container's header is strict JSON, so the writer refuses a
-        # NaN or an infinity; another writer could leave one there
-        with pytest.raises(ValueError):
-            save_frames(frames, path, fmt=fmt)
-        frames.frame_ms = 50.0
-        save_frames(frames, path, fmt=fmt)
+    save_frames(small_frameset(), path, fmt=fmt)
+    if fmt == "csv":
+        path.write_text(re.sub(r"frame_ms=\S+", f"frame_ms={value}",
+                               path.read_text(), count=1))
+    else:
+        if not np.isfinite(value):
+            # the container's header is strict JSON, so the writer refuses
+            # a NaN or an infinity; another writer could leave one there
+            with pytest.raises(ValueError):
+                container.write(path, "frames", {"frame_ms": value}, [])
         rewritten(path, lambda meta, arrays: meta.update(frame_ms=value),
                   "frames")
-    else:
-        save_frames(frames, path, fmt=fmt)
     with pytest.raises(DataError, match="bad.frames"):
         load_frames(path)
 
@@ -234,8 +257,7 @@ def test_bad_frame_ms_names_file(tmp_path, fmt, value):
 def test_csv_keeps_frame_ms_exact(tmp_path, frame_ms):
     """A CSV round trip keeps the float64 frame duration, so the reloaded
     set saves to the same binary bytes as the original."""
-    frames = small_frameset()
-    frames.frame_ms = frame_ms
+    frames = dataclasses.replace(small_frameset(), frame_ms=frame_ms)
     csv, direct, via_csv = (tmp_path / n for n in ("f.csv", "a.bin", "b.bin"))
     save_frames(frames, csv, fmt="csv")
     back = load_frames(csv)
@@ -343,6 +365,50 @@ def test_degenerate_channel_keeps_unit_scale():
     assert std.feat_std[0] == 1.0
     out = std.apply_features(frames.features)
     assert np.isfinite(out).all()
+
+
+def _scales(**arrays):
+    """The arrays of a valid three-channel standardizer, some replaced."""
+    return {"feat_mean": np.zeros(3, np.float32),
+            "feat_std": np.ones(3, np.float32),
+            "vel_mean": np.zeros(2), "vel_std": np.ones(2), **arrays}
+
+
+@pytest.mark.parametrize("arrays, named", [
+    pytest.param(_scales(feat_std=np.array([1.0, 0.0, 2.0])), "feat_std",
+                 id="zero-scale"),
+    pytest.param(_scales(vel_std=np.array([1.0, -0.5])), "vel_std",
+                 id="negative-scale"),
+    pytest.param(_scales(feat_std=np.array([1.0, np.nan, 2.0])), "feat_std",
+                 id="nan-scale"),
+    pytest.param(_scales(vel_mean=np.array([np.inf, 0.0])), "vel_mean",
+                 id="infinite-mean"),
+    pytest.param(_scales(feat_std=np.ones(4)), "feat_mean",
+                 id="scale-longer-than-mean"),
+    pytest.param(_scales(vel_mean=np.zeros(3)), "vel_mean",
+                 id="mean-longer-than-scale"),
+    pytest.param(_scales(vel_std=np.ones(2, np.int32)), "vel_std",
+                 id="integer-scale"),
+    pytest.param(_scales(feat_mean=np.zeros((1, 3))), "feat_mean",
+                 id="two-dimensional-mean"),
+    pytest.param(_scales(feat_mean=[0.0, 0.0, 0.0]), "feat_mean",
+                 id="list-mean"),
+])
+def test_unusable_standardizer_refused(arrays, named):
+    """A hand-built standardizer meets the loaded one's rule: ValueError
+    whose message starts with the array's name, before any division."""
+    with pytest.raises(ValueError, match=f"^{named}"):
+        Standardizer(**arrays)
+
+
+@pytest.mark.parametrize("value, field", [
+    pytest.param(small_frameset(), "frame_ms", id="FrameSet"),
+    pytest.param(Standardizer(**_scales()), "feat_std", id="Standardizer"),
+])
+def test_value_types_are_frozen(value, field):
+    """No field escapes its type's rule by being reassigned later."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, -1.0)
 
 
 # -------------------------------------------------------------- generator

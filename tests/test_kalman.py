@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_huge_observation_noise_ignores_observation():
     feats = rng.normal(size=(200, 6))
     vel = rng.normal(size=(200, 2))
     model = kf_fit(feats, vel)
-    model.Q = model.Q + 1e12 * np.eye(6)
+    model = dataclasses.replace(model, Q=model.Q + 1e12 * np.eye(6))
     state = KfState(mean=np.array([0.5, -0.5, 1.0]), cov=np.eye(3))
     prior_mean = model.A @ state.mean
     new_state, est = kf_step(model, state, rng.normal(size=6))
@@ -139,3 +141,50 @@ def test_nonfinite_observation_refused_state_kept(bad):
 def test_fit_requires_two_frames():
     with pytest.raises(ValueError):
         kf_fit(np.ones((1, 4)), np.ones((1, 2)))
+
+
+def _matrices(**arrays):
+    """The matrices of a valid four-channel filter, some replaced."""
+    return {"A": np.eye(3), "W": np.eye(3), "C": np.ones((4, 3)),
+            "Q": np.eye(4), **arrays}
+
+
+@pytest.mark.parametrize("fields, named", [
+    pytest.param(_matrices(Q=np.eye(5)), "Q", id="Q-of-another-size"),
+    pytest.param(_matrices(W=np.where(np.eye(3) == 1, np.nan, 0.0)), "W",
+                 id="nan-in-W"),
+    pytest.param(_matrices(Q=np.full((4, 4), np.inf)), "Q", id="inf-in-Q"),
+    pytest.param(_matrices(A=np.eye(3, dtype=np.float32)), "A",
+                 id="float32-A"),
+    pytest.param(_matrices(C=np.ones((4, 2))), "C", id="C-of-two-columns"),
+    pytest.param(_matrices(C=np.ones((0, 3)), Q=np.eye(0)), "C",
+                 id="no-channels"),
+    pytest.param(_matrices(C=np.ones(3)), "C", id="one-dimensional-C"),
+    pytest.param(_matrices(A=np.eye(3).tolist()), "A", id="list-A"),
+    pytest.param({**_matrices(), "ridge": -1e-8}, "ridge",
+                 id="negative-ridge"),
+    pytest.param({**_matrices(), "ridge": float("nan")}, "ridge",
+                 id="nan-ridge"),
+    pytest.param({**_matrices(), "ridge": "0"}, "ridge", id="string-ridge"),
+])
+def test_unusable_model_refused(fields, named):
+    """A hand-built filter meets the loaded one's rule: ValueError whose
+    message starts with the field's name, not numpy's broadcast error or
+    an SVD that does not converge inside ``kf_run``."""
+    with pytest.raises(ValueError, match=f"^{named}"):
+        KfModel(**fields)
+
+
+def test_model_is_frozen():
+    """No matrix escapes the rule by being reassigned later."""
+    model = KfModel(**_matrices())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.Q = np.eye(5)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1), ()])
+def test_misshaped_observation_refused(shape):
+    """An observation of another shape is refused before any arithmetic."""
+    model = KfModel(**_matrices())
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        kf_step(model, kf_init(model), np.zeros(shape))

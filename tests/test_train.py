@@ -15,6 +15,7 @@ from snndecode.network import NetworkSpec, init_params
 from snndecode.train import (
     TrainConfig,
     TrainingLog,
+    _validation_r,
     decode_sequence,
     decoder_spec,
     fit,
@@ -70,6 +71,17 @@ def test_too_few_frames():
     feats, vels = toy_data(4)
     with pytest.raises(ValueError):
         make_windows(feats, vels, 10)
+
+
+@pytest.mark.parametrize("arrays, match", [
+    pytest.param(lambda f, v: (f[:, 0], v), "expected", id="1-d-features"),
+    pytest.param(lambda f, v: (f, v[None]), "expected", id="3-d-velocities"),
+    pytest.param(lambda f, v: (f, v[:-1]), "20 feature frames vs 19",
+                 id="short-velocities"),
+])
+def test_misshaped_frames_refused(arrays, match):
+    with pytest.raises(ValueError, match=match):
+        make_windows(*arrays(*toy_data(20)), 5)
 
 
 @pytest.mark.parametrize("name", ["features", "velocities"])
@@ -161,6 +173,8 @@ def test_nonfinite_validation_refused_before_training(bad, monkeypatch):
     pytest.param(lambda f, v: (None, v), "both", id="no-features"),
     pytest.param(lambda f, v: (f, np.where(v == v[3, 0], np.nan, v)),
                  "non-finite", id="nan-velocity"),
+    pytest.param(lambda f, v: (f, np.column_stack([v[:, 0], 0.0 * v[:, 1]])),
+                 "column 2 is constant", id="constant-velocity"),
 ])
 def test_unscorable_validation_refused_before_training(val_arrays, match,
                                                         monkeypatch):
@@ -174,6 +188,20 @@ def test_unscorable_validation_refused_before_training(val_arrays, match,
     with pytest.raises(ValueError, match=match):
         fit(ds, config, val_features=val_features,
             val_velocities=val_velocities)
+
+
+def test_flat_prediction_scores_nan():
+    """A readout whose affine step is all zero decodes constant rows; the
+    validation score of such a decode is NaN, not an error mid-training."""
+    feats, vels = toy_data(30, seed=4)
+    config = toy_config()
+    spec = toy_spec(config)
+    params = init_params(spec, np.random.default_rng(0))
+    readout = params.layers[-1].norm
+    readout.gamma[:] = 0.0
+    readout.beta[:] = 0.0
+    r = _validation_r(params, spec, feats[None], vels)
+    assert len(r) == 2 and np.isnan(r).all()
 
 
 def test_different_seed_differs():
