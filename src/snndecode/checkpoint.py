@@ -6,16 +6,15 @@ The container checks only its format.  What the arrays must be is each
 type's rule: a loaded parameter set meets ``network._check_params``, and
 a :class:`Standardizer` or :class:`KfModel` is built, so its constructor
 checks it.  The loaders add only what ties the parts together (the
-standardizer spans the model's channels and outputs) and turn every
-refusal into a :class:`DataError` naming the file and the array as
-stored.  Each loader reads only the metadata keys it names, so a key an
-older writer added is ignored.
+standardizer spans the model's channels and outputs); every refusal
+becomes a :class:`DataError` naming the file and the array as stored,
+through :func:`container.refused`.  Each loader reads only the metadata
+keys it names, so a key an older writer added is ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 
 from . import container
 from .data import Standardizer
@@ -30,27 +29,11 @@ from .network import (LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec,
 STD_ARRAYS = ("feat_mean", "feat_std", "vel_mean", "vel_std")
 
 
-@contextmanager
-def _refused_as_data_error(path, prefix: str = ""):
-    """Re-raise a refusal inside the block as :class:`DataError` naming the
-    file: a missing array or key, metadata of the wrong type, or a
-    ``ValueError`` whose message starts with what is at fault, as stored
-    once ``prefix`` (``"kf."``, ``"std."``) is put before it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise DataError(f"{path}: no array or metadata key {exc}") from exc
-    except TypeError as exc:
-        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {prefix}{exc}") from exc
-
-
 def _load_standardizer(path, arrays: dict, channels: int,
                        outputs: int) -> Standardizer:
     """The standardizer in ``arrays`` of a model of that many input
     channels and outputs; an unusable array raises :class:`DataError`."""
-    with _refused_as_data_error(path, "std."):
+    with container.refused(path, "std."):
         std = Standardizer(**{name: arrays[f"std.{name}"]
                               for name in STD_ARRAYS})
     for name, width in (("feat_mean", channels), ("vel_mean", outputs)):
@@ -85,7 +68,7 @@ def load_snn(path):
     the decoder sees them.
     """
     meta, arrays = container.read(path, container.SNN)
-    with _refused_as_data_error(path, "corrupt checkpoint metadata: "):
+    with container.refused(path, "corrupt checkpoint metadata: "):
         sd = meta["spec"]
         for name in ("normalize_output", "bn_eps"):
             # constants now; older checkpoints store them as settings
@@ -96,7 +79,7 @@ def load_snn(path):
         spec = NetworkSpec(**{f.name: sd[f.name]
                               for f in dataclasses.fields(NetworkSpec)})
         extra = meta["extra"]
-    with _refused_as_data_error(path):
+    with container.refused(path):
         params = NetworkParams([
             LayerParams.from_arrays(
                 {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
@@ -127,7 +110,7 @@ def load_kf(path):
     raise :class:`DataError` naming the file and the array.
     """
     meta, arrays = container.read(path, container.KF)
-    with _refused_as_data_error(path, "kf."):
+    with container.refused(path, "kf."):
         model = KfModel(**{name: arrays[f"kf.{name}"] for name in KF_ARRAYS},
                         ridge=meta["ridge"])
         extra = meta["extra"]

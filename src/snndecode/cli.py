@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .data import (
 )
 from .errors import DataError, NumericError
 from .kalman import kf_fit, kf_run
-from .metrics import evaluate
+from .metrics import check_targets, evaluate
 from .network import NetworkSpec, forward_streaming, reset_state
 from .neuron import RESET_MODES
 from .profiler import (DENSE_ANN_MACS, ann_report, compare_report,
@@ -182,14 +183,42 @@ def _check_channels(data_path, frames: FrameSet, channels: int):
             f"expects {channels}")
 
 
+@contextmanager
+def _naming(where):
+    """Re-raise a refusal inside the block as :class:`DataError` that
+    starts with ``where``: the data file, and the split when the refusal
+    is of one (a recording too short to split, a split too short to
+    standardize or to cut into one window, or one the metrics cannot
+    score)."""
+    try:
+        yield
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
+
+
+def _split(data_path, frames: FrameSet):
+    """The recording's ``(train, val)`` split, or a refusal naming it."""
+    with _naming(data_path):
+        return split_train_val(frames)
+
+
+def _check_scored(data_path, subset: FrameSet, which: str):
+    """Refuse a split whose velocities cannot be scored, naming the data
+    file and the split; the rule is :func:`metrics.check_targets`."""
+    with _naming(f"{data_path}: the {which} split"):
+        check_targets(subset.velocities)
+
+
 def _cmd_train(args) -> int:
     config = _merged_config(args)
     frames = load_frames(args.data)
-    train, val = split_train_val(frames)
-    std = Standardizer.fit(train)
-    ftr, vtr = std.apply(train)
+    train, val = _split(args.data, frames)
+    with _naming(f"{args.data}: the train split"):
+        std = Standardizer.fit(train)
+        ftr, vtr = std.apply(train)
+        dataset = make_windows(ftr, vtr, config.window_len)
+    _check_scored(args.data, val, "val")
     fva, vva = std.apply(val)
-    dataset = make_windows(ftr, vtr, config.window_len)
     spec = decoder_spec(config, frames.channel_count,
                         train.velocities.shape[1], threshold=args.threshold)
     params, log = fit(dataset, config, spec=spec,
@@ -210,21 +239,14 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _select_split(frames: FrameSet, which: str) -> tuple:
+def _select_split(data_path, frames: FrameSet, which: str) -> tuple:
     """Returns (subset FrameSet, index of its first frame in the file)."""
     if which == "all":
         return frames, 0
-    train, val = split_train_val(frames)
+    train, val = _split(data_path, frames)
     if which == "train":
         return train, 0
     return val, len(train)
-
-
-def _check_scored(data_path, subset: FrameSet, which: str):
-    """Refuse a split too short to score: a correlation needs two frames."""
-    if len(subset) < 2:
-        raise DataError(f"{data_path}: the {which} split has {len(subset)} "
-                        f"frame(s); scoring needs at least two")
 
 
 def _load_checkpoint(model_path, data_path, which):
@@ -233,7 +255,7 @@ def _load_checkpoint(model_path, data_path, which):
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
     _check_channels(data_path, frames, spec.input_width)
-    subset, offset = _select_split(frames, which)
+    subset, offset = _select_split(data_path, frames, which)
     feats = std.apply_features(subset.features)
     return params, spec, std, subset, offset, feats
 
@@ -313,13 +335,15 @@ def _cmd_profile(args) -> int:
 
 def _cmd_kf(args) -> int:
     frames = load_frames(args.data)
-    train, val = split_train_val(frames)
+    train, val = _split(args.data, frames)
     if args.model:
         model, std, _ = ckpt.load_kf(args.model)
         _check_channels(args.data, frames, len(model.C))
         _check_scored(args.data, val, "val")
     else:
-        std = Standardizer.fit(train)   # names a short training part first
+        # a short training part is named first
+        with _naming(f"{args.data}: the train split"):
+            std = Standardizer.fit(train)
         _check_scored(args.data, val, "val")
         ftr, vtr = std.apply(train)
         model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))

@@ -169,15 +169,10 @@ def _parse_csv(path, raw: bytes):
 def _parse_container(path, raw: bytes):
     meta, arrays = container.parse(path, raw, container.FRAMES)
     for name in FRAME_ARRAYS:
-        if name not in arrays:
-            raise DataError(f"{path}: missing array {name!r}")
         if arrays[name].dtype != np.float32:
             raise DataError(f"{path}: array {name!r} is not float32")
-    try:
-        frame_ms, provenance = float(meta["frame_ms"]), str(meta["provenance"])
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise DataError(f"{path}: malformed frame metadata: {e!r}") from e
-    return arrays["features"], arrays["velocities"], frame_ms, provenance
+    return (arrays["features"], arrays["velocities"],
+            float(meta["frame_ms"]), str(meta["provenance"]))
 
 
 def load_frames(path) -> FrameSet:
@@ -187,7 +182,9 @@ def load_frames(path) -> FrameSet:
     and the container's kind, its two float32 arrays and its metadata
     keys; the binary layout that came before the container is refused.
     What the arrays and the frame duration must be is :class:`FrameSet`'s
-    rule.  Every refusal is a :class:`DataError` naming the file.
+    rule.  Every refusal is a :class:`DataError` naming the file: a
+    missing array or key, unusable metadata and :class:`FrameSet`'s
+    refusal become one through :func:`container.refused`.
     """
     try:
         with open(path, "rb") as fh:
@@ -198,25 +195,24 @@ def load_frames(path) -> FrameSet:
         raise DataError(f"{path}: an SNNF frame file, a layout no longer "
                         f"read; re-run synth or load the CSV")
     parse = _parse_container if raw[:4] == container.MAGIC else _parse_csv
-    try:
+    with container.refused(path):
         return FrameSet(*parse(path, raw))
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
 
 
 def split_train_val(frames: FrameSet, ratio: float = 0.8):
     """Chronological prefix/suffix split; no shuffling.
 
-    Returns ``(train, val)`` with ``floor(ratio * n)`` training frames.
+    Returns ``(train, val)`` with ``floor(ratio * n)`` training frames;
+    a split that leaves either part empty raises :class:`DataError`
+    naming that part.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("split ratio must lie strictly inside (0, 1)")
     n = len(frames)
     cut = int(ratio * n)
     if cut < 1 or cut >= n:
-        raise DataError(
-            f"split of {n} frames at ratio {ratio} leaves an empty side"
-        )
+        raise DataError(f"split of {n} frames at ratio {ratio} leaves the "
+                        f"{'train' if cut < 1 else 'val'} split empty")
 
     def piece(sl):
         return FrameSet(frames.features[sl], frames.velocities[sl],

@@ -1,4 +1,9 @@
-"""Evaluation metrics: Pearson correlation and mean squared error."""
+"""Evaluation metrics: Pearson correlation and mean squared error.
+
+:func:`check_targets` is the one rule of what can be scored: every path
+that scores a decode (training's validation, ``eval``, ``stream``, ``kf``)
+checks its true velocities with it before it decodes or fits.
+"""
 
 from __future__ import annotations
 
@@ -30,6 +35,24 @@ def pearson(a, b) -> float:
         raise ValueError("correlation undefined for zero-variance input")
     r = float((da * db).sum() / norm)
     return min(1.0, max(-1.0, r))
+
+
+def check_targets(velocities) -> None:
+    """Refuse true velocities that give no correlation per output.
+
+    ``(frames, outputs)`` targets need at least two frames, finite values
+    and no output column whose values are all equal; anything else raises
+    ``ValueError``, naming the column that is constant.
+    """
+    v = np.asarray(velocities)
+    if len(v) < 2:
+        raise ValueError(f"scoring needs at least two frames, got {len(v)}")
+    if not np.isfinite(v).all():
+        raise ValueError("scored velocities hold non-finite values")
+    flat = (v == v[0]).all(axis=0)
+    if flat.any():
+        raise ValueError(f"velocity column {flat.argmax() + 1} is constant, "
+                         f"so its correlation is undefined")
 
 
 def mse(a, b) -> float:

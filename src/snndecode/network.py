@@ -78,6 +78,8 @@ class NetworkSpec:
     96-channel, three-hidden-layer, two-output decoder.  ``window_len`` is
     the number of frames a training sample spans.  Every layer, the
     readout included, is normalized with one epsilon: both are constants.
+    Building one is the rule of every field, also for the run settings a
+    :class:`~snndecode.train.TrainConfig` shares with its decoder.
     """
 
     layer_widths: tuple = (96, 256, 256, 256, 2)
@@ -98,7 +100,10 @@ class NetworkSpec:
         if not 0.0 < self.threshold < np.inf:
             raise ValueError(f"threshold={self.threshold!r} is not "
                              f"positive and finite")
-        _check_dropout_p(self.dropout_p)
+        p = self.dropout_p
+        if isinstance(p, bool) or not (isinstance(p, Real) and 0 <= p < 1):
+            raise ValueError(f"dropout_p={p!r}: the dropout probability "
+                             f"must be a number in [0, 1)")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
         if not _is_int(self.window_len) or self.window_len < 1:
@@ -223,13 +228,6 @@ class TrainingCache:
 def _is_int(value) -> bool:
     """An integer of Python or numpy, not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _check_dropout_p(dropout_p):
-    if (not isinstance(dropout_p, Real) or isinstance(dropout_p, bool)
-            or not 0.0 <= dropout_p < 1.0):
-        raise ValueError(f"dropout_p={dropout_p!r}: the dropout probability "
-                         f"must be a number in [0, 1)")
 
 
 def _check_tau_init(tau_init):

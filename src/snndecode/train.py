@@ -19,11 +19,10 @@ import numpy as np
 from .backprop import backward, window_loss
 from .batchnorm import EVAL, TRAIN
 from .errors import NumericError
-from .metrics import pearson
+from .metrics import check_targets, pearson
 from .network import (
     NetworkParams,
     NetworkSpec,
-    _check_dropout_p,
     _check_tau_init,
     _check_windows,
     _eval_pass,
@@ -32,13 +31,22 @@ from .network import (
     forward_unfolded,
     init_params,
 )
-from .neuron import RESET_MODES, RESET_SUBTRACT
+from .neuron import RESET_SUBTRACT
 from .optim import adamw_init, adamw_step
+
+# The settings a training run and the network it trains both carry; their
+# rule is :class:`NetworkSpec`'s.
+_SPEC_FROM_CONFIG = ("window_len", "reset_mode", "dropout_p")
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run.
+
+    The settings it shares with the decoder (``_SPEC_FROM_CONFIG``) are
+    checked by building a :class:`NetworkSpec` of them; the others, and
+    ``warmup_discard < window_len``, are checked here.
+    """
 
     learning_rate: float = 2e-3
     weight_decay: float = 1e-2
@@ -53,14 +61,15 @@ class TrainConfig:
     dropout_p: float = 0.2
 
     def __post_init__(self):
-        for name in ("batch_size", "window_len", "warmup_discard", "epochs",
-                     "seed"):
+        for name in ("batch_size", "warmup_discard", "epochs", "seed"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
                 raise ValueError(
                     f"{name}={value!r} is not a non-negative integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        NetworkSpec(**{name: getattr(self, name)
+                       for name in _SPEC_FROM_CONFIG})
         if not 0 <= self.warmup_discard < self.window_len:
             raise ValueError(
                 f"warmup_discard={self.warmup_discard} must lie in "
@@ -80,9 +89,6 @@ class TrainConfig:
             raise ValueError(f"trainable_tau={self.trainable_tau!r} is not "
                              f"true or false")
         _check_tau_init(self.tau_init)
-        _check_dropout_p(self.dropout_p)
-        if self.reset_mode not in RESET_MODES:
-            raise ValueError(f"unknown reset mode {self.reset_mode!r}")
 
 
 @dataclass
@@ -167,15 +173,11 @@ class TrainingLog:
     config: dict
     records: list = field(default_factory=list)
 
-    def to_text(self, include_wall: bool = True) -> str:
-        import json
-        header = "# config " + json.dumps(self.config, sort_keys=True)
-        lines = [header]
-        lines += [r.line(include_wall) for r in self.records]
-        return "\n".join(lines) + "\n"
-
     def canonical(self) -> str:
-        return self.to_text(include_wall=False)
+        import json
+        lines = ["# config " + json.dumps(self.config, sort_keys=True)]
+        lines += [r.line(include_wall=False) for r in self.records]
+        return "\n".join(lines) + "\n"
 
 
 def decode_sequence(params: NetworkParams, spec: NetworkSpec,
@@ -189,10 +191,6 @@ def decode_sequence(params: NetworkParams, spec: NetworkSpec,
     preds, _ = forward_unfolded(params, spec, np.asarray(features)[None],
                                 mode=EVAL)
     return preds[0]
-
-
-# The settings a training run and the network it trains both carry.
-_SPEC_FROM_CONFIG = ("window_len", "reset_mode", "dropout_p")
 
 
 def decoder_spec(config: TrainConfig, input_width: int, output_width: int,
@@ -255,12 +253,12 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     the dataset's widths; a given ``spec`` must agree with the config on
     the settings both carry, or ``ValueError`` names the first that
     differs.  Training starts from :func:`init_params` drawn from the
-    run's seed.  If validation arrays are given (both of them, two
-    frames at least), each epoch records per-output Pearson correlations
-    of the validation decode.  Misshaped or non-finite validation
-    features, velocities of another length than the features or another
-    width than the outputs or not finite or with a column whose values
-    are all equal, and either array without the other are refused with
+    run's seed.  If validation arrays are given (both of them), each
+    epoch records per-output Pearson correlations of the validation
+    decode.  Either array without the other, velocities the metrics
+    cannot score (:func:`metrics.check_targets`), misshaped or
+    non-finite validation features, and velocities of another length
+    than the features or another width than the outputs are refused with
     ``ValueError`` before the first epoch.  A non-finite
     loss aborts with a diagnostic.  The returned parameters are
     writable: validation does not freeze them.
@@ -270,9 +268,6 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     if (val_features is None) != (val_velocities is None):
         raise ValueError("validation needs both val_features and "
                          "val_velocities")
-    if val_features is not None and len(val_features) < 2:
-        raise ValueError(f"validation needs at least two frames, got "
-                         f"{len(val_features)}")
     if spec is None:
         spec = decoder_spec(config, dataset.features.shape[1],
                             dataset.velocities.shape[1])
@@ -291,6 +286,7 @@ def fit(dataset: WindowDataset, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     params = init_params(spec, rng, tau_init=config.tau_init)
     if val_features is not None:
+        check_targets(val_velocities)
         val_features = _check_windows(np.asarray(val_features)[None], spec,
                                       params.dtype)
         val_velocities = np.asarray(val_velocities)
@@ -298,12 +294,6 @@ def fit(dataset: WindowDataset, config: TrainConfig,
         if val_velocities.shape != want:
             raise ValueError(f"val_velocities shaped {val_velocities.shape},"
                              f" expected {want}")
-        if not np.isfinite(val_velocities).all():
-            raise ValueError("val_velocities contain non-finite values")
-        flat = (val_velocities == val_velocities[0]).all(axis=0)
-        if flat.any():
-            raise ValueError(f"val_velocities column {flat.argmax() + 1} "
-                             f"is constant, so its correlation is undefined")
     opt_state = adamw_init(params)
     log = TrainingLog(config={"spec": asdict(spec), **asdict(config)})
 

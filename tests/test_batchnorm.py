@@ -27,6 +27,12 @@ class TestBatchStats:
         np.testing.assert_allclose(mean, [2.0])
         np.testing.assert_allclose(var, [1.0])  # biased: ((1)^2+(1)^2)/2
 
+    def test_empty_population_refused(self):
+        """No window, or windows of no frame, have no statistics."""
+        for shape in ((0, 5, 3), (4, 0, 3)):
+            with pytest.raises(ValueError, match="population is empty"):
+                batch_stats(np.zeros(shape))
+
 
 def tdbn_train(x, gamma, beta, threshold=0.4, eps=1e-5):
     """Training-mode tdBN as the forward pass applies it."""

@@ -191,6 +191,8 @@ def rewritten(path, edit, kind="snn"):
                  id="narrow-weight"),
     pytest.param(lambda m, a: a.update({"std.vel_std": a["std.feat_std"]}),
                  id="wide-velocity-scale"),
+    pytest.param(lambda m, a: a.update({name: a[name][:-1] for name in (
+        "std.feat_mean", "std.feat_std")}), id="narrow-feature-scaling"),
     pytest.param(lambda m, a: a["layer1.weight"].__setitem__((2, 3), np.inf),
                  id="inf-weight"),
     pytest.param(lambda m, a: a["layer0.run_var"].__setitem__(0, np.nan),

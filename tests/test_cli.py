@@ -506,19 +506,25 @@ def test_one_frame_validation_exits_2(tmp_path, capsys):
     assert not ckpt.exists() and not (tmp_path / "train.log").exists()
 
 
+def _flat_vel1(path, frames):
+    """Write ``frames`` to ``path`` with the last 60 ``vel1`` values set
+    to 0.25: a 300-frame file's validation part then never changes."""
+    vels = frames.velocities.copy()
+    vels[-60:, 0] = 0.25
+    save_frames(FrameSet(frames.features, vels, frames.frame_ms), path)
+
+
 def test_constant_validation_velocity_exits_2(tmp_path, capsys):
     """A validation part whose vel1 never changes has no correlation for
-    that output: train exits 2 before the first epoch, as eval would on
-    the same split, and writes nothing."""
-    frames = synth_generate(300, channels=8, seed=3)
-    vels = frames.velocities.copy()
-    vels[240:, 0] = 0.25
+    that output: train exits 2 before the first epoch, naming the file,
+    the split and the column as eval does, and writes nothing."""
     data, ckpt = tmp_path / "flat.bin", tmp_path / "m.ckpt"
-    save_frames(FrameSet(frames.features, vels, frames.frame_ms), data)
+    _flat_vel1(data, synth_generate(300, channels=8, seed=3))
     assert main(["train", "--data", str(data), "--out", str(ckpt),
                  "--epochs", "1"]) == 2
     out, err = capsys.readouterr()
-    assert "val_velocities column 1 is constant" in err and not out
+    assert (f"{data}: the val split: velocity column 1 is constant" in err
+            and not out)
     assert not ckpt.exists()
 
 
@@ -536,21 +542,35 @@ def test_flat_validation_r_stored_as_null(dataset, tmp_path, capsys,
     assert load_snn(ckpt)[3]["final_val_r"] == [None, 0.5]
 
 
-@pytest.mark.parametrize("command", ["train", "kf"])
-def test_one_frame_training_part_exits_2(tmp_path, capsys, command):
-    """A 2-frame file leaves one training frame, too few to standardize:
-    exit 2 naming the count, with no numpy warning printed first."""
-    data = tmp_path / "two.bin"
-    assert main(["synth", "--frames", "2", "--channels", "4",
+_SHORT = "standardizing needs at least two training frames, got 1"
+_EMPTY = "split of 1 frames at ratio 0.8 leaves the train split empty"
+
+
+@pytest.mark.parametrize("command, frames, expected", [
+    pytest.param("train", 2, f"the train split: {_SHORT}", id="train"),
+    pytest.param("kf", 2, f"the train split: {_SHORT}", id="kf"),
+    pytest.param("train", 12, "the train split: need at least 10 frames to "
+                 "cut one window, got 9", id="train-no-window"),
+    pytest.param("eval", 1, _EMPTY, id="eval-one-frame"),
+    pytest.param("kf", 1, _EMPTY, id="kf-one-frame"),
+])
+def test_one_frame_training_part_exits_2(one_frame_split, tmp_path, command,
+                                         frames, expected):
+    """A training part too short to split off, to standardize (one frame)
+    or to cut into one window exits 2 naming the data file, the part and
+    the count, with no numpy warning printed first."""
+    _, models = one_frame_split
+    data = tmp_path / "short.bin"
+    assert main(["synth", "--frames", str(frames), "--channels", "4",
                  "--out", str(data)]) == 0
-    capsys.readouterr()
+    out = ["--model", str(models["snn"])] if command == "eval" else [
+        "--out", str(tmp_path / "m.ckpt")]
     result = subprocess.run(
         [sys.executable, "-W", "default", "-m", "snndecode", command,
-         "--data", str(data), "--out", str(tmp_path / "m.ckpt")],
-        capture_output=True, text=True)
+         "--data", str(data), *out], capture_output=True, text=True)
     assert result.returncode == 2
-    assert result.stderr == ("data error: standardizing needs at least two "
-                             "training frames, got 1\n")
+    assert result.stderr == f"data error: {data}: {expected}\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_malformed_checkpoint_exits_2(trained, dataset, tmp_path, capsys):
@@ -710,7 +730,8 @@ def test_one_frame_split_exits_2(one_frame_split, capsys, monkeypatch,
         argv += ["--model", str(models[model])]
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert f"{five}: the val split has 1 frame" in err and not out
+    assert (f"{five}: the val split: scoring needs at least two frames, "
+            f"got 1" in err and not out)
 
 
 def test_one_frame_split_profiles(one_frame_split, capsys):
@@ -720,6 +741,68 @@ def test_one_frame_split_profiles(one_frame_split, capsys):
     assert main(["profile", "--model", str(models["snn"]),
                  "--data", str(five)]) == 0
     assert "spike rates over 1 frames" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def flat_split(tmp_path_factory):
+    """A 300-frame, 8-channel file whose validation ``vel1`` never
+    changes, and models for its channels fit on the unflattened file."""
+    d = tmp_path_factory.mktemp("flat")
+    frames = synth_generate(300, channels=8, seed=3)
+    good, flat = d / "good.bin", d / "flat.bin"
+    save_frames(frames, good)
+    _flat_vel1(flat, frames)
+    models = {"snn": d / "m.ckpt", "kf": d / "kf.ckpt"}
+    for argv in (["train", "--data", good, "--out", models["snn"],
+                  "--epochs", "1", "--batch-size", "32"],
+                 ["kf", "--data", good, "--out", models["kf"]]):
+        assert main([str(a) for a in argv]) == 0
+    return flat, models
+
+
+@pytest.mark.parametrize("command, model", [
+    ("eval", "snn"), ("stream", "snn"), ("kf", None), ("kf", "kf")])
+def test_flat_split_exits_2(flat_split, tmp_path, capsys, monkeypatch,
+                            command, model):
+    """A split whose vel1 never changes has no correlation for it: exit 2
+    naming the data file, the split and the column, before any decode or
+    fit, and ``kf --out`` writes nothing."""
+    flat, models = flat_split
+    for name in ("decode_sequence", "kf_fit", "kf_run"):
+        monkeypatch.setattr(cli, name, None)
+    capsys.readouterr()
+    kf_out = tmp_path / "kf.ckpt"
+    argv = [command, "--data", str(flat)]
+    argv += ["--model", str(models[model])] if model else [
+        "--out", str(kf_out)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"data error: {flat}: the val split: velocity column 1 "
+                   f"is constant, so its correlation is undefined\n")
+    assert not out and not kf_out.exists()
+
+
+def test_flat_split_profiles(flat_split, capsys):
+    """``profile`` scores nothing, so a constant velocity is no refusal."""
+    flat, models = flat_split
+    capsys.readouterr()
+    assert main(["profile", "--model", str(models["snn"]),
+                 "--data", str(flat)]) == 0
+    assert "spike rates over 60 frames" in capsys.readouterr().out
+
+
+def test_failed_write_exits_2(dataset, tmp_path, capsys, monkeypatch):
+    """An output that fails while it is written (a full disk) exits 2
+    naming the failure, not with a traceback."""
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.ckpt, "save_kf", full)
+    assert main(["kf", "--data", str(dataset),
+                 "--out", str(tmp_path / "kf.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write output: ")
+    assert "No space left on device" in err
 
 
 def test_profile_runs_one_inference_pass(trained, dataset, capsys,

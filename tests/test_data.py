@@ -113,6 +113,13 @@ def test_binary_round_trip(tmp_path):
     assert back.provenance == "external"
 
 
+def test_save_refuses_unknown_format(tmp_path):
+    path = tmp_path / "d.npz"
+    with pytest.raises(ValueError, match="unknown format 'npz'"):
+        save_frames(small_frameset(), path, fmt="npz")
+    assert not path.exists()
+
+
 def test_save_is_deterministic(tmp_path):
     frames = small_frameset(seed=5)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -196,7 +203,7 @@ _META = {"frame_ms": 50.0, "provenance": "external"}
     (_META, _one_frame(velocities=np.zeros((1, 3), np.float32)),
      "velocities"),
     (_META, _one_frame(features=np.zeros((1, 3), np.int32)), "features"),
-    ([1, 2], _one_frame(), "frame metadata"),
+    ([1, 2], _one_frame(), "corrupt metadata"),
     (_META, _one_frame(features=np.full((1, 3), np.inf, np.float32)),
      "features"),
     (_META, _one_frame(velocities=np.zeros((1, 2))), "velocities"),
@@ -319,8 +326,14 @@ def test_split_is_chronological_partition():
 
 def test_split_rejects_empty_side():
     frames = small_frameset(n=1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="leaves the train split empty"):
         split_train_val(frames)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, np.nan])
+def test_split_ratio_must_lie_inside_unit_interval(ratio):
+    with pytest.raises(ValueError, match="strictly inside"):
+        split_train_val(small_frameset(n=10), ratio)
 
 
 # ----------------------------------------------------------- standardizer

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snndecode.metrics import MetricReport, evaluate, mse, pearson
+from snndecode.metrics import (MetricReport, check_targets, evaluate, mse,
+                               pearson)
 
 
 def test_identical_sequences():
@@ -50,6 +51,24 @@ def test_affine_invariance():
 def test_mse():
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mse([0.0, 0.0], [1.0, 2.0]) == 2.5
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mse(np.zeros((3, 2)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("targets, match", [
+    pytest.param(np.zeros((0, 2)), "two frames, got 0", id="no-frames"),
+    pytest.param(np.ones((1, 2)), "two frames, got 1", id="one-frame"),
+    pytest.param([[0.0, 1.0], [np.nan, 2.0]], "non-finite", id="nan"),
+    pytest.param([[0.0, 1.0], [1.0, -np.inf]], "non-finite", id="inf"),
+    pytest.param([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], "column 2 is constant",
+                 id="constant-column"),
+])
+def test_check_targets_refuses_unscorable(targets, match):
+    """Targets with no correlation per output are refused, naming what
+    is at fault; scorable ones pass."""
+    with pytest.raises(ValueError, match=match):
+        check_targets(targets)
+    check_targets([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_evaluate_report():

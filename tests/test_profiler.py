@@ -86,6 +86,8 @@ def test_report_identities():
 def test_mlp_mac_counts():
     assert mlp_mac_count([2, 3]) == 6
     assert mlp_mac_count([96, 256, 256, 256, 2]) == 156_160
+    with pytest.raises(ValueError, match="at least one layer width"):
+        mlp_mac_count([])
     rep = ann_report(529_000)
     assert rep.mem_access == 2_116_000
     assert rep.add_count == 0
@@ -157,6 +159,16 @@ def test_single_report_table():
     text = compare_report([("snn", rep)]).to_text()
     assert "MAC" in text and "Mem access" in text
     assert "vs" not in text                 # no ratio line for one entry
+
+
+def test_compare_report_needs_a_counting_reference():
+    """The first report is what the ratios divide by: none, or one that
+    counts no operations, is refused."""
+    with pytest.raises(ValueError, match="at least one report"):
+        compare_report([])
+    empty = make_report(0, 0)
+    with pytest.raises(ValueError, match="reference 'none' counts no"):
+        compare_report([("none", empty), ("ann", ann_report(529_000))])
 
 
 def test_structured_report_matches_text_numbers():

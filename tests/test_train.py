@@ -15,6 +15,7 @@ from snndecode.network import NetworkSpec, init_params
 from snndecode.train import (
     TrainConfig,
     TrainingLog,
+    WindowDataset,
     _validation_r,
     decode_sequence,
     decoder_spec,
@@ -242,6 +243,44 @@ def test_fixed_tau_untouched():
     params, _ = fit(ds, config)
     for layer in params.layers:
         assert np.all(layer.tau == np.float32(0.5))
+
+
+def test_nonfinite_loss_aborts_with_diagnostic(monkeypatch):
+    """A loss that is not finite ends training at that batch, naming it."""
+    feats, vels = toy_data(40)
+    config = toy_config()
+    monkeypatch.setattr("snndecode.train.window_loss",
+                        lambda *args: float("nan"))
+    with pytest.raises(NumericError, match="loss at epoch 0, batch 0"):
+        fit(make_windows(feats, vels, config.window_len), config)
+
+
+@pytest.mark.parametrize("frames, window_len, match", [
+    pytest.param(4, 5, "empty window dataset", id="no-window"),
+    pytest.param(20, 6, "span 6 frames, topology wants 5",
+                 id="other-window-length"),
+])
+def test_fit_refuses_unusable_dataset(frames, window_len, match):
+    """A hand-built dataset with no whole window, or with windows of
+    another length than the decoder's, is refused before training."""
+    feats, vels = toy_data(frames)
+    with pytest.raises(ValueError, match=match):
+        fit(WindowDataset(feats, vels, window_len), toy_config())
+
+
+@pytest.mark.parametrize("name, value", [("window_len", 2.5),
+                                         ("window_len", 0),
+                                         ("reset_mode", "hard"),
+                                         ("dropout_p", 1.0),
+                                         ("dropout_p", True)])
+def test_config_run_settings_follow_spec_rule(name, value):
+    """The settings a run shares with its decoder have one rule, the
+    spec's: the config refuses them with the spec's own message."""
+    with pytest.raises(ValueError) as spec_err:
+        NetworkSpec(**{name: value})
+    with pytest.raises(ValueError) as config_err:
+        TrainConfig(**{name: value, "warmup_discard": 0})
+    assert str(config_err.value) == str(spec_err.value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
