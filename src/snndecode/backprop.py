@@ -3,12 +3,15 @@
 The forward pass is a chain of matmuls, pooled normalizations, and two
 kinds of membrane recurrence (spiking hidden layers, integrator
 readout).  :func:`backward` walks that chain in reverse, layer-major
-like the forward and on the same time-major ``(T, B, width)`` arrays:
-for each layer it first resolves the time recurrence back to front,
-then the normalizer, then the weights, handing the remaining gradient
-to the layer below.  One loop serves both reset modes and the readout:
-each differs only in what a spike removes and in the leak, which are
-set once per layer before the loop.
+like the forward and on the time-major ``(T, B, width)`` arrays the
+training pass recorded in its :class:`~snndecode.network.TrainingCache`;
+only the predictions, their gradient and the dropout masks are
+batch-major, as the callers hold them.  For each layer it first
+resolves the time recurrence back to front, then the normalizer, then
+the weights, handing the remaining gradient to the layer below.  One
+loop serves both reset modes and the readout: each differs only in what
+a spike removes and in the leak, which are set once per layer before
+the loop.
 
 Spike generation is a step function, so its true derivative is useless;
 gradient crosses it through the box-window surrogate.  What `backward`
@@ -61,8 +64,17 @@ def window_loss(predictions: np.ndarray, targets: np.ndarray,
     the decoder state is still settling there.  The mean runs over every
     remaining (sample, frame, output) entry.
     """
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
+    diff = _kept_error(np.asarray(predictions), np.asarray(targets),
+                       warmup_discard)
+    return float(np.mean(diff * diff))
+
+
+def _kept_error(predictions: np.ndarray, targets: np.ndarray,
+                warmup_discard: int) -> np.ndarray:
+    """``predictions - targets`` on the frames the loss keeps: all but the
+    first ``warmup_discard`` of every window, frames on the second-last
+    axis.  Arrays of two shapes, and a discard outside ``[0, T)``, raise
+    ``ValueError``."""
     if predictions.shape != targets.shape:
         raise ValueError(
             f"prediction shape {predictions.shape} != target shape "
@@ -73,18 +85,14 @@ def window_loss(predictions: np.ndarray, targets: np.ndarray,
         raise ValueError(
             f"warmup_discard={warmup_discard} must lie in [0, {T})"
         )
-    diff = predictions[..., warmup_discard:, :] - targets[..., warmup_discard:, :]
-    return float(np.mean(diff * diff))
+    return predictions[..., warmup_discard:, :] - targets[..., warmup_discard:, :]
 
 
 def _loss_grad(predictions, targets, warmup_discard):
     """d window_loss / d predictions, zero on the discarded frames."""
+    diff = _kept_error(predictions, targets, warmup_discard)
     grad = np.zeros_like(predictions)
-    kept = predictions[..., warmup_discard:, :]
-    n_terms = kept.size
-    grad[..., warmup_discard:, :] = (
-        2.0 * (kept - targets[..., warmup_discard:, :]) / n_terms
-    )
+    grad[..., warmup_discard:, :] = 2.0 * diff / diff.size
     return grad
 
 
@@ -99,20 +107,16 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
     (including the reset term), through the pooled normalizer, and into
     weights, decay factors, and the normalizer's affine parameters,
     accumulated over batch and time.  ``targets`` are shaped like the
-    predictions, ``(B, T, out_width)``.
+    predictions, ``(B, T, out_width)``, and ``warmup_discard`` must lie
+    in ``[0, T)``, as in :func:`window_loss`.
     """
-    if cache.mode != batchnorm.TRAIN:
+    if not isinstance(cache, TrainingCache):
         raise ValueError("backward needs a training-mode forward cache")
     if len(cache.potentials) != spec.n_layers:
         raise ValueError("cache does not match the network topology")
 
-    preds = cache.potentials[-1]
+    preds = cache.potentials[-1].transpose(1, 0, 2)
     targets = np.asarray(targets, dtype=preds.dtype)
-    if targets.shape != preds.shape:
-        raise ValueError(
-            f"target shape {targets.shape} does not match predictions "
-            f"{preds.shape}"
-        )
     B, T, _ = preds.shape
     thr = spec.threshold
 
@@ -122,7 +126,7 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
     for l in reversed(range(spec.n_layers)):
         layer = params.layers[l]
         tau = layer.tau
-        u = cache.potentials[l].transpose(1, 0, 2)
+        u = cache.potentials[l]
         # u[t+1] = tau * (u[t] - r[t] * s[t]) + current: a spike removes r,
         # the threshold or the whole potential (u - u * s == u * (1 - s)
         # exactly, as s is 0 or 1).  The readout is the case that never
@@ -135,7 +139,7 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             if cache.masks[l] is not None:
                 grad_out = grad_out * cache.masks[l].transpose(1, 0, 2)
             window = surrogate_grad(u, thr)             # d s[t] / d u[t]
-            s = cache.spikes[l].transpose(1, 0, 2)
+            s = cache.spikes[l]
             if spec.reset_mode == RESET_SUBTRACT:
                 r = thr
             else:
@@ -156,11 +160,9 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             gu_next = gu
 
         grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
-            grad_norm, cache.xhat[l].transpose(1, 0, 2), cache.inv_std[l],
-            layer.norm.gamma, thr)
+            grad_norm, cache.xhat[l], cache.inv_std[l], layer.norm.gamma, thr)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs
-        act_in = act_in.transpose(1, 0, 2)
         grad_rows = grad_cur.reshape(T * B, -1)
         grad_weight = _blocked_gemm(grad_rows.T, act_in.reshape(T * B, -1))
         if l > 0:                   # the network input needs no gradient

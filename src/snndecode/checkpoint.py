@@ -45,7 +45,12 @@ def _load_standardizer(path, arrays: dict, channels: int,
 
 def save_snn(path, params: NetworkParams, spec: NetworkSpec,
              standardizer: Standardizer, extra: dict | None = None) -> None:
-    """Write a trained spiking decoder plus its input/output scaling."""
+    """Write a trained spiking decoder plus its input/output scaling.
+
+    A parameter set :func:`load_snn` would refuse (``_check_params``)
+    raises ``ValueError`` before the file is opened.
+    """
+    _check_params(params, spec)
     meta = {"spec": dataclasses.asdict(spec), "extra": extra or {}}
     arrays = [(f"layer{l}.{name}", a)
               for l, layer in enumerate(params.layers)

@@ -12,11 +12,13 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
   each layer's matmul as one blocked product over all time and batch
   rows, normalizes with the pooled batch and time statistics, keeps the
   potentials, applies dropout, and records every intermediate the
-  backward pass needs (as ``(B, T, width)`` views);
+  backward pass needs in a :class:`TrainingCache`, time-major as it
+  computed them;
 * the inference pass runs one matmul per frame on weights with the
   normalizer folded in (:func:`_fold`), adds the folded bias and carries
   the membrane state on from a given start.  :func:`forward_unfolded` in
-  ``"eval"`` mode runs it from a zero state; :func:`forward_streaming`
+  ``"eval"`` mode runs it from a zero state and returns the predictions
+  and the hidden layers' spikes; :func:`forward_streaming`
   runs it over a one-frame window from the state a real-time session
   carries.  Streamed rows therefore equal the unfolded rows by
   construction.
@@ -34,7 +36,9 @@ decoded parameter set raises instead of decoding with stale weights.
 Rebinding an array (``layer.weight = other``) is allowed and refolds on
 the next inference; a copy or an unpickled set folds its own.  Training
 writes its parameters in place, so its per-epoch validation folds afresh
-and leaves them writable.
+and leaves them writable, and a training step refuses a decoded set
+(:func:`_check_writable`) before it writes anything: the set must be
+copied first.
 """
 
 from __future__ import annotations
@@ -201,20 +205,20 @@ class NetworkState:
 
 @dataclass
 class TrainingCache:
-    """Every intermediate of one unfolded forward pass, layer-indexed.
+    """Every intermediate of one training pass, layer-indexed.
 
-    Index ``l`` runs over weight layers; the last entry is the readout.
-    The per-step fields are ``(B, T, width)`` views of the training
-    pass's time-major arrays.
-    ``fed[l]`` is the activation that actually reached layer ``l + 1``
-    (spikes after dropout), ``masks[l]`` the scaled dropout mask or None,
-    and ``xhat``/``inv_std`` are the normalizer intermediates.
-    ``mean``/``var`` hold the batch statistics so the trainer can advance
-    the running averages.
+    Index ``l`` runs over weight layers; the last entry is the readout,
+    whose ``spikes``, ``masks`` and ``fed`` entries are None.  The
+    per-step fields are the pass's own time-major ``(T, B, width)``
+    arrays, except ``masks[l]``, the scaled dropout mask or None, which
+    is ``(B, T, width)`` like the windows.  ``inputs`` is the windows,
+    time-major too; ``fed[l]`` is the activation that actually reached
+    layer ``l + 1`` (spikes after dropout), and ``xhat``/``inv_std`` are
+    the normalizer intermediates.  ``mean``/``var`` hold the batch
+    statistics so the trainer can advance the running averages.
     """
 
-    mode: str
-    inputs: np.ndarray                      # (B, T, in_width)
+    inputs: np.ndarray                      # (T, B, in_width)
     xhat: list = field(default_factory=list)
     inv_std: list = field(default_factory=list)
     mean: list = field(default_factory=list)
@@ -312,6 +316,19 @@ def _check_params(params: NetworkParams, spec: NetworkSpec):
                              f"[0, 1]")
         if layer.norm.run_var.min() < 0.0:
             raise ValueError(f"layer{l}.run_var has a negative variance")
+
+
+def _check_writable(params: NetworkParams, names) -> None:
+    """Raise ``ValueError`` unless the ``names`` arrays of every layer are
+    writable, naming the first that is not: a training step writes them
+    in place."""
+    for l, layer in enumerate(params.layers):
+        arrays = layer.arrays()
+        for name in names:
+            if not arrays[name].flags.writeable:
+                raise ValueError(f"layer{l}.{name} is read-only: a decoded "
+                                 f"parameter set must be copied "
+                                 f"(copy.deepcopy) before it is trained")
 
 
 def _fold(params: NetworkParams, spec: NetworkSpec) -> list:
@@ -481,32 +498,32 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
 
     Returns
     -------
-    (ndarray, TrainingCache)
-        Predictions of shape ``(B, T, out_width)`` and the cache of
-        intermediates.  An ``"eval"`` cache holds only the spikes.
+    (ndarray, TrainingCache) or (ndarray, list)
+        Predictions of shape ``(B, T, out_width)``, and in ``"train"``
+        mode the :class:`TrainingCache` that
+        :func:`~snndecode.backprop.backward` takes, in ``"eval"`` mode
+        one ``(B, T, width)`` spike array per hidden layer.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == EVAL:
         folded = _folded(params, spec)
-        windows = _check_windows(windows, spec, params.dtype)
-        preds, spikes = _eval_pass(folded, spec, windows)
-        return preds, TrainingCache(mode=EVAL, inputs=windows,
-                                    spikes=spikes + [None])
+        return _eval_pass(folded, spec,
+                          _check_windows(windows, spec, params.dtype))
     _check_params(params, spec)
     windows = _check_windows(windows, spec, params.dtype)
     if spec.dropout_p > 0.0 and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
 
-    # the training pass runs time-major, (T, B, w); the cache holds
-    # (B, T, w) views of its arrays
+    # the training pass runs time-major, (T, B, w)
     B, T, _ = windows.shape
     act = np.ascontiguousarray(windows.transpose(1, 0, 2))
-    cache = TrainingCache(mode=TRAIN, inputs=act.transpose(1, 0, 2))
+    cache = TrainingCache(inputs=act)
     for l, layer in enumerate(params.layers):
+        fan_in, width = spec.layer_widths[l:l + 2]
         # one blocked matmul over all (time*batch) rows: fastest path
-        cur = _blocked_gemm(act.reshape(T * B, -1), layer.weight.T)
-        cur = cur.reshape(T, B, -1)
+        cur = _blocked_gemm(act.reshape(T * B, fan_in), layer.weight.T)
+        cur = cur.reshape(T, B, width)
 
         n = layer.norm
         mean, var = batchnorm.batch_stats(cur)
@@ -528,15 +545,16 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                 mask = mask / keep          # inverted scaling: eval needs none
                 act = spikes * mask
 
+        cache.xhat.append(xhat)
         cache.inv_std.append(inv_std)
         cache.mean.append(mean)
         cache.var.append(var)
-        for field, value in ((cache.xhat, xhat), (cache.potentials, u),
-                             (cache.spikes, spikes), (cache.masks, mask),
-                             (cache.fed, act)):
-            field.append(None if value is None else value.transpose(1, 0, 2))
+        cache.potentials.append(u)
+        cache.spikes.append(spikes)
+        cache.masks.append(None if mask is None else mask.transpose(1, 0, 2))
+        cache.fed.append(act)
 
-    return cache.potentials[-1], cache
+    return cache.potentials[-1].transpose(1, 0, 2), cache
 
 
 def forward_streaming(params: NetworkParams, spec: NetworkSpec,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .backprop import Gradients
 from .errors import NumericError
-from .network import TRAINED, NetworkParams
+from .network import TRAINED, NetworkParams, _check_writable
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -49,8 +49,10 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
     afterwards.  The gradients are left untouched.  A step whose update
     overflows (a finite gradient near the largest float can do that)
     raises :class:`NumericError`; the parameters are then partly updated
-    and must not be used.
+    and must not be used.  A decoded, read-only set is refused with
+    ``ValueError`` before anything is written.
     """
+    _check_writable(params, TRAINED)
     state.step += 1
     t = state.step
     bias1 = 1.0 - BETA1 ** t

@@ -72,15 +72,15 @@ class SpikeStats:
 def count_spikes(params: NetworkParams, spec: NetworkSpec,
                  features: np.ndarray) -> SpikeStats:
     """Exact firing frequencies of an inference-mode run over ``features``,
-    which must hold at least one frame."""
+    which must hold at least one frame, from the ``(1, T, width)`` spike
+    array of each hidden layer that the run returns."""
     features = np.asarray(features)
-    _, cache = forward_unfolded(params, spec, features[None], mode=EVAL)
+    _, spikes = forward_unfolded(params, spec, features[None], mode=EVAL)
     if not len(features):
         raise ValueError("counting spikes needs at least one frame")
-    per_neuron = [s[0].mean(axis=0, dtype=np.float64)
-                  for s in cache.spikes[:-1]]
+    per_neuron = [s[0].mean(axis=0, dtype=np.float64) for s in spikes]
     layer_rates = tuple(float(r.mean()) for r in per_neuron)
-    total = sum(float(s.sum()) for s in cache.spikes[:-1])
+    total = sum(float(s.sum()) for s in spikes)
     return SpikeStats(
         layer_rates=layer_rates,
         per_neuron=per_neuron,

@@ -25,6 +25,7 @@ from .network import (
     NetworkSpec,
     _check_tau_init,
     _check_windows,
+    _check_writable,
     _eval_pass,
     _fold,
     _is_int,
@@ -214,7 +215,9 @@ def _advance_running_stats(params: NetworkParams, cache):
     """Move every layer's running statistics, in place, toward the batch
     statistics ``cache`` recorded.  Statistics that overflow (a finite
     loss can come with an infinite batch variance) raise
-    :class:`NumericError`."""
+    :class:`NumericError`; a decoded, read-only set raises ``ValueError``
+    before anything is written."""
+    _check_writable(params, ("run_mean", "run_var"))
     mom = BN_MOMENTUM
     for l, (layer, mean, var) in enumerate(zip(params.layers, cache.mean,
                                                cache.var)):

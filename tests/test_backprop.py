@@ -137,21 +137,26 @@ class TestBackwardHandCases:
         ("other-topology", "topology"),
         ("short-targets", "target shape"),
         ("wide-targets", "target shape"),
+        ("discard-negative", "warmup_discard"),
+        ("discard-whole-window", "warmup_discard"),
     ])
     def test_refuses_foreign_cache_or_targets(self, case, match):
-        """A cache of a net with another layer count, and targets not
-        shaped like the predictions, are refused before any gradient."""
+        """A cache of a net with another layer count, targets not shaped
+        like the predictions, and a warmup discard that window_loss
+        refuses are refused before any gradient."""
         params = active_params(TINY, 3)
         _, targets, _, cache = run_forward(TINY, params, 3)
-        spec = TINY
+        spec, discard = TINY, 0
         if case == "other-topology":
             spec = NetworkSpec(layer_widths=(2, 4, 2), window_len=3)
         elif case == "short-targets":
             targets = targets[:, :-1]
-        else:
+        elif case == "wide-targets":
             targets = np.concatenate([targets, targets], axis=-1)
+        else:
+            discard = -1 if case == "discard-negative" else TINY.window_len
         with pytest.raises(ValueError, match=match):
-            backward(cache, params, spec, targets)
+            backward(cache, params, spec, targets, discard)
 
 
 class TestBackwardVsTapeOracle:

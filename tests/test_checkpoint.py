@@ -73,6 +73,17 @@ def test_snn_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_unusable_set_not_written(tmp_path):
+    """A parameter set load_snn would refuse is refused by save_snn before
+    the file is opened."""
+    params, spec = toy_model()
+    params.layers[0].tau[0] = 2.0
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="layer0.tau has a decay factor"):
+        save_snn(path, params, spec, toy_standardizer())
+    assert not path.exists()
+
+
 def test_big_endian_array_written_little_endian(tmp_path):
     """The container stores every array little-endian: a big-endian array
     gives the same bytes as its little-endian twin."""

@@ -206,18 +206,17 @@ class TestForwardUnfolded:
         np.testing.assert_array_equal(p1, p2)
 
     def test_window_shapes_and_cache(self):
-        """A 10-frame window yields 10 prediction rows and 10x3 spike grids."""
+        """A 10-frame window yields 10 prediction rows and 10x3 spike grids:
+        the inference pass returns one spike array per hidden layer."""
         spec = NetworkSpec()
         params = lively_params(spec, seed=4, dtype=np.float32)
         rng = np.random.default_rng(5)
         window = rng.normal(size=(1, 10, 96))
-        preds, cache = forward_unfolded(params, spec, window, mode=EVAL)
+        preds, spikes = forward_unfolded(params, spec, window, mode=EVAL)
         assert preds.shape == (1, 10, 2)
-        hidden_spikes = cache.spikes[:-1]
-        assert len(hidden_spikes) == 3
-        for s in hidden_spikes:
+        assert len(spikes) == 3
+        for s in spikes:
             assert s.shape == (1, 10, 256)
-        assert cache.spikes[-1] is None
 
     def test_spikes_are_binary(self):
         params = lively_params(SMALL, seed=6)
@@ -253,28 +252,33 @@ class TestForwardUnfolded:
         assert set(np.unique(mask)) <= {0.0, 1.0 / keep}
 
     def test_train_cache_layout(self):
-        """With batch != time every per-step cache field is (B, T, width)
-        and lines up with the others; the gradients have the parameters'
-        shapes."""
+        """With batch != time every per-step cache field is time-major,
+        (T, B, width), but the masks, which are (B, T, width) like the
+        windows; they line up with each other, and the gradients have the
+        parameters' shapes."""
         spec = NetworkSpec(layer_widths=(6, 12, 9, 2), window_len=5)
         params = lively_params(spec, seed=23)
         window = np.random.default_rng(24).normal(size=(3, 5, 6))
         preds, cache = forward_unfolded(params, spec, window, mode=TRAIN,
                                         rng=np.random.default_rng(25))
-        assert preds.shape == cache.inputs.shape[:2] + (2,) == (3, 5, 2)
-        np.testing.assert_array_equal(cache.inputs, window)
-        np.testing.assert_array_equal(cache.potentials[-1], preds)
+        assert preds.shape == (3, 5, 2)
+        np.testing.assert_array_equal(cache.inputs,
+                                      window.transpose(1, 0, 2))
+        np.testing.assert_array_equal(cache.potentials[-1],
+                                      preds.transpose(1, 0, 2))
         for l, width in enumerate(spec.layer_widths[1:]):
-            assert cache.potentials[l].shape == (3, 5, width)
-            assert cache.xhat[l].shape == (3, 5, width)
+            assert cache.potentials[l].shape == (5, 3, width)
+            assert cache.xhat[l].shape == (5, 3, width)
             if l == spec.n_hidden:
                 break
-            for field in (cache.spikes, cache.masks, cache.fed):
-                assert field[l].shape == (3, 5, width)
+            for field in (cache.spikes, cache.fed):
+                assert field[l].shape == (5, 3, width)
+            assert cache.masks[l].shape == (3, 5, width)
             np.testing.assert_array_equal(
                 cache.spikes[l], cache.potentials[l] >= spec.threshold)
             np.testing.assert_array_equal(
-                cache.fed[l], cache.spikes[l] * cache.masks[l])
+                cache.fed[l],
+                cache.spikes[l] * cache.masks[l].transpose(1, 0, 2))
         grads = backward(cache, params, spec, np.zeros_like(preds))
         for g, layer in zip(grads.layers, params.layers):
             assert g.weight.shape == layer.weight.shape
@@ -293,6 +297,12 @@ class TestForwardUnfolded:
                 forward_unfolded(params, SMALL, np.zeros(shape))
         with pytest.raises(ValueError, match="unknown mode"):
             forward_unfolded(params, SMALL, np.zeros_like(bad), mode="test")
+        # an empty batch or window has no statistics to normalize with
+        for shape in ((0, SMALL.window_len, SMALL.input_width),
+                      (2, 0, SMALL.input_width)):
+            with pytest.raises(ValueError, match="population is empty"):
+                forward_unfolded(params, SMALL, np.zeros(shape), mode=TRAIN,
+                                 rng=np.random.default_rng(0))
 
 
 class TestStreaming:
@@ -303,9 +313,9 @@ class TestStreaming:
         rng = np.random.default_rng(14)
         window = rng.normal(size=(spec.window_len, spec.input_width)
                             ).astype(np.float32)
-        unfolded, cache = forward_unfolded(params, spec, window[None],
-                                           mode=EVAL)
-        assert sum(s.sum() for s in cache.spikes[:-1]) > 0
+        unfolded, spikes = forward_unfolded(params, spec, window[None],
+                                            mode=EVAL)
+        assert sum(s.sum() for s in spikes) > 0
 
         state = reset_state(spec, dtype=np.float32)
         streamed = []
@@ -366,9 +376,9 @@ class TestStreaming:
         params = lively_params(spec, seed=23, dtype=np.float32)
         window = np.random.default_rng(24).normal(
             size=(spec.window_len, spec.input_width)).astype(np.float32)
-        unfolded, cache = forward_unfolded(params, spec, window[None],
-                                           mode=EVAL)
-        assert sum(s.sum() for s in cache.spikes[:-1]) > 0
+        unfolded, spikes = forward_unfolded(params, spec, window[None],
+                                            mode=EVAL)
+        assert sum(s.sum() for s in spikes) > 0
         state = reset_state(spec)
         for frame in window[:5]:
             _, state = forward_streaming(params, spec, frame, state)

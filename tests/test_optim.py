@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from snndecode import NetworkSpec, init_params
+from snndecode import TRAIN, NetworkSpec, forward_unfolded, init_params
 from snndecode.backprop import Gradients, LayerGrads
 from snndecode.errors import NumericError
 from snndecode.optim import adamw_init, adamw_step
+from snndecode.train import _advance_running_stats, decode_sequence
 
 SPEC = NetworkSpec(layer_widths=(3, 5, 2), window_len=4)
 
@@ -124,6 +125,38 @@ class TestAdamWStep:
         for got, want in zip(grads.layers, grads_before.layers):
             for name, arr in vars(want).items():
                 np.testing.assert_array_equal(getattr(got, name), arr)
+
+    def test_decoded_set_refused_before_any_write(self):
+        """A decoded set is read-only: the step and the running-statistic
+        update refuse it before they write a parameter, a moment or the
+        step count, and a deep copy of it trains."""
+        params = make_params()
+        decode_sequence(params, SPEC, np.ones((6, 3)))
+        _, cache = forward_unfolded(params, SPEC, np.ones((2, 4, 3)),
+                                    mode=TRAIN, rng=np.random.default_rng(1))
+        grads = zero_grads(params)
+        for g in grads.layers:
+            g.weight += 1.0
+        state = adamw_init(params)
+        before, state_before = copy.deepcopy(params), copy.deepcopy(state)
+        with pytest.raises(ValueError, match=r"copied \(copy.deepcopy\)"):
+            adamw_step(params, grads, state, learning_rate=1e-2,
+                       weight_decay=0.0)
+        with pytest.raises(ValueError, match=r"copied \(copy.deepcopy\)"):
+            _advance_running_stats(params, cache)
+        assert state.step == 0
+        for got, want in zip(params.layers, before.layers):
+            for name, arr in want.arrays().items():
+                np.testing.assert_array_equal(got.arrays()[name], arr)
+        for got, want in zip(state.m + state.v,
+                             state_before.m + state_before.v):
+            for name, arr in want.items():
+                np.testing.assert_array_equal(got[name], arr)
+        copied = copy.deepcopy(params)
+        adamw_step(copied, grads, state, learning_rate=1e-2,
+                   weight_decay=0.0)
+        _advance_running_stats(copied, cache)
+        assert state.step == 1
 
     def test_second_moment_nonnegative(self):
         params = make_params()
