@@ -8,11 +8,21 @@ recursion with the Joseph-form covariance update, which keeps the
 posterior covariance symmetric positive semi-definite.  A
 :class:`KfModel` is frozen and its constructor is its one rule, for a
 fitted, loaded or hand-built filter alike.
+
+Every step refuses an innovation covariance ``S = C P Cᵀ + Q`` whose
+condition number exceeds ``_COND_LIMIT``.  Computing that number exactly
+is a full SVD of the channels × channels ``S``, several times the cost of
+the rest of the step.  So the model keeps bounds on ``Q`` and ``C``,
+computed once, and a step first bounds the singular values of ``S`` from
+them and from the 3 × 3 predicted covariance ``P`` (Weyl's inequality).
+When those bounds prove the condition number at most half the limit, the
+SVD is skipped; otherwise the exact check runs.  Either way the same
+frames are refused and the arithmetic of the update is the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +44,13 @@ class KfModel:
     :func:`kf_fit` gives), and ``ridge`` is a non-negative, finite
     number; anything else raises ``ValueError`` whose message starts
     with the field's name.
+
+    The constructor also derives the bounds :func:`kf_step` certifies the
+    innovation covariance from: ``q_lo`` and ``q_hi``, the extreme
+    eigenvalues of ``Q``, and ``c2 = ‖C‖₂²``.  A ``Q`` that is not exactly
+    symmetric or not positive definite gets ``q_lo = 0``, which certifies
+    no frame.  They are not stored by ``save_kf`` and not compared, and
+    ``dataclasses.replace`` derives them again.
     """
 
     A: np.ndarray               # (3, 3) state transition
@@ -41,6 +58,9 @@ class KfModel:
     C: np.ndarray               # (channels, 3) observation matrix
     Q: np.ndarray               # (channels, channels) observation noise
     ridge: float = 0.0          # regularizer used if the fit was deficient
+    q_lo: float = field(init=False, compare=False, repr=False)
+    q_hi: float = field(init=False, compare=False, repr=False)
+    c2: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = len(self.C) if getattr(self.C, "ndim", 0) == 2 else 0
@@ -56,6 +76,14 @@ class KfModel:
                 and 0.0 <= self.ridge < np.inf):
             raise ValueError(f"ridge={self.ridge!r} is not a non-negative, "
                              f"finite number")
+        q_lo = q_hi = 0.0
+        if np.array_equal(self.Q, self.Q.T):
+            q = np.linalg.eigvalsh(self.Q)
+            q_lo, q_hi = max(float(q[0]), 0.0), float(q[-1])
+        c = float(np.linalg.norm(self.C, 2))
+        object.__setattr__(self, "q_lo", q_lo)
+        object.__setattr__(self, "q_hi", q_hi)
+        object.__setattr__(self, "c2", c * c)
 
 
 @dataclass
@@ -96,7 +124,9 @@ def kf_fit(features: np.ndarray, velocities: np.ndarray) -> KfModel:
     W = resid_a.T @ resid_a / (n - 1)
 
     C, ridge_c = _lstsq_rows(states, features)
-    resid_c = features - states @ C.T
+    # in place: one (frames, channels) temporary, not two
+    resid_c = states @ C.T
+    np.subtract(features, resid_c, out=resid_c)
     Q = resid_c.T @ resid_c / n
 
     W = (W + W.T) / 2.0
@@ -113,14 +143,41 @@ def kf_init(model: KfModel) -> KfState:
     return KfState(mean=np.array([0.0, 0.0, 1.0]), cov=np.eye(3))
 
 
+def _certified(model: KfModel, P: np.ndarray) -> bool:
+    """Whether ``S = C P Cᵀ + Q`` provably has condition at most
+    ``_COND_LIMIT / 2``, from the model's bounds and the 3 × 3 ``P``.
+
+    With ``Ps`` symmetric and ``a ≥ ‖P − Ps‖_F``, the eigenvalues of
+    ``Q + C Ps Cᵀ`` lie in ``[q_lo + c2·min(p_lo, 0), q_hi + c2·max(p_hi,
+    0)]`` and the rest of ``S`` has norm at most ``c2·a``, so by Weyl every
+    singular value of ``S`` lies in ``[lo, hi]`` below.  The factor ½
+    covers rounding in ``S`` and in its SVD.  Every step below is safe for
+    any finite ``P``: nothing overflows with a warning.
+    """
+    if not np.isfinite(P).all():
+        return False
+    half = P / 2.0
+    Ps = half + half.T
+    p = np.linalg.eigvalsh(Ps)
+    a = 3.0 * float(np.abs(P - Ps).max())   # ‖K‖_F ≤ 3·max|Kᵢⱼ| for 3 × 3
+    p_lo, p_hi = float(p[0]), float(p[-1])
+    lo = model.q_lo + model.c2 * min(p_lo, 0.0) - model.c2 * a
+    hi = model.q_hi + model.c2 * max(p_hi, 0.0) + model.c2 * a
+    return lo > 0.0 and hi <= 0.5 * _COND_LIMIT * lo
+
+
 def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
     """One predict/update cycle; returns ``(state', velocity_estimate)``.
 
-    The passed-in state is not modified.  An observation of another shape
-    or holding a NaN or an infinity raises ``ValueError`` before any
-    arithmetic, so the caller can go on from the same state.  A
-    numerically singular innovation covariance raises
-    :class:`NumericError` with its condition estimate.
+    The passed-in state is not modified.  An observation of another shape,
+    a state whose ``mean`` is not ``(3,)`` or whose ``cov`` is not
+    ``(3, 3)``, or a NaN or an infinity in any of them raises
+    ``ValueError`` before any arithmetic, so the caller can go on from the
+    same state.  A numerically singular innovation covariance raises
+    :class:`NumericError` with its condition estimate.  That estimate,
+    a full SVD, runs only on frames the model's bounds do not certify
+    (see :func:`_certified`); for a filter from :func:`kf_fit` that is
+    rarely any frame.
     """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape != (model.C.shape[0],):
@@ -130,17 +187,27 @@ def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
         )
     if not np.isfinite(observation).all():
         raise ValueError("observation contains non-finite values")
+    mean = np.asarray(state.mean, dtype=np.float64)
+    cov = np.asarray(state.cov, dtype=np.float64)
+    if mean.shape != (3,) or cov.shape != (3, 3):
+        raise ValueError(
+            f"expected a state whose mean has shape (3,) and cov shape "
+            f"(3, 3), got {mean.shape} and {cov.shape}"
+        )
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("state contains non-finite values")
 
-    mean_pred = model.A @ state.mean
-    cov_pred = model.A @ state.cov @ model.A.T + model.W
+    mean_pred = model.A @ mean
+    cov_pred = model.A @ cov @ model.A.T + model.W
 
     S = model.C @ cov_pred @ model.C.T + model.Q
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericError(
-            f"innovation covariance numerically singular "
-            f"(condition estimate {cond:.3e})"
-        )
+    if not _certified(model, cov_pred):
+        cond = np.linalg.cond(S)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise NumericError(
+                f"innovation covariance numerically singular "
+                f"(condition estimate {cond:.3e})"
+            )
     gain = np.linalg.solve(S, model.C @ cov_pred).T    # (3, channels)
 
     innovation = observation - model.C @ mean_pred

@@ -196,6 +196,24 @@ def test_kf_model_rejects_narrow_float(dataset, capsys, tmp_path, dtype):
     assert f"{ckpt}: kf.A is {np.dtype(dtype)}" in err and not out
 
 
+def test_kf_model_singular_filter_exits_3(dataset, capsys, tmp_path):
+    """A kf checkpoint whose observation matrix and noise are all zeros
+    loads (every array is finite), and its first step finds the
+    innovation covariance singular: exit 3, as for any numeric failure."""
+    ckpt = tmp_path / "kf.ckpt"
+    assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+    meta, arrays = container.read(ckpt, "kf")
+    arrays["kf.C"] = np.zeros_like(arrays["kf.C"])
+    arrays["kf.Q"] = np.zeros_like(arrays["kf.Q"])
+    container.write(ckpt, "kf", meta, list(arrays.items()))
+    capsys.readouterr()
+    assert main(["kf", "--data", str(dataset), "--model", str(ckpt)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith(
+        "numeric failure: innovation covariance numerically singular")
+    assert not out
+
+
 def test_config_file_and_flag_precedence(dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 1, "seed": 5,
