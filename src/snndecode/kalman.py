@@ -124,7 +124,8 @@ def kf_fit(features: np.ndarray, velocities: np.ndarray) -> KfModel:
     W = resid_a.T @ resid_a / (n - 1)
 
     C, ridge_c = _lstsq_rows(states, features)
-    # in place: one (frames, channels) temporary, not two
+    # in place: a second (frames, channels) temporary let glibc trim the
+    # heap between the benchmark's Kalman chunks and slowed the next decode
     resid_c = states @ C.T
     np.subtract(features, resid_c, out=resid_c)
     Q = resid_c.T @ resid_c / n

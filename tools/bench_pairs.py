@@ -1,16 +1,18 @@
 """Run the benchmark on two source trees in alternated pairs.
 
 Each tree's own ``perfbench/run.py`` runs unchanged, with ``--trace 0``;
-each pair runs both trees on one seed, and which tree goes first
-alternates from pair to pair.  The result is one JSON file holding, per
+pair ``i`` runs both trees on seed ``100 * n + i``, where ``n`` is the
+``--number`` of the file written, and which tree goes first alternates
+from pair to pair.  The result is one JSON file holding, per
 workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
 declares them), each side's median and quartiles and the number of pairs
-the change won (ties count for neither), plus both sides' fingerprints
-per seed and the environment, among it the OpenBLAS kernel name::
+the change won (ties count for neither), plus both sides' figures and
+fingerprints per seed and the environment, among it the OpenBLAS kernel
+name::
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/bench_pairs.py /tmp/parent . --number 23 \\
-        --pairs offline=10 train=2 stream=2
+        --pairs offline=10 train=10 stream=10
 
 writes ``BENCH_23.json`` at the root of the change tree.  Standard
 library only; numpy is loaded only by the child processes.
@@ -114,7 +116,8 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path, help="the parent source tree")
     p.add_argument("change", type=Path, help="the changed source tree")
     p.add_argument("--number", type=int, required=True,
-                   help="n of the BENCH_<n>.json written")
+                   help="n of the BENCH_<n>.json written; pair i runs "
+                        "seed 100 * n + i")
     p.add_argument("--pairs", nargs="+", default=["offline=3"],
                    metavar="WORKLOAD=COUNT")
     p.add_argument("--seconds", type=float,
@@ -122,8 +125,6 @@ def main(argv=None) -> int:
                         "run_seconds)")
     p.add_argument("--size", choices=("reference", "tiny"),
                    default="reference")
-    p.add_argument("--seed", type=int, default=2300,
-                   help="seed of the first pair; pair i runs seed + i")
     p.add_argument("--out", type=Path,
                    help="output file (default: BENCH_<n>.json at the "
                         "change tree's root)")
@@ -138,11 +139,12 @@ def main(argv=None) -> int:
         raise SystemExit(f"unknown workloads {sorted(set(pairs) - known)}; "
                          f"declared: {sorted(known)}")
 
+    first_seed = 100 * args.number
     workloads, environment = {}, None
     for workload, count in pairs.items():
         runs = []
         for i in range(count):
-            seed = args.seed + i
+            seed = first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {side: run_once(trees[side], workload, seed, args)
                     for side in order}
@@ -158,7 +160,10 @@ def main(argv=None) -> int:
             "runs": [{"seed": r["seed"], "first": r["first"], **{
                 side: {"correct": r[side]["result"]["correct"],
                        "failed": r[side]["result"]["failed"],
-                       "fingerprints": r[side]["fingerprints"]}
+                       "fingerprints": r[side]["fingerprints"],
+                       "metrics": {m["name"]: r[side]["result"]["metrics"]
+                                   [m["name"]]["value"]
+                                   for m in declared["end_to_end"]}}
                 for side in trees}} for r in runs],
             "fingerprints_equal": all(
                 r["parent"]["fingerprints"] == r["change"]["fingerprints"]
@@ -172,7 +177,7 @@ def main(argv=None) -> int:
         "trees": {side: {"src_sha256": _tree_digest(tree)}
                   for side, tree in trees.items()},
         "settings": {"seconds": args.seconds, "size": args.size,
-                     "trace": 0, "first_seed": args.seed},
+                     "trace": 0, "first_seed": first_seed},
         "environment": environment,
         "workloads": workloads,
     }

@@ -6,6 +6,7 @@ repository root::
 """
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,12 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
             s = row[side]
             assert s["n"] == 2 and s["q1"] <= s["median"] <= s["q3"]
     assert [r["first"] for r in offline["runs"]] == ["parent", "change"]
+    # pair i runs seed 100 * number + i
+    assert record["settings"]["first_seed"] == 0
+    assert [r["seed"] for r in offline["runs"]] == [0, 1]
+    for name, row in offline["metrics"].items():
+        values = [r["change"]["metrics"][name] for r in offline["runs"]]
+        assert row["change"]["median"] == statistics.median(values)
     # one tree on both sides: the same arithmetic, the same fingerprints
     assert offline["fingerprints_equal"]
     assert record["trees"]["parent"] == record["trees"]["change"]
