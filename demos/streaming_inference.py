@@ -1,11 +1,12 @@
 """Decode frame by frame, the way a closed-loop system would run.
 
-Inference needs no windows: the network keeps its membrane potentials
-and previous spikes between frames, so each new feature vector costs
-one forward pass and the output integrator's voltage *is* the velocity
-estimate.  Batch evaluation over a whole recording is just a different
-traversal of the same arithmetic — this script checks they agree to the
-last bit, and exits non-zero if any row differs, then times the per-frame
+Inference needs no windows: the state carried between frames is the
+membrane potentials (a hidden layer's previous spikes are its potentials
+at or above the threshold), so each new feature vector costs one forward
+step and the output integrator's voltage *is* the velocity estimate.
+Batch evaluation over a whole recording makes the same arithmetic, frame
+by frame, in another traversal: this script checks they agree to the last
+bit, and exits non-zero if any row differs, then times the per-frame
 cost.
 """
 

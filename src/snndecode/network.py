@@ -5,8 +5,9 @@ velocity decoder, with threshold-scaled batch normalization on every
 layer's input current, the readout's included, and per-timestep dropout
 on hidden spike vectors during training.
 
-Both passes run layer-major on time-major ``(T, ..., width)`` arrays, and
-one recurrence, :func:`_recurrence`, advances the membranes in both:
+Both window passes run layer-major on time-major ``(T, ..., width)``
+arrays, and one recurrence, :func:`_recurrence`, advances the membranes
+in both:
 
 * the training pass (:func:`forward_unfolded` in ``"train"`` mode) runs
   each layer's matmul as one blocked product over all time and batch
@@ -14,14 +15,21 @@ one recurrence, :func:`_recurrence`, advances the membranes in both:
   potentials, applies dropout, and records every intermediate the
   backward pass needs in a :class:`TrainingCache`, time-major as it
   computed them;
-* the inference pass runs one matmul per frame on weights with the
-  normalizer folded in (:func:`_fold`), adds the folded bias and carries
-  the membrane state on from a given start.  :func:`forward_unfolded` in
-  ``"eval"`` mode runs it from a zero state and returns the predictions
-  and the hidden layers' spikes; :func:`forward_streaming`
-  runs it over a one-frame window from the state a real-time session
-  carries.  Streamed rows therefore equal the unfolded rows by
-  construction.
+* the inference pass (:func:`_eval_pass`, :func:`forward_unfolded` in
+  ``"eval"`` mode) runs one matmul per frame on weights with the
+  normalizer folded in (:func:`_fold`), adds the folded bias and advances
+  the membranes from a zero state.  It returns the predictions and the
+  hidden layers' spikes.
+
+:func:`forward_streaming` advances the state a real-time session carries
+by one frame, in a step of its own: per layer the same folded operands,
+the same one-row product and the same kernels,
+:func:`~snndecode.neuron.lif_step` and
+:func:`~snndecode.neuron.output_step`, in the same order as the
+inference pass applies them to each frame, so streamed rows equal its
+rows bit for bit (pinned by the streaming tests and the ``stream``
+command's bit check).  Both drivers refuse non-finite end potentials
+with one rule, :func:`_check_finite`.
 
 One rule, :func:`_check_params`, says what a parameter set must be: the
 topology's layer count and array shapes, one dtype of :data:`DTYPES`
@@ -280,12 +288,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator,
 
 def reset_state(spec: NetworkSpec, dtype=np.float32) -> NetworkState:
     """A zeroed streaming state matching the topology."""
-    return _zero_state(spec, (), dtype)
-
-
-def _zero_state(spec: NetworkSpec, batch: tuple, dtype) -> NetworkState:
-    """A zeroed state whose arrays are shaped ``batch + (width,)``."""
-    return NetworkState([np.zeros(batch + (w,), dtype=dtype)
+    return NetworkState([np.zeros(w, dtype=dtype)
                          for w in spec.layer_widths[1:]])
 
 
@@ -416,51 +419,40 @@ def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
     return out, u
 
 
-def _infer(folded: list, spec: NetworkSpec, frames: np.ndarray,
-           state: NetworkState):
-    """The inference pass of the :func:`_fold` layers ``folded`` over
-    checked, time-major ``(T, ..., in_width)`` frames, starting from
-    ``state``.
-
-    The state's arrays have the shape of one frame's activations,
-    ``(..., width)``; they are read, never written.  Returns the
-    predictions ``(T, ..., out_width)``, one ``(T, ..., width)`` spike
-    array per hidden layer, and the end state.  End potentials that are
-    not all finite raise :class:`NumericError` naming the layer: neither
-    membrane update makes a NaN or an infinity finite again, so the end
-    state shows an overflow on any frame.
-    """
-    act = frames
-    spikes = []
-    ends = []
-    n_hidden = spec.n_hidden
-    for l, (weight_t, bias, tau) in enumerate(folded):
-        # a stack of one product per frame, each rounded as it would be
-        # alone: a streamed frame is a window of T = 1
-        cur = act @ weight_t
-        cur += bias
-        u = state.potentials[l]
-        if l < n_hidden:
-            # the spikes the start potentials fired, as lif_step made them
-            s = (u >= spec.threshold).astype(u.dtype)
-            act, u = _recurrence(cur, tau, spec, u, s)
-            spikes.append(act)
-        else:
-            act, u = _recurrence(cur, tau, spec, u)
-        ends.append(u)
-    if not np.isfinite(np.concatenate(ends, axis=-1)).all():  # all layers
+def _check_finite(ends: list, joined: np.ndarray) -> None:
+    """Raise :class:`NumericError` naming the first layer whose end
+    potentials ``ends[l]`` are not all finite; ``joined`` holds all of them
+    and is checked first.  Neither membrane update makes a NaN or an
+    infinity finite again, so the end potentials show an overflow on any
+    frame."""
+    if not np.isfinite(joined).all():
         bad = next(l for l, e in enumerate(ends) if not np.isfinite(e).all())
         raise NumericError(f"non-finite membrane potential in layer {bad}")
-    return act, spikes, NetworkState(ends)
 
 
 def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
-    """The inference pass over checked ``(B, T, in_width)`` windows from a
-    zero state: ``(B, T, out_width)`` predictions and one ``(B, T, width)``
-    spike array per hidden layer."""
-    start = _zero_state(spec, (len(windows),), windows.dtype)
-    preds, spikes, _ = _infer(folded, spec, windows.transpose(1, 0, 2), start)
-    return preds.transpose(1, 0, 2), [s.transpose(1, 0, 2) for s in spikes]
+    """The inference pass of the :func:`_fold` layers ``folded`` over
+    checked ``(B, T, in_width)`` windows from a zero state: ``(B, T,
+    out_width)`` predictions and one ``(B, T, width)`` spike array per
+    hidden layer.  End potentials that are not all finite raise
+    :class:`NumericError` (:func:`_check_finite`)."""
+    act = windows.transpose(1, 0, 2)
+    spikes = []
+    ends = []
+    for l, (weight_t, bias, tau) in enumerate(folded):
+        # a stack of one (B, in) product per frame, each rounded as it
+        # would be alone: forward_streaming's (1, in) products round alike
+        cur = act @ weight_t
+        cur += bias
+        zero = np.zeros(cur.shape[1:], dtype=cur.dtype)
+        if l < spec.n_hidden:
+            act, u = _recurrence(cur, tau, spec, zero, zero)
+            spikes.append(act.transpose(1, 0, 2))
+        else:
+            act, u = _recurrence(cur, tau, spec, zero)
+        ends.append(u)
+    _check_finite(ends, np.concatenate(ends, axis=-1))
+    return act.transpose(1, 0, 2), spikes
 
 
 def _check_windows(windows, spec: NetworkSpec, dtype) -> np.ndarray:
@@ -561,21 +553,24 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
                       frame: np.ndarray, state: NetworkState):
     """Advance the persistent decoder state by one frame.
 
-    Runs the inference pass of :func:`forward_unfolded` over a one-frame
-    window from ``state``: the running statistics folded into the
+    Makes the inference pass's arithmetic for one frame from ``state``
+    (see the module docstring): the running statistics folded into the
     weights, no dropout.  The first frame folds the parameters and makes
     their arrays read-only; later frames reuse the folded form.  Every
     state array must be shaped ``(width,)`` and be of the decoder's dtype,
-    ``params.dtype``.  The passed-in state is left
-    untouched; a fresh state is returned alongside the prediction.  A
-    frame holding a NaN or infinity is rejected with ``ValueError``, as
-    in :func:`forward_unfolded`, before any state is computed, so one bad
-    frame cannot poison the membrane potentials of the frames after it.
+    ``params.dtype``.  The passed-in state is left untouched.  A frame
+    holding a NaN or infinity is rejected with ``ValueError``, as in
+    :func:`forward_unfolded`, before any state is computed, so one bad
+    frame cannot poison the membrane potentials of the frames after it;
+    non-finite new potentials raise :class:`NumericError` naming the
+    first such layer, and no state is returned.
 
     Returns
     -------
     (ndarray, NetworkState)
-        ``(prediction, new_state)`` with the prediction of output width.
+        ``(prediction, new_state)``.  The new state's arrays are views of
+        one buffer holding every layer's potentials; the prediction, of
+        output width, is an array of its own.
     """
     folded = _folded(params, spec)
     dtype = params.dtype
@@ -601,5 +596,28 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         if u.dtype != dtype:
             raise ValueError(f"state dtype mismatch in layer {l}: "
                              f"{u.dtype}, the decoder's is {dtype}")
-    preds, _, new_state = _infer(folded, spec, frame[None], state)
-    return preds[0], new_state
+    # the new potentials, layer after layer, go into one buffer
+    buf = np.empty(spec.neuron_count, dtype=dtype)
+    ends = []
+    act = frame
+    lo = 0
+    n_hidden = spec.n_hidden
+    # the value numpy casts the Python float to in every use, cast once
+    threshold = dtype.type(spec.threshold)
+    for l, ((weight_t, bias, tau), u) in enumerate(zip(folded,
+                                                       state.potentials)):
+        # the (1, in) row product the window pass makes for each frame
+        cur = act[None] @ weight_t
+        cur += bias
+        end = buf[lo:lo + u.size]
+        lo += u.size
+        if l < n_hidden:
+            # the spikes the carried potentials fired, as lif_step made them
+            s = (u >= threshold).astype(dtype)
+            _, act = lif_step(u, s, cur[0], tau, threshold, spec.reset_mode,
+                              out=end)
+        else:
+            _, pred = output_step(u, cur[0], tau, out=end)
+        ends.append(end)
+    _check_finite(ends, buf)
+    return pred.copy(), NetworkState(ends)

@@ -11,7 +11,8 @@ Discrete-time neuron dynamics used by every layer of the decoder:
 
 Everything here is purely functional: no hidden state, outputs depend
 only on the arguments, and the same inputs always produce the same
-outputs.
+outputs.  The only array written is an ``out`` given to receive the new
+potentials.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ SURROGATE_HALF_WIDTH = 0.5
 
 def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
              current: np.ndarray, tau: np.ndarray, threshold: float,
-             reset_mode: str):
+             reset_mode: str, out: np.ndarray | None = None):
     """Advance a spiking layer by one frame.
 
     The membrane first undergoes the reset implied by the previous step's
@@ -46,29 +47,35 @@ def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
     Returns
     -------
     (ndarray, ndarray)
-        The new potentials and the spike vector (0/1 floats), which is
-        the next step's ``last_spikes``.  The arguments are not modified.
+        The new potentials, written into ``out`` when it is given, and
+        the spike vector (0/1 floats), which is the next step's
+        ``last_spikes``.  The arguments other than ``out`` are not
+        modified; ``out`` gets the same bits as a fresh array would.
     """
     if reset_mode == RESET_SUBTRACT:
-        u_next = tau * (potential - last_spikes * threshold) + current
+        u_next = np.add(tau * (potential - last_spikes * threshold), current,
+                        out=out)
     else:
-        u_next = tau * potential * (1.0 - last_spikes) + current
+        u_next = np.add(tau * potential * (1.0 - last_spikes), current,
+                        out=out)
     return u_next, (u_next >= threshold).astype(u_next.dtype)
 
 
-def output_step(potential: np.ndarray, input_current: np.ndarray, tau: np.ndarray):
+def output_step(potential: np.ndarray, input_current: np.ndarray,
+                tau: np.ndarray, out: np.ndarray | None = None):
     """Advance the non-spiking output integrators by one frame.
 
     The output neurons never fire and never reset; their membrane voltage
     after integration is the prediction itself.  As in :func:`lif_step`,
-    the shapes are not checked.
+    the shapes are not checked, and ``out``, when given, receives the new
+    potentials.
 
     Returns
     -------
     (ndarray, ndarray)
         ``(new_potential, prediction)`` where both are the same array.
     """
-    u_next = tau * potential + input_current
+    u_next = np.add(tau * potential, input_current, out=out)
     return u_next, u_next
 
 

@@ -1,7 +1,12 @@
 """Tests for the assembled decoder network and its two forward passes."""
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,7 +310,65 @@ class TestForwardUnfolded:
                                  rng=np.random.default_rng(0))
 
 
+# Streams 200 frames through the default decoder in both dtypes and
+# compares every row with the unfolded eval pass's, bit for bit; prints
+# the OpenBLAS kernel that loaded (empty if it cannot be read), whether
+# every row was equal and how many spikes the pass fired.
+KERNEL_JOB = textwrap.dedent("""\
+    import ctypes, glob, json, os
+    import numpy as np
+    from snndecode import (EVAL, NetworkSpec, forward_streaming,
+                           forward_unfolded, init_params, reset_state)
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    core = ""
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            core = fn().decode()
+    spec = NetworkSpec()
+    rng = np.random.default_rng(0)
+    equal, spikes = True, 0
+    for dtype in (np.float32, np.float64):
+        params = init_params(spec, rng, dtype=dtype)
+        for layer in params.layers:
+            layer.norm.gamma[:] = 2.0
+            layer.norm.beta[:] = 0.2
+        frames = rng.normal(size=(200, spec.input_width)).astype(dtype)
+        rows, fired = forward_unfolded(params, spec, frames[None], mode=EVAL)
+        spikes += int(sum(s.sum() for s in fired))
+        state = reset_state(spec, dtype)
+        for frame, row in zip(frames, rows[0]):
+            pred, state = forward_streaming(params, spec, frame, state)
+            equal = equal and pred.tobytes() == row.tobytes()
+    print(json.dumps({"core": core, "equal": equal, "spikes": spikes}))
+""")
+
+
 class TestStreaming:
+    @pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX", "Sandybridge",
+                                        "Prescott"])
+    def test_matches_unfolded_under_every_blas_kernel(self, kernel):
+        """Stream equals batch bit for bit whichever OpenBLAS kernel runs
+        the one-row products; a kernel this host cannot load is skipped
+        by name."""
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", KERNEL_JOB], env=env,
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode < 0:             # e.g. an illegal instruction
+            pytest.skip(f"{kernel}: this host cannot run it (signal "
+                        f"{-proc.returncode})")
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        if got["core"].lower() != kernel.lower():
+            pytest.skip(f"{kernel}: this host loads "
+                        f"{got['core'] or 'an unnamed kernel'} instead")
+        assert got["spikes"] > 0
+        assert got["equal"], f"streamed rows differ under {kernel}"
+
     def test_matches_unfolded_eval(self):
         """Frame-by-frame streaming reproduces the unfolded pass row for row."""
         spec = NetworkSpec(layer_widths=(8, 16, 16, 16, 2), window_len=12)
@@ -415,21 +478,66 @@ class TestStreaming:
                                       decode_sequence(params, SMALL, frames)[-1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_raises_and_leaves_state(self):
-        """Finite weights so large that the first product overflows end in
-        NumericError naming the layer, streamed or decoded whole; the
-        caller's state is left as it was."""
+    @pytest.mark.parametrize("layer", [0, 1, 2])    # input, middle, readout
+    def test_overflow_raises_and_leaves_state(self, layer):
+        """Finite weights so large that the layer's first product overflows
+        end in NumericError naming that layer, streamed or decoded whole;
+        the caller's state is left as it was."""
         params = lively_params(SMALL, seed=26, dtype=np.float32)
-        params.layers[0].weight[:] = 3e38
+        for below in params.layers[:layer]:
+            below.norm.beta[:] = 10.0       # every neuron below fires
+        params.layers[layer].weight[:] = 3e38
         frames = np.random.default_rng(27).normal(
             size=(4, SMALL.input_width)).astype(np.float32)
         state = reset_state(SMALL)
-        state.potentials[0][:] = 0.25
-        with pytest.raises(NumericError, match="layer 0"):
+        for u in state.potentials:
+            u[:] = 0.25
+        with pytest.raises(NumericError,
+                           match=f"non-finite membrane potential in layer "
+                                 f"{layer}$"):
             forward_streaming(params, SMALL, frames[0], state)
-        np.testing.assert_array_equal(state.potentials[0], 0.25)
-        with pytest.raises(NumericError, match="layer 0"):
+        for u in state.potentials:
+            np.testing.assert_array_equal(u, 0.25)
+        with pytest.raises(NumericError,
+                           match=f"non-finite membrane potential in layer "
+                                 f"{layer}$"):
             decode_sequence(params, SMALL, frames)
+
+    def test_prediction_is_its_own_array(self):
+        """Writing into a returned prediction changes neither the returned
+        state nor the next frame's row."""
+        params = lively_params(SMALL, seed=28)
+        frames = np.random.default_rng(29).normal(
+            size=(2, SMALL.input_width))
+        pred, state = forward_streaming(params, SMALL, frames[0],
+                                        reset_state(SMALL, np.float64))
+        kept = [u.copy() for u in state.potentials]
+        pred[:] = 1e3
+        for u, k in zip(state.potentials, kept):
+            assert u.tobytes() == k.tobytes()
+        row, _ = forward_streaming(params, SMALL, frames[1], state)
+        assert row.tobytes() == decode_sequence(params, SMALL,
+                                                frames)[1].tobytes()
+
+    def test_kernels_called_through_module_globals(self, monkeypatch):
+        """Each streamed frame calls ``network.lif_step`` once per hidden
+        layer and ``network.output_step`` once: patching the module's
+        names, as the benchmark's tracer does, sees every call."""
+        calls = []
+        for name in ("lif_step", "output_step"):
+            real = getattr(network, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(network, name, counted)
+        spec = NetworkSpec(layer_widths=(8, 16, 16, 16, 2))
+        params = lively_params(spec, seed=30)
+        state = reset_state(spec, np.float64)
+        for frame in np.random.default_rng(31).normal(size=(3, 8)):
+            _, state = forward_streaming(params, spec, frame, state)
+        assert calls == (["lif_step"] * spec.n_hidden + ["output_step"]) * 3
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),

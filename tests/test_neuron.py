@@ -5,7 +5,8 @@ import pytest
 
 from snndecode import (NetworkSpec, forward_streaming, init_params,
                        lif_step, reset_state, surrogate_grad)
-from snndecode.neuron import RESET_SUBTRACT, RESET_ZERO, output_step
+from snndecode.neuron import (RESET_MODES, RESET_SUBTRACT, RESET_ZERO,
+                              output_step)
 
 
 def step(u, s, current, tau, reset_mode=RESET_SUBTRACT):
@@ -142,6 +143,35 @@ class TestOutputStep:
         for shape in ((1,), (3,), ()):
             with pytest.raises(ValueError, match="shape mismatch in layer 1"):
                 stream_with_potential(1, shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", ["lif_" + mode for mode in RESET_MODES]
+                         + ["output"])
+def test_out_gives_the_same_bits(kernel, dtype):
+    """A kernel writing its new potentials into ``out`` gives the bits of
+    a fresh array, returns ``out`` itself, and leaves its other arguments
+    as they were."""
+    rng = np.random.default_rng(8)
+    u, current = rng.normal(size=(2, 64)).astype(dtype)
+    spikes = (rng.random(64) < 0.3).astype(dtype)
+    tau = rng.uniform(0.0, 1.0, 64).astype(dtype)
+    if kernel == "output":
+        args = (u, current, tau)
+        run = lambda **out: output_step(*args, **out)
+    else:
+        args = (u, spikes, current, tau)
+        mode = kernel[len("lif_"):]
+        run = lambda **out: lif_step(*args, 0.4, mode, **out)
+    before = [a.copy() for a in args]
+    fresh = run()
+    out = np.full_like(u, np.nan)
+    got = run(out=out)
+    assert got[0] is out
+    for a, b in zip(got, fresh):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
+    for a, b in zip(args, before):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestSurrogateGrad:

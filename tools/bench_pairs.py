@@ -5,8 +5,9 @@ pair ``i`` runs both trees on seed ``100 * n + i``, where ``n`` is the
 ``--number`` of the file written, and which tree goes first alternates
 from pair to pair.  The result is one JSON file holding, per
 workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
-declares them), each side's median and quartiles and the number of pairs
-the change won (ties count for neither), plus both sides' figures and
+declares them), each side's median and quartiles, the number of pairs
+the change won (ties count for neither) and the verdicts ``gain`` and
+``within_bound`` (see :func:`summarize`), plus both sides' figures and
 fingerprints per seed and the environment, among it the OpenBLAS kernel
 name::
 
@@ -82,21 +83,35 @@ def _summary(values: list) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per end-to-end metric: both sides' summaries and the change's wins.
+    """Per end-to-end metric: both sides' summaries, the change's wins
+    and two verdicts.
 
-    ``runs`` holds one ``{"parent": run, "change": run}`` per pair."""
+    ``runs`` holds one ``{"parent": run, "change": run}`` per pair, and
+    ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``.
+
+    * ``gain``: the change won at least nine tenths of the pairs (ties
+      count for neither), and its median is better than the parent's by
+      more than the parent's interquartile range;
+    * ``within_bound``: the change's median is worse than the parent's
+      by no more than the metric's ``bound``, a fraction of the parent's
+      median.
+    """
     table = {}
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
         got = {side: [r[side]["result"]["metrics"][name]["value"]
                       for r in runs] for side in ("parent", "change")}
+        parent, change = _summary(got["parent"]), _summary(got["change"])
+        won = sum(sign * (c - p) > 0 for p, c in
+                  zip(got["parent"], got["change"]))
+        better_by = sign * (change["median"] - parent["median"])
         table[name] = {
             "unit": m["unit"], "better": m["better"],
-            "parent": _summary(got["parent"]),
-            "change": _summary(got["change"]),
-            "change_won": sum(sign * (c - p) > 0 for p, c in
-                              zip(got["parent"], got["change"])),
-            "pairs": len(runs),
+            "parent": parent, "change": change,
+            "change_won": won, "pairs": len(runs),
+            "gain": (10 * won >= 9 * len(runs)
+                     and better_by > parent["q3"] - parent["q1"]),
+            "within_bound": -better_by <= m["bound"] * abs(parent["median"]),
         }
     return table
 
