@@ -8,8 +8,8 @@ a :class:`Standardizer` or :class:`KfModel` is built, so its constructor
 checks it.  The loaders add only what ties the parts together (the
 standardizer spans the model's channels and outputs); every refusal
 becomes a :class:`DataError` naming the file and the array as stored,
-through :func:`container.refused`.  Each loader reads only the metadata
-keys it names, so a key an older writer added is ignored.
+through :func:`~snndecode.errors.refused`.  Each loader reads only the
+metadata keys it names, so a key an older writer added is ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import dataclasses
 
 from . import container
 from .data import Standardizer
-from .errors import DataError
+from .errors import DataError, refused
 from .kalman import KF_ARRAYS, KfModel
 from .network import (LAYER_ARRAYS, LayerParams, NetworkParams, NetworkSpec,
                       _check_params)
@@ -33,7 +33,7 @@ def _load_standardizer(path, arrays: dict, channels: int,
                        outputs: int) -> Standardizer:
     """The standardizer in ``arrays`` of a model of that many input
     channels and outputs; an unusable array raises :class:`DataError`."""
-    with container.refused(path, "std."):
+    with refused(path, "std."):
         std = Standardizer(**{name: arrays[f"std.{name}"]
                               for name in STD_ARRAYS})
     for name, width in (("feat_mean", channels), ("vel_mean", outputs)):
@@ -73,7 +73,7 @@ def load_snn(path):
     the decoder sees them.
     """
     meta, arrays = container.read(path, container.SNN)
-    with container.refused(path, "corrupt checkpoint metadata: "):
+    with refused(path, "corrupt checkpoint metadata: "):
         sd = meta["spec"]
         for name in ("normalize_output", "bn_eps"):
             # constants now; older checkpoints store them as settings
@@ -84,7 +84,7 @@ def load_snn(path):
         spec = NetworkSpec(**{f.name: sd[f.name]
                               for f in dataclasses.fields(NetworkSpec)})
         extra = meta["extra"]
-    with container.refused(path):
+    with refused(path):
         params = NetworkParams([
             LayerParams.from_arrays(
                 {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
@@ -115,7 +115,7 @@ def load_kf(path):
     raise :class:`DataError` naming the file and the array.
     """
     meta, arrays = container.read(path, container.KF)
-    with container.refused(path, "kf."):
+    with refused(path, "kf."):
         model = KfModel(**{name: arrays[f"kf.{name}"] for name in KF_ARRAYS},
                         ridge=meta["ridge"])
         extra = meta["extra"]

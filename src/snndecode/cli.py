@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .data import (
     split_train_val,
     synth_generate,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, refused
 from .kalman import kf_fit, kf_run
 from .metrics import check_targets, evaluate
 from .network import NetworkSpec, forward_streaming, reset_state
@@ -94,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discard", type=int, dest="warmup_discard")
     p.add_argument("--seed", type=int)
     p.add_argument("--reset-mode", choices=sorted(RESET_MODES))
-    p.add_argument("--fixed-tau", action="store_true", default=None,
+    p.add_argument("--fixed-tau", dest="trainable_tau", action="store_false",
+                   default=None,
                    help="keep membrane decay constants at their init")
     p.add_argument("--dropout", type=float, dest="dropout_p")
 
@@ -137,7 +137,9 @@ _CONFIG_FIELDS = tuple(TrainConfig.__dataclass_fields__)
 
 
 def _merged_config(args) -> TrainConfig:
-    """Precedence: explicit flags > --config file > defaults."""
+    """Precedence: explicit flags > --config file > defaults.  A config
+    file that cannot be read or used raises :class:`DataError` naming it,
+    and settings :class:`TrainConfig` refuses raise ``ValueError``."""
     merged = {}
     if args.config:
         try:
@@ -156,12 +158,10 @@ def _merged_config(args) -> TrainConfig:
         value = getattr(args, field, None)
         if value is not None:
             merged[field] = value
-    if args.fixed_tau:
-        merged["trainable_tau"] = False
     try:
         return TrainConfig(**merged)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"bad training configuration: {exc}") from exc
+        raise ValueError(f"bad training configuration: {exc}") from exc
 
 
 def _check_output_paths(*paths):
@@ -183,44 +183,42 @@ def _check_channels(data_path, frames: FrameSet, channels: int):
             f"expects {channels}")
 
 
-@contextmanager
-def _naming(where):
-    """Re-raise a refusal inside the block as :class:`DataError` that
-    starts with ``where``: the data file, and the split when the refusal
-    is of one (a recording too short to split, a split too short to
-    standardize or to cut into one window, or one the metrics cannot
-    score)."""
-    try:
-        yield
-    except (DataError, ValueError) as exc:
-        raise DataError(f"{where}: {exc}") from exc
-
-
 def _split(data_path, frames: FrameSet):
     """The recording's ``(train, val)`` split, or a refusal naming it."""
-    with _naming(data_path):
+    with refused(data_path):
         return split_train_val(frames)
 
 
 def _check_scored(data_path, subset: FrameSet, which: str):
     """Refuse a split whose velocities cannot be scored, naming the data
     file and the split; the rule is :func:`metrics.check_targets`."""
-    with _naming(f"{data_path}: the {which} split"):
+    with refused(f"{data_path}: the {which} split"):
         check_targets(subset.velocities)
+
+
+def _standardized(data_path, frames: FrameSet, window_len=None):
+    """``(standardizer, train part, val split)`` for fitting a decoder:
+    the standardizer fit on the train split, that split standardized
+    (and cut into windows of ``window_len`` when given), and the val
+    split once it can be scored.  A refusal names the data file and the
+    split at fault, the train split's first."""
+    train, val = _split(data_path, frames)
+    with refused(f"{data_path}: the train split"):
+        std = Standardizer.fit(train)
+        part = std.apply(train)
+        if window_len is not None:
+            part = make_windows(*part, window_len)
+    _check_scored(data_path, val, "val")
+    return std, part, val
 
 
 def _cmd_train(args) -> int:
     config = _merged_config(args)
     frames = load_frames(args.data)
-    train, val = _split(args.data, frames)
-    with _naming(f"{args.data}: the train split"):
-        std = Standardizer.fit(train)
-        ftr, vtr = std.apply(train)
-        dataset = make_windows(ftr, vtr, config.window_len)
-    _check_scored(args.data, val, "val")
+    std, dataset, val = _standardized(args.data, frames, config.window_len)
     fva, vva = std.apply(val)
     spec = decoder_spec(config, frames.channel_count,
-                        train.velocities.shape[1], threshold=args.threshold)
+                        frames.velocities.shape[1], threshold=args.threshold)
     params, log = fit(dataset, config, spec=spec,
                       val_features=fva, val_velocities=vva)
     for record in log.records:
@@ -239,23 +237,17 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _select_split(data_path, frames: FrameSet, which: str) -> tuple:
-    """Returns (subset FrameSet, index of its first frame in the file)."""
-    if which == "all":
-        return frames, 0
-    train, val = _split(data_path, frames)
-    if which == "train":
-        return train, 0
-    return val, len(train)
-
-
 def _load_checkpoint(model_path, data_path, which):
-    """Shared eval/stream/profile loading: the decoder and the
-    standardized features of the chosen split."""
+    """Shared eval/stream/profile loading: the decoder, the split
+    ``which``, the index of its first frame in the file and its
+    standardized features."""
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
     _check_channels(data_path, frames, spec.input_width)
-    subset, offset = _select_split(data_path, frames, which)
+    subset, offset = frames, 0
+    if which != "all":
+        train, val = _split(data_path, frames)
+        subset, offset = (train, 0) if which == "train" else (val, len(train))
     feats = std.apply_features(subset.features)
     return params, spec, std, subset, offset, feats
 
@@ -335,19 +327,15 @@ def _cmd_profile(args) -> int:
 
 def _cmd_kf(args) -> int:
     frames = load_frames(args.data)
-    train, val = _split(args.data, frames)
     if args.model:
+        _, val = _split(args.data, frames)
         model, std, _ = ckpt.load_kf(args.model)
         _check_channels(args.data, frames, len(model.C))
         _check_scored(args.data, val, "val")
     else:
-        # a short training part is named first
-        with _naming(f"{args.data}: the train split"):
-            std = Standardizer.fit(train)
-        _check_scored(args.data, val, "val")
-        ftr, vtr = std.apply(train)
-        model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))
-    fva = std.apply_features(val.features).astype(np.float64)
+        std, train, val = _standardized(args.data, frames)
+        model = kf_fit(*train)
+    fva = std.apply_features(val.features)
     preds = std.invert_velocity(kf_run(model, fva))
     report = evaluate(preds, val.velocities)
     # saved only once the model has decoded the validation part
@@ -368,35 +356,26 @@ _COMMANDS = {
     "kf": _cmd_kf,
 }
 
-# Each subcommand's output flags, as argparse names them; main checks
-# their paths before any work.
-_OUTPUTS = {
-    "synth": ("out",),
-    "train": ("out", "log"),
-    "eval": ("trace",),
-    "profile": ("json_out",),
-    "kf": ("out",),
-}
+# The output flags, as argparse names them; main checks the paths of
+# those a subcommand has before any work.
+_OUTPUTS = ("out", "log", "trace", "json_out")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_output_paths(*(getattr(args, name)
-                              for name in _OUTPUTS.get(args.command, ())))
+        _check_output_paths(*(getattr(args, name, None)
+                              for name in _OUTPUTS))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:      # an output that failed while being written
         print(f"data error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -15,15 +15,15 @@ JSON (no NaN).  Three kinds share the layout: ``"frames"``
 (:mod:`snndecode.data`), ``"snn"`` and ``"kf"`` (:mod:`snndecode.checkpoint`).
 The container knows only this format: it checks no array's shape, dtype
 or values.  What a kind's arrays must be is the rule of the type each
-loader builds from them, and :func:`refused` is how every loader turns
-that type's refusal into a :class:`DataError` naming the file.
+loader builds from them, and :func:`~snndecode.errors.refused` is how
+every loader turns that type's refusal into a :class:`DataError` naming
+the file.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,22 +38,6 @@ _HEAD = struct.Struct("<HI")        # version, header byte length
 FRAMES, SNN, KF = "frames", "snn", "kf"
 KINDS = {FRAMES: "a frames file", SNN: "an snn checkpoint",
          KF: "a kf checkpoint"}
-
-
-@contextmanager
-def refused(path, prefix: str = ""):
-    """Re-raise a refusal inside the block as :class:`DataError` naming the
-    file: a missing array or metadata key, metadata of the wrong type or
-    too large a number, or a ``ValueError`` whose message starts with
-    what is at fault, as stored once ``prefix`` is put before it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise DataError(f"{path}: no array or metadata key {exc}") from exc
-    except (TypeError, OverflowError) as exc:
-        raise DataError(f"{path}: corrupt metadata: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {prefix}{exc}") from exc
 
 
 def write(path, kind: str, meta: dict, arrays) -> None:

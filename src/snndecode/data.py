@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import DataError
+from .errors import DataError, refused
 
 FRAME_ARRAYS = ("features", "velocities")       # each float32, one row a frame
 
@@ -184,7 +184,7 @@ def load_frames(path) -> FrameSet:
     What the arrays and the frame duration must be is :class:`FrameSet`'s
     rule.  Every refusal is a :class:`DataError` naming the file: a
     missing array or key, unusable metadata and :class:`FrameSet`'s
-    refusal become one through :func:`container.refused`.
+    refusal become one through :func:`~snndecode.errors.refused`.
     """
     try:
         with open(path, "rb") as fh:
@@ -195,7 +195,7 @@ def load_frames(path) -> FrameSet:
         raise DataError(f"{path}: an SNNF frame file, a layout no longer "
                         f"read; re-run synth or load the CSV")
     parse = _parse_container if raw[:4] == container.MAGIC else _parse_csv
-    with container.refused(path):
+    with refused(path):
         return FrameSet(*parse(path, raw))
 
 
@@ -203,16 +203,16 @@ def split_train_val(frames: FrameSet, ratio: float = 0.8):
     """Chronological prefix/suffix split; no shuffling.
 
     Returns ``(train, val)`` with ``floor(ratio * n)`` training frames;
-    a split that leaves either part empty raises :class:`DataError`
-    naming that part.
+    a split that leaves either part empty raises ``ValueError`` naming
+    that part.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("split ratio must lie strictly inside (0, 1)")
     n = len(frames)
     cut = int(ratio * n)
     if cut < 1 or cut >= n:
-        raise DataError(f"split of {n} frames at ratio {ratio} leaves the "
-                        f"{'train' if cut < 1 else 'val'} split empty")
+        raise ValueError(f"split of {n} frames at ratio {ratio} leaves the "
+                         f"{'train' if cut < 1 else 'val'} split empty")
 
     def piece(sl):
         return FrameSet(frames.features[sl], frames.velocities[sl],
@@ -254,9 +254,11 @@ class Standardizer:
 
     @classmethod
     def fit(cls, frames: FrameSet) -> "Standardizer":
+        """The standardizer of ``frames``' columns; fewer than two frames
+        have no sample deviation and raise ``ValueError``."""
         if len(frames) < 2:
-            raise DataError(f"standardizing needs at least two training "
-                            f"frames, got {len(frames)}")
+            raise ValueError(f"standardizing needs at least two training "
+                             f"frames, got {len(frames)}")
         stats = []
         for arr in (frames.features, frames.velocities):
             arr = arr.astype(np.float64)

@@ -397,26 +397,21 @@ def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
-                u: np.ndarray, s: np.ndarray | None = None,
-                potentials: np.ndarray | None = None):
+                u: np.ndarray, s: np.ndarray | None = None) -> None:
     """One layer's membrane recurrence over time-major ``(T, ..., width)``
     currents from potentials ``u`` and previous spikes ``s``; ``s=None``
-    runs the readout integrator.  Returns the per-frame output (spikes, or
-    the readout's potentials) and the end potentials.  Each frame's
-    spiking potentials go into ``potentials`` when it is given: the
-    training pass needs them, inference does not.
+    runs the readout integrator.  Each frame's new potentials overwrite
+    its currents, so on return ``cur`` holds every frame's potentials.  A
+    hidden layer's spikes are its potentials at or above the threshold,
+    as :func:`~snndecode.neuron.lif_step` fires them.
     """
-    out = np.empty_like(cur)
     if s is None:
         for t in range(len(cur)):
-            u, out[t] = output_step(u, cur[t], tau)
-        return out, u
+            u, _ = output_step(u, cur[t], tau, out=cur[t])
+        return
     for t in range(len(cur)):
-        u, s = lif_step(u, s, cur[t], tau, spec.threshold, spec.reset_mode)
-        out[t] = s
-        if potentials is not None:
-            potentials[t] = u
-    return out, u
+        u, s = lif_step(u, s, cur[t], tau, spec.threshold, spec.reset_mode,
+                        out=cur[t])
 
 
 def _check_finite(ends: list, joined: np.ndarray) -> None:
@@ -442,15 +437,18 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
     for l, (weight_t, bias, tau) in enumerate(folded):
         # a stack of one (B, in) product per frame, each rounded as it
         # would be alone: forward_streaming's (1, in) products round alike
-        cur = act @ weight_t
-        cur += bias
-        zero = np.zeros(cur.shape[1:], dtype=cur.dtype)
+        pot = act @ weight_t
+        pot += bias
+        zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
         if l < spec.n_hidden:
-            act, u = _recurrence(cur, tau, spec, zero, zero)
+            _recurrence(pot, tau, spec, zero, zero)
+            act = (pot >= spec.threshold).astype(pot.dtype)
             spikes.append(act.transpose(1, 0, 2))
         else:
-            act, u = _recurrence(cur, tau, spec, zero)
-        ends.append(u)
+            _recurrence(pot, tau, spec, zero)
+            act = pot
+        # a copy: a view would keep the layer's whole (T, B, w) array alive
+        ends.append(pot[-1].copy() if len(pot) else zero)
     _check_finite(ends, np.concatenate(ends, axis=-1))
     return act.transpose(1, 0, 2), spikes
 
@@ -519,17 +517,18 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
 
         n = layer.norm
         mean, var = batchnorm.batch_stats(cur)
-        normed, xhat, inv_std = batchnorm.normalize(
+        # the normalized currents, which the recurrence turns into the
+        # potentials in place
+        u, xhat, inv_std = batchnorm.normalize(
             cur, mean, var, n.gamma, n.beta, spec.threshold, spec.bn_eps)
 
-        zero = np.zeros_like(normed[0])
+        zero = np.zeros_like(u[0])
         if l == spec.n_hidden:
-            u, _ = _recurrence(normed, layer.tau, spec, zero)
+            _recurrence(u, layer.tau, spec, zero)
             spikes = mask = act = None
         else:
-            u = np.empty_like(normed)
-            spikes, _ = _recurrence(normed, layer.tau, spec, zero, zero,
-                                    potentials=u)
+            _recurrence(u, layer.tau, spec, zero, zero)
+            spikes = (u >= spec.threshold).astype(u.dtype)
             mask, act = None, spikes
             if spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p

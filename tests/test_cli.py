@@ -502,11 +502,10 @@ def test_wrong_kind_of_file_exits_2(trained, dataset, tmp_path, capsys,
     capsys.readouterr()
     assert main([command, *(str(x) for kv in args.items() for x in kv)]) == 2
     out, err = capsys.readouterr()
-    assert not out and str(files[given]) in err
-    if expected is None:
-        assert "SNNF" in err and "re-run synth" in err
-    else:
-        assert f"expected {expected}, found {given!r}" in err
+    found = (f"expected {expected}, found {given!r}" if expected else
+             "an SNNF frame file, a layout no longer read; re-run synth or "
+             "load the CSV")
+    assert not out and err == f"data error: {files[given]}: {found}\n"
 
 
 def test_one_frame_validation_exits_2(tmp_path, capsys):
@@ -748,8 +747,9 @@ def test_one_frame_split_exits_2(one_frame_split, capsys, monkeypatch,
         argv += ["--model", str(models[model])]
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert (f"{five}: the val split: scoring needs at least two frames, "
-            f"got 1" in err and not out)
+    assert err == (f"data error: {five}: the val split: scoring needs at "
+                   f"least two frames, got 1\n")
+    assert not out
 
 
 def test_one_frame_split_profiles(one_frame_split, capsys):

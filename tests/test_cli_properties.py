@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snndecode import container
-from snndecode.cli import _OUTPUTS, main
+from snndecode.cli import _COMMANDS, main
 from snndecode.train import TrainConfig
 
 BOUNDARY = ("0", "-1", "nan", "inf", "-inf", "")
@@ -131,7 +131,7 @@ def _argv(draw, tmp, files, fresh):
         either = st.sampled_from(usable) | st.sampled_from(BOUNDARY)
         return lambda: draw(either)
 
-    command = draw(st.sampled_from(tuple(_OUTPUTS) + ("stream",)))
+    command = draw(st.sampled_from(tuple(_COMMANDS)))
     data = lambda: _input(draw, tmp, files, "data", ("narrow", "short"))
     out = lambda: _output(draw, tmp, fresh)
     seed = boundary("1", str(2 ** 70))

@@ -325,9 +325,15 @@ def test_split_is_chronological_partition():
 
 
 def test_split_rejects_empty_side():
+    """An empty part is a refusal of a value, not of a file: a
+    ``ValueError`` naming the part, which names no file, so no
+    :class:`DataError`."""
     frames = small_frameset(n=1)
-    with pytest.raises(DataError, match="leaves the train split empty"):
+    with pytest.raises(ValueError) as err:
         split_train_val(frames)
+    assert str(err.value) == ("split of 1 frames at ratio 0.8 leaves the "
+                              "train split empty")
+    assert not isinstance(err.value, DataError)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, np.nan])
@@ -469,6 +475,10 @@ def test_synth_all_finite_and_nonnegative_before_noise():
 @pytest.mark.parametrize("n", [0, 1])
 def test_standardizer_needs_two_frames(n):
     """Fewer than two frames have no sample deviation: refused before any
-    arithmetic, so no numpy warning comes first."""
-    with pytest.raises(DataError, match=f"two training frames, got {n}"):
+    arithmetic, so no numpy warning comes first, with a ``ValueError``
+    that names no file, so no :class:`DataError`."""
+    with pytest.raises(ValueError) as err:
         Standardizer.fit(small_frameset(n=n))
+    assert str(err.value) == (f"standardizing needs at least two training "
+                              f"frames, got {n}")
+    assert not isinstance(err.value, DataError)

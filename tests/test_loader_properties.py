@@ -1,5 +1,5 @@
-"""Loader properties: any byte string either loads or raises DataError,
-and saving what was loaded gives back the same bytes.
+"""Loader properties: any byte string either loads or raises DataError
+naming the file, and saving what was loaded gives back the same bytes.
 
 Corrupt inputs are truncations and 1-3 bit flips of a valid SNN
 checkpoint, a valid Kalman checkpoint, a binary frames file (the three
@@ -87,6 +87,15 @@ def corrupt_path(tmp_path_factory):
     return tmp_path_factory.mktemp("corrupt") / "file"
 
 
+def _loads_or_names_file(load, path):
+    """``load(path)`` returns, or raises :class:`DataError` whose message
+    names ``path``."""
+    try:
+        load(path)
+    except DataError as exc:
+        assert str(path) in str(exc), exc
+
+
 @st.composite
 def corruptions(draw, blob, head):
     """A truncation, or 1-3 bit flips anywhere or in the header."""
@@ -110,10 +119,7 @@ def test_corrupt_file_loads_or_raises_data_error(valid, corrupt_path, kind):
     @given(data=corruptions(blob, _header_len(kind, blob)))
     def check(data):
         corrupt_path.write_bytes(data)
-        try:
-            load(corrupt_path)
-        except DataError:
-            pass
+        _loads_or_names_file(load, corrupt_path)
 
     check()
 
@@ -130,10 +136,7 @@ def test_every_header_bit_flip_loads_or_raises_data_error(valid, corrupt_path,
         data = bytearray(blob)
         data[bit // 8] ^= 1 << (bit % 8)
         corrupt_path.write_bytes(bytes(data))
-        try:
-            load(corrupt_path)
-        except DataError:
-            pass
+        _loads_or_names_file(load, corrupt_path)
 
 
 @pytest.mark.parametrize("kind", list(FORMATS))

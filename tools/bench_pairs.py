@@ -8,8 +8,9 @@ workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
 declares them), each side's median and quartiles, the number of pairs
 the change won (ties count for neither) and the verdicts ``gain`` and
 ``within_bound`` (see :func:`summarize`), plus both sides' figures and
-fingerprints per seed and the environment, among it the OpenBLAS kernel
-name::
+fingerprints per seed, the environment, among it the OpenBLAS kernel
+name, and per tree the sha256 of its sources and the code lines of each
+module of ``src/snndecode`` with their total (``tools/code_lines.py``)::
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/bench_pairs.py /tmp/parent . --number 23 \\
@@ -28,6 +29,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from code_lines import package_lines    # this directory is on the path
 
 # Read in a child process: the kernel OpenBLAS picked for this CPU.
 _CORENAME = """
@@ -52,6 +55,12 @@ def _tree_digest(tree: Path) -> str:
         h.update(str(path.relative_to(tree)).encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def _tree_lines(tree: Path) -> dict:
+    """Code lines of each module of the tree's library, and their total."""
+    modules = package_lines(tree / "src" / "snndecode")
+    return {"modules": modules, "total": sum(modules.values())}
 
 
 def run_once(tree: Path, workload: str, seed: int, args) -> dict:
@@ -189,7 +198,8 @@ def main(argv=None) -> int:
     environment["openblas_corename"] = core.stdout.strip() or None
     record = {
         "number": args.number,
-        "trees": {side: {"src_sha256": _tree_digest(tree)}
+        "trees": {side: {"src_sha256": _tree_digest(tree),
+                         "code_lines": _tree_lines(tree)}
                   for side, tree in trees.items()},
         "settings": {"seconds": args.seconds, "size": args.size,
                      "trace": 0, "first_seed": first_seed},

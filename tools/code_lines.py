@@ -28,14 +28,20 @@ def code_lines(source: str) -> int:
                and n not in docstrings)
 
 
-def main(package: str) -> None:
-    total = 0
+def package_lines(package) -> dict:
+    """The code lines of each module of ``package``, keyed by its path
+    inside the package, in path order."""
     root = Path(package)
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6,d}  {path.relative_to(root)}")
-    print(f"{total:6,d}  total")
+    return {str(path.relative_to(root)):
+            code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
+def main(package: str) -> None:
+    counts = package_lines(package)
+    for name, count in counts.items():
+        print(f"{count:6,d}  {name}")
+    print(f"{sum(counts.values()):6,d}  total")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from bench_pairs import summarize   # pytest puts this directory on the path
+from code_lines import code_lines, package_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,7 +47,29 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
     # one tree on both sides: the same arithmetic, the same fingerprints
     assert offline["fingerprints_equal"]
     assert record["trees"]["parent"] == record["trees"]["change"]
+    # each tree's code lines, per module of the library and in total
+    lines = record["trees"]["change"]["code_lines"]
+    assert lines["modules"] == package_lines(ROOT / "src" / "snndecode")
+    assert "cli.py" in lines["modules"]
+    assert lines["total"] == sum(lines["modules"].values())
     assert "openblas_corename" in record["environment"]
+
+
+def test_code_lines_count_code_only():
+    """Docstrings, comments and blank lines are not code lines; a string
+    that is not a docstring is."""
+    source = "\n".join([
+        '"""Module docstring,',
+        'two lines."""',
+        "",
+        "# a comment",
+        "X = 1   # a trailing comment keeps the line",
+        "",
+        "def f():",
+        '    """One line."""',
+        '    return """not a docstring"""',
+    ])
+    assert code_lines(source) == 3
 
 
 def _runs(parent, change, name="m"):
