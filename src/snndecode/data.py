@@ -203,16 +203,17 @@ def split_train_val(frames: FrameSet, ratio: float = 0.8):
     """Chronological prefix/suffix split; no shuffling.
 
     Returns ``(train, val)`` with ``floor(ratio * n)`` training frames;
-    a split that leaves either part empty raises ``ValueError`` naming
-    that part.
+    a split that leaves the training part empty raises ``ValueError``.
+    The validation part is never empty: for a ratio below 1,
+    ``ratio * n`` rounds to less than ``n``.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("split ratio must lie strictly inside (0, 1)")
     n = len(frames)
     cut = int(ratio * n)
-    if cut < 1 or cut >= n:
+    if cut < 1:
         raise ValueError(f"split of {n} frames at ratio {ratio} leaves the "
-                         f"{'train' if cut < 1 else 'val'} split empty")
+                         f"train split empty")
 
     def piece(sl):
         return FrameSet(frames.features[sl], frames.velocities[sl],

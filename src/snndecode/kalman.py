@@ -201,7 +201,8 @@ def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
     mean_pred = model.A @ mean
     cov_pred = model.A @ cov @ model.A.T + model.W
 
-    S = model.C @ cov_pred @ model.C.T + model.Q
+    c_cov = model.C @ cov_pred                  # (channels, 3), used twice
+    S = c_cov @ model.C.T + model.Q
     if not _certified(model, cov_pred):
         cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -209,7 +210,7 @@ def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
                 f"innovation covariance numerically singular "
                 f"(condition estimate {cond:.3e})"
             )
-    gain = np.linalg.solve(S, model.C @ cov_pred).T    # (3, channels)
+    gain = np.linalg.solve(S, c_cov).T    # (3, channels)
 
     innovation = observation - model.C @ mean_pred
     mean = mean_pred + gain @ innovation

@@ -5,21 +5,23 @@ velocity decoder, with threshold-scaled batch normalization on every
 layer's input current, the readout's included, and per-timestep dropout
 on hidden spike vectors during training.
 
-Both window passes run layer-major on time-major ``(T, ..., width)``
-arrays, and one recurrence, :func:`_recurrence`, advances the membranes
-in both:
+Both window passes run on time-major ``(T, ..., width)`` arrays, and one
+recurrence, :func:`_recurrence`, advances the membranes in both:
 
 * the training pass (:func:`forward_unfolded` in ``"train"`` mode) runs
-  each layer's matmul as one blocked product over all time and batch
-  rows, normalizes with the pooled batch and time statistics, keeps the
-  potentials, applies dropout, and records every intermediate the
-  backward pass needs in a :class:`TrainingCache`, time-major as it
+  layer-major: each layer's matmul as one blocked product over all time
+  and batch rows, normalizes with the pooled batch and time statistics,
+  keeps the potentials, applies dropout, and records every intermediate
+  the backward pass needs in a :class:`TrainingCache`, time-major as it
   computed them;
 * the inference pass (:func:`_eval_pass`, :func:`forward_unfolded` in
   ``"eval"`` mode) runs one matmul per frame on weights with the
   normalizer folded in (:func:`_fold`), adds the folded bias and advances
-  the membranes from a zero state.  It returns the predictions and the
-  hidden layers' spikes.
+  the membranes from a zero state.  Its hidden layers run as a skewed
+  pipeline over chunks of :data:`EVAL_CHUNK` frames, in which one kernel
+  call advances every hidden layer of a stage by one frame; its readout
+  runs last, over all frames.  It returns the predictions and the hidden
+  layers' spikes.
 
 :func:`forward_streaming` advances the state a real-time session carries
 by one frame, in a step of its own: per layer the same folded operands,
@@ -70,6 +72,11 @@ EVAL = batchnorm.EVAL
 # which changes the rounding; blocks no deeper than this, added in a
 # fixed order, give the same bits at any thread count.
 GEMM_BLOCK = 256
+
+# Frames per chunk of the inference pass's hidden-layer pipeline
+# (:func:`_eval_pass`).  Any size gives the same bits; it sets how many
+# kernel calls a decode makes and how large its one stage buffer is.
+EVAL_CHUNK = 128
 
 # The arrays of one layer, in checkpoint order: weights, per-neuron decay
 # factors, then the normalizer's affine and running statistics.  The
@@ -398,12 +405,13 @@ def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
                 u: np.ndarray, s: np.ndarray | None = None) -> None:
-    """One layer's membrane recurrence over time-major ``(T, ..., width)``
+    """The membrane recurrence over time-major ``(T, ..., width)``
     currents from potentials ``u`` and previous spikes ``s``; ``s=None``
-    runs the readout integrator.  Each frame's new potentials overwrite
-    its currents, so on return ``cur`` holds every frame's potentials.  A
-    hidden layer's spikes are its potentials at or above the threshold,
-    as :func:`~snndecode.neuron.lif_step` fires them.
+    runs the readout integrator; the columns may be several hidden layers
+    side by side, each with its own ``tau``.  Each frame's new potentials
+    overwrite its currents, so on return ``cur`` holds every frame's
+    potentials.  A hidden layer's spikes are its potentials at or above
+    the threshold, as :func:`~snndecode.neuron.lif_step` fires them.
     """
     if s is None:
         for t in range(len(cur)):
@@ -430,27 +438,66 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
     checked ``(B, T, in_width)`` windows from a zero state: ``(B, T,
     out_width)`` predictions and one ``(B, T, width)`` spike array per
     hidden layer.  End potentials that are not all finite raise
-    :class:`NumericError` (:func:`_check_finite`)."""
+    :class:`NumericError` (:func:`_check_finite`).
+
+    The hidden layers run as a skewed pipeline over chunks of
+    :data:`EVAL_CHUNK` frames: at stage ``k`` hidden layer ``l`` advances
+    chunk ``k - l``, whose input spikes its lower layer made at stage
+    ``k - 1``.  The stage's currents go into one ``(chunk, B, Σ widths)``
+    buffer, and one :func:`_recurrence` over its columns advances every
+    layer at once, carrying each layer's potentials and spikes from one
+    of its chunks to the next.  Every element sees the arithmetic of a
+    layer-major pass: the kernels are elementwise, and each frame's row
+    product is rounded alone.  The readout then runs over all frames.
+    """
+    B, T, _ = windows.shape
+    n_hidden, thr = spec.n_hidden, spec.threshold
+    cols = [0]
+    for width in spec.layer_widths[1:n_hidden + 1]:
+        cols.append(cols[-1] + width)
+    spikes = [np.empty((T, B, cols[l + 1] - cols[l]), windows.dtype)
+              for l in range(n_hidden)]
+    taus = np.concatenate([tau for _, _, tau in folded])[:cols[-1]]
+    buf = np.empty((min(EVAL_CHUNK, T), B, cols[-1]), windows.dtype)
+    u = np.zeros((B, cols[-1]), windows.dtype)
+    s = np.zeros_like(u)
     act = windows.transpose(1, 0, 2)
-    spikes = []
-    ends = []
-    for l, (weight_t, bias, tau) in enumerate(folded):
-        # a stack of one (B, in) product per frame, each rounded as it
-        # would be alone: forward_streaming's (1, in) products round alike
-        pot = act @ weight_t
-        pot += bias
-        zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
-        if l < spec.n_hidden:
-            _recurrence(pot, tau, spec, zero, zero)
-            act = (pot >= spec.threshold).astype(pot.dtype)
-            spikes.append(act.transpose(1, 0, 2))
-        else:
-            _recurrence(pot, tau, spec, zero)
-            act = pot
-        # a copy: a view would keep the layer's whole (T, B, w) array alive
-        ends.append(pot[-1].copy() if len(pot) else zero)
-    _check_finite(ends, np.concatenate(ends, axis=-1))
-    return act.transpose(1, 0, 2), spikes
+    n_chunks = -(-T // EVAL_CHUNK)
+    for k in range(n_chunks + n_hidden - 1 if n_chunks and n_hidden else 0):
+        lo, hi = max(0, k - n_chunks + 1), min(k, n_hidden - 1)
+        stage = [(l, slice((k - l) * EVAL_CHUNK, (k - l + 1) * EVAL_CHUNK))
+                 for l in range(lo, hi + 1)]
+        for l, rows in stage:
+            weight_t, bias, _ = folded[l]
+            # a stack of one (B, in) product per frame, each rounded as it
+            # would be alone: forward_streaming's (1, in) products round
+            # alike
+            cur = (spikes[l - 1] if l else act)[rows] @ weight_t
+            np.add(cur, bias, out=buf[:len(cur), :, cols[l]:cols[l + 1]])
+        # only layer lo can be on the short last chunk: after its frames,
+        # the layers above it go on alone
+        short = len(spikes[lo][stage[0][1]])
+        for r0, r1, c0 in ((0, short, cols[lo]),
+                           (short, len(buf) if lo < hi else short,
+                            cols[lo + 1])):
+            if r0 < r1:
+                c = slice(c0, cols[hi + 1])
+                _recurrence(buf[r0:r1, :, c], taus[c], spec, u[:, c], s[:, c])
+                u[:, c] = buf[r1 - 1, :, c]
+                np.greater_equal(u[:, c], thr, out=s[:, c])
+        for l, rows in stage:
+            out = spikes[l][rows]
+            np.greater_equal(buf[:len(out), :, cols[l]:cols[l + 1]], thr,
+                             out=out)
+    weight_t, bias, tau = folded[-1]
+    pot = (spikes[-1] if n_hidden else act) @ weight_t
+    pot += bias
+    zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
+    _recurrence(pot, tau, spec, zero)
+    ends = [u[:, cols[l]:cols[l + 1]] for l in range(n_hidden)]
+    ends.append(pot[-1] if T else zero)
+    _check_finite(ends, np.concatenate([u, ends[-1]], axis=-1))
+    return pot.transpose(1, 0, 2), [a.transpose(1, 0, 2) for a in spikes]
 
 
 def _check_windows(windows, spec: NetworkSpec, dtype) -> np.ndarray:
@@ -470,7 +517,7 @@ def _check_windows(windows, spec: NetworkSpec, dtype) -> np.ndarray:
 def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
                      windows: np.ndarray, mode: str = EVAL,
                      rng: np.random.Generator | None = None):
-    """Run whole windows through the network, layer-major.
+    """Run whole windows through the network.
 
     Parameters
     ----------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -548,19 +549,119 @@ class TestStreaming:
     def test_matches_unfolded_eval_property(self, widths, frames, reset_mode,
                                             dtype, seed):
         """Streaming equals the unfolded inference pass bit for bit on any
-        small topology, reset mode and dtype."""
+        small topology, reset mode and dtype, with the pass's default
+        pipeline chunk and with a chunk of 2, which skews these windows."""
         spec = NetworkSpec(layer_widths=widths, window_len=frames,
                            reset_mode=reset_mode)
         params, rng = varied_params(spec, seed, dtype)
         window = rng.normal(size=(frames, spec.input_width)).astype(dtype)
 
-        unfolded, _ = forward_unfolded(params, spec, window[None], mode=EVAL)
-        unfolded = unfolded[0]
         state = reset_state(spec, dtype=dtype)
-        streamed = np.empty_like(unfolded)
+        streamed = np.empty((frames, spec.output_width), dtype=dtype)
         for t, frame in enumerate(window):
             streamed[t], state = forward_streaming(params, spec, frame, state)
-        assert streamed.tobytes() == unfolded.tobytes()
+        for chunk in (network.EVAL_CHUNK, 2):
+            with mock.patch.object(network, "EVAL_CHUNK", chunk):
+                unfolded, _ = forward_unfolded(params, spec, window[None],
+                                               mode=EVAL)
+            assert streamed.tobytes() == unfolded[0].tobytes()
+
+
+def layer_major_reference(params, spec, windows):
+    """The inference pass run layer after layer over all frames, from
+    the :func:`~snndecode.network._fold` operands, one stacked product per
+    layer and :func:`~snndecode.network._recurrence`: ``(predictions,
+    spikes)`` laid out as ``forward_unfolded`` returns them."""
+    act = windows.transpose(1, 0, 2)
+    spikes = []
+    for l, (weight_t, bias, tau) in enumerate(FOLD(params, spec)):
+        pot = act @ weight_t
+        pot += bias
+        zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
+        if l < spec.n_hidden:
+            network._recurrence(pot, tau, spec, zero, zero)
+            act = (pot >= spec.threshold).astype(pot.dtype)
+            spikes.append(act.transpose(1, 0, 2))
+        else:
+            network._recurrence(pot, tau, spec, zero)
+    return pot.transpose(1, 0, 2), spikes
+
+
+class TestEvalPipeline:
+    """The inference pass's skewed pipeline over chunks of frames gives
+    the layer-major pass's bits, whatever the chunk."""
+
+    @pytest.mark.parametrize("reset_mode", RESET_MODES)
+    @pytest.mark.parametrize("widths", [(5, 3), (5, 7, 3), (5, 7, 4, 6, 3)],
+                             ids=["0-hidden", "1-hidden", "3-hidden"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, network.EVAL_CHUNK])
+    def test_matches_layer_major(self, chunk, widths, reset_mode,
+                                 monkeypatch):
+        monkeypatch.setattr(network, "EVAL_CHUNK", chunk)
+        spec = NetworkSpec(layer_widths=widths, reset_mode=reset_mode)
+        fired = 0
+        for dtype in (np.float32, np.float64):
+            params, rng = varied_params(spec, chunk, dtype)
+            for T in sorted({0, 1, chunk - 1, chunk, chunk + 1,
+                             2 * chunk + 3}):
+                for B in (1, 3):
+                    windows = rng.normal(
+                        size=(B, T, spec.input_width)).astype(dtype)
+                    preds, spikes = forward_unfolded(params, spec, windows,
+                                                     mode=EVAL)
+                    want, want_spikes = layer_major_reference(params, spec,
+                                                              windows)
+                    assert preds.shape == want.shape
+                    assert preds.tobytes() == want.tobytes()
+                    assert len(spikes) == len(want_spikes) == spec.n_hidden
+                    for got, ref in zip(spikes, want_spikes):
+                        assert got.shape == ref.shape
+                        assert got.tobytes() == ref.tobytes()
+                        fired += int(got.sum())
+        assert fired > 0 or spec.n_hidden == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layer", [0, 1, 2, 3])
+    def test_overflow_on_a_chunk_boundary_names_its_layer(self, layer,
+                                                          monkeypatch):
+        """Silent until the first frame of the second chunk, where every
+        layer below ``layer`` fires and ``layer``'s product overflows:
+        the pass names that layer, whichever stage it is in."""
+        chunk = 4
+        monkeypatch.setattr(network, "EVAL_CHUNK", chunk)
+        spec = NetworkSpec(layer_widths=(6, 8, 8, 8, 2))
+        params = init_params(spec, np.random.default_rng(40),
+                             dtype=np.float32)
+        for below in params.layers[:layer]:
+            below.weight[:] = 1.0
+        params.layers[layer].weight[:] = 3e38
+        frames = np.zeros((3 * chunk, spec.input_width), np.float32)
+        frames[chunk:] = 1.0
+        decode_sequence(params, spec, frames[:chunk])     # still finite
+        with pytest.raises(NumericError,
+                           match=f"non-finite membrane potential in layer "
+                                 f"{layer}$"):
+            decode_sequence(params, spec, frames)
+
+    def test_one_lif_step_per_frame_for_every_hidden_layer(self,
+                                                            monkeypatch):
+        """A pipeline stage advances all its layers with one
+        ``lif_step`` per frame: a layer-major pass would call it
+        ``n_hidden * T`` times."""
+        calls = []
+        real = network.lif_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "lif_step", counted)
+        spec = NetworkSpec(layer_widths=(8, 16, 16, 16, 2))
+        chunk = network.EVAL_CHUNK
+        T = 4 * chunk
+        frames = np.random.default_rng(41).normal(size=(T, 8))
+        decode_sequence(lively_params(spec, seed=41), spec, frames)
+        assert len(calls) == T + (spec.n_hidden - 1) * chunk < 2 * T
 
 
 class TestFoldedKernel:

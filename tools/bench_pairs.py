@@ -5,16 +5,20 @@ pair ``i`` runs both trees on seed ``100 * n + i``, where ``n`` is the
 ``--number`` of the file written, and which tree goes first alternates
 from pair to pair.  The result is one JSON file holding, per
 workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
-declares them), each side's median and quartiles, the number of pairs
-the change won (ties count for neither) and the verdicts ``gain`` and
-``within_bound`` (see :func:`summarize`), plus both sides' figures and
-fingerprints per seed, the environment, among it the OpenBLAS kernel
-name, and per tree the sha256 of its sources and the code lines of each
-module of ``src/snndecode`` with their total (``tools/code_lines.py``)::
+declares them), each side's median and quartiles, the median of the
+unscaled figure where the run has one, the number of pairs the change
+won (ties count for neither) and the verdicts ``gain`` and
+``within_bound`` (see :func:`summarize`), plus both sides' figures,
+unscaled figures, host-slowdown factors and fingerprints per seed, the
+environment, among it the OpenBLAS kernel name, and per tree the sha256
+of its sources and the code lines of each module of ``src/snndecode``
+with their total (``tools/code_lines.py``).  A workload named in
+``--traced`` also gets one ``--trace 1`` run per side, on its first
+pair's seed, whose per-layer figures the file keeps under ``traced``::
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/bench_pairs.py /tmp/parent . --number 23 \\
-        --pairs offline=10 train=10 stream=10
+        --pairs offline=10 train=10 stream=10 --traced offline
 
 writes ``BENCH_23.json`` at the root of the change tree.  Standard
 library only; numpy is loaded only by the child processes.
@@ -63,12 +67,15 @@ def _tree_lines(tree: Path) -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
-def run_once(tree: Path, workload: str, seed: int, args) -> dict:
+def run_once(tree: Path, workload: str, seed: int, args,
+             trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run: its result, fingerprints and
-    environment, read from the lines it prints."""
+    environment, read from the lines it prints, and its unscaled figures
+    and host-slowdown factors, read from the results file it writes
+    (:func:`_unscaled_figures`)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(args.seconds),
-           "--trace", "0", "--size", args.size]
+           "--trace", str(trace), "--size", args.size]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(cmd)} exited "
@@ -79,7 +86,22 @@ def run_once(tree: Path, workload: str, seed: int, args) -> dict:
         for key in ("environment", "fingerprints"):
             if line.startswith(f"# {key} "):
                 out[key] = json.loads(line[len(key) + 3:])
+    size = "" if args.size == "reference" else f"-{args.size}"
+    results = (tree / "perfbench" / "results"
+               / f"{workload}-seed{seed}{size}-trace{trace}.json")
+    out.update(_unscaled_figures(json.loads(results.read_text())["chunks"]))
     return out
+
+
+def _unscaled_figures(chunks: dict) -> dict:
+    """From the ``chunks`` section of a run's results file: the unscaled
+    median of each chunked metric, the unscaled ``stream_frame_us_p50``
+    and the host-slowdown factors the run measured."""
+    unscaled = {name: c["median_unscaled"] for name, c in chunks.items()
+                if "median_unscaled" in c}
+    unscaled["stream_frame_us_p50"] = chunks["stream_frame_us_unscaled"][
+        "p50"]
+    return {"unscaled": unscaled, "host_slowdown": chunks["host_slowdown"]}
 
 
 def _summary(values: list) -> dict:
@@ -99,8 +121,10 @@ def summarize(runs: list, metrics: list) -> dict:
     ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``.
 
     * ``gain``: the change won at least nine tenths of the pairs (ties
-      count for neither), and its median is better than the parent's by
-      more than the parent's interquartile range;
+      count for neither), its median is better than the parent's by
+      more than the parent's interquartile range, and, where every run
+      has an unscaled figure of the metric, the change's unscaled
+      median is better than the parent's too;
     * ``within_bound``: the change's median is worse than the parent's
       by no more than the metric's ``bound``, a fraction of the parent's
       median.
@@ -114,11 +138,19 @@ def summarize(runs: list, metrics: list) -> dict:
         won = sum(sign * (c - p) > 0 for p, c in
                   zip(got["parent"], got["change"]))
         better_by = sign * (change["median"] - parent["median"])
+        raw = {side: [r[side].get("unscaled", {}).get(name) for r in runs]
+               for side in got}
+        agrees = True
+        if None not in raw["parent"] + raw["change"]:
+            parent["median_unscaled"] = statistics.median(raw["parent"])
+            change["median_unscaled"] = statistics.median(raw["change"])
+            agrees = sign * (change["median_unscaled"]
+                             - parent["median_unscaled"]) > 0
         table[name] = {
             "unit": m["unit"], "better": m["better"],
             "parent": parent, "change": change,
             "change_won": won, "pairs": len(runs),
-            "gain": (10 * won >= 9 * len(runs)
+            "gain": (10 * won >= 9 * len(runs) and agrees
                      and better_by > parent["q3"] - parent["q1"]),
             "within_bound": -better_by <= m["bound"] * abs(parent["median"]),
         }
@@ -144,6 +176,9 @@ def main(argv=None) -> int:
                         "seed 100 * n + i")
     p.add_argument("--pairs", nargs="+", default=["offline=3"],
                    metavar="WORKLOAD=COUNT")
+    p.add_argument("--traced", nargs="+", default=[], metavar="WORKLOAD",
+                   help="workloads of --pairs that also get one --trace 1 "
+                        "run per side")
     p.add_argument("--seconds", type=float,
                    help="measured loop per run (default: BENCHMARK.json's "
                         "run_seconds)")
@@ -162,6 +197,9 @@ def main(argv=None) -> int:
     if set(pairs) - known:
         raise SystemExit(f"unknown workloads {sorted(set(pairs) - known)}; "
                          f"declared: {sorted(known)}")
+    if set(args.traced) - set(pairs):
+        raise SystemExit(f"--traced {sorted(set(args.traced) - set(pairs))} "
+                         f"names workloads without pairs")
 
     first_seed = 100 * args.number
     workloads, environment = {}, None
@@ -185,6 +223,8 @@ def main(argv=None) -> int:
                 side: {"correct": r[side]["result"]["correct"],
                        "failed": r[side]["result"]["failed"],
                        "fingerprints": r[side]["fingerprints"],
+                       "unscaled": r[side]["unscaled"],
+                       "host_slowdown": r[side]["host_slowdown"],
                        "metrics": {m["name"]: r[side]["result"]["metrics"]
                                    [m["name"]]["value"]
                                    for m in declared["end_to_end"]}}
@@ -193,6 +233,14 @@ def main(argv=None) -> int:
                 r["parent"]["fingerprints"] == r["change"]["fingerprints"]
                 for r in runs),
         }
+        if workload in args.traced:
+            # after the pairs: run.py sets each traced run beside the
+            # untraced results file of its seed
+            workloads[workload]["traced"] = {
+                side: {"seed": first_seed, "per_layer": run_once(
+                    trees[side], workload, first_seed, args,
+                    trace=1)["result"]["metrics"]}
+                for side in trees}
     core = subprocess.run([sys.executable, "-c", _CORENAME],
                           capture_output=True, text=True)
     environment["openblas_corename"] = core.stdout.strip() or None
@@ -202,7 +250,8 @@ def main(argv=None) -> int:
                          "code_lines": _tree_lines(tree)}
                   for side, tree in trees.items()},
         "settings": {"seconds": args.seconds, "size": args.size,
-                     "trace": 0, "first_seed": first_seed},
+                     "trace": 0, "traced": args.traced,
+                     "first_seed": first_seed},
         "environment": environment,
         "workloads": workloads,
     }

@@ -22,7 +22,7 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
     proc = subprocess.run(
         [sys.executable, "tools/bench_pairs.py", ".", ".", "--number", "0",
          "--pairs", "offline=2", "--seconds", "0.2", "--size", "tiny",
-         "--out", str(out)],
+         "--traced", "offline", "--out", str(out)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
@@ -53,6 +53,27 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
     assert "cli.py" in lines["modules"]
     assert lines["total"] == sum(lines["modules"].values())
     assert "openblas_corename" in record["environment"]
+    # the unscaled figures, read from each run's results file
+    for run in offline["runs"]:
+        for side in ("parent", "change"):
+            got = run[side]
+            assert {"decode_frames_per_s", "kf_frames_per_s",
+                    "stream_frame_us_p50"} <= set(got["unscaled"])
+            assert got["unscaled"]["stream_frame_us_p50"] > 0
+            assert {"blas", "small"} <= set(got["host_slowdown"])
+    for name in ("decode_frames_per_s", "stream_frame_us_p50"):
+        row = offline["metrics"][name]
+        for side in ("parent", "change"):
+            values = [r[side]["unscaled"][name] for r in offline["runs"]]
+            assert row[side]["median_unscaled"] == statistics.median(values)
+    assert "median_unscaled" not in offline["metrics"]["decode_r_mean"][
+        "change"]
+    # one traced run per side, on the first pair's seed
+    assert record["settings"]["traced"] == ["offline"]
+    for side in ("parent", "change"):
+        traced = offline["traced"][side]
+        assert traced["seed"] == 0
+        assert traced["per_layer"]["neuron.lif_step_calls"]["value"] > 0
 
 
 def test_code_lines_count_code_only():
@@ -72,16 +93,22 @@ def test_code_lines_count_code_only():
     assert code_lines(source) == 3
 
 
-def _runs(parent, change, name="m"):
-    """Synthetic pairs: one ``{"parent": run, "change": run}`` per value."""
-    return [{side: {"result": {"metrics": {name: {"value": v}}}}
+def _runs(parent, change, name="m", unscaled=None):
+    """Synthetic pairs: one ``{"parent": run, "change": run}`` per value,
+    with the ``(parent, change)`` lists ``unscaled`` as unscaled figures
+    when they are given."""
+    runs = [{side: {"result": {"metrics": {name: {"value": v}}}}
              for side, v in (("parent", p), ("change", c))}
             for p, c in zip(parent, change)]
+    for side, values in zip(("parent", "change"), unscaled or ()):
+        for run, v in zip(runs, values):
+            run[side]["unscaled"] = {name: v}
+    return runs
 
 
-def _row(parent, change, better="lower", bound=0.2):
+def _row(parent, change, better="lower", bound=0.2, unscaled=None):
     metric = {"name": "m", "unit": "us", "better": better, "bound": bound}
-    return summarize(_runs(parent, change), [metric])["m"]
+    return summarize(_runs(parent, change, unscaled=unscaled), [metric])["m"]
 
 
 def test_summarize_verdicts_on_synthetic_runs():
@@ -108,3 +135,23 @@ def test_summarize_verdicts_on_synthetic_runs():
     assert not _row(parent, [p - 8.0 for p in parent], better="higher",
                     bound=0.1)["within_bound"]
     assert not _row(parent, [p * 1.3 for p in parent])["within_bound"]
+
+
+def test_gain_needs_the_unscaled_medians_to_agree():
+    parent = [60.0, 61.0, 62.0, 63.0, 64.0, 60.5, 61.5, 62.5, 63.5, 64.5]
+    change = [p - 8.0 for p in parent]
+    raw = [30.0, 31.0, 32.0, 33.0, 34.0, 30.5, 31.5, 32.5, 33.5, 34.5]
+    # the unscaled figures moved the same way: a gain, with both medians
+    row = _row(parent, change, unscaled=(raw, [r - 1.0 for r in raw]))
+    assert row["gain"]
+    assert row["parent"]["median_unscaled"] == statistics.median(raw)
+    assert row["change"]["median_unscaled"] == statistics.median(raw) - 1.0
+    # the scaled figures won every pair, the unscaled ones went the other
+    # way or stood still: no gain, and no effect on within_bound
+    for moved in (1.0, 0.0):
+        row = _row(parent, change, unscaled=(raw, [r + moved for r in raw]))
+        assert row["change_won"] == 10 and not row["gain"]
+        assert row["within_bound"]
+    # a metric without unscaled figures keeps the scaled verdict alone
+    row = _row(parent, change)
+    assert row["gain"] and "median_unscaled" not in row["change"]
