@@ -2,7 +2,9 @@
 
 Shows the membrane trace under a constant drive, what the two reset
 modes do after a spike, and where the surrogate derivative opens its
-unit window around the threshold.
+unit window around the threshold.  The membrane potential is the
+neuron's whole state: it spiked whenever the potential is at or above the
+threshold, and the next ``lif_step`` reads its reset from there.
 """
 
 import numpy as np
@@ -14,13 +16,12 @@ THRESHOLD = 0.4
 
 def trace(reset_mode, drive, steps=24):
     tau = np.array([0.5])
-    u, spikes = np.zeros(1), np.zeros(1)
+    u = np.zeros(1)
     us, ss = [], []
     for _ in range(steps):
-        u, spikes = lif_step(u, spikes, np.full(1, drive), tau, THRESHOLD,
-                             reset_mode)
+        u = lif_step(u, np.full(1, drive), tau, THRESHOLD, reset_mode)
         us.append(float(u[0]))
-        ss.append(int(spikes[0]))
+        ss.append(int(u[0] >= THRESHOLD))
     return us, ss
 
 

@@ -6,12 +6,14 @@ readout).  :func:`backward` walks that chain in reverse, layer-major
 like the forward and on the time-major ``(T, B, width)`` arrays the
 training pass recorded in its :class:`~snndecode.network.TrainingCache`;
 only the predictions, their gradient and the dropout masks are
-batch-major, as the callers hold them.  For each layer it first
-resolves the time recurrence back to front, then the normalizer, then
-the weights, handing the remaining gradient to the layer below.  One
-loop serves both reset modes and the readout: each differs only in what
-a spike removes and in the leak, which are set once per layer before
-the loop.
+batch-major, as the callers hold them.  The cache keeps no spikes: a
+hidden layer's spikes are its recorded potentials at or above the
+threshold, as the forward pass fired them.  For each layer `backward`
+first resolves the time recurrence back to front, then the normalizer,
+then the weights, handing the remaining gradient to the layer below.
+One loop serves both reset modes and the readout: each differs only in
+what a spike removes and in the leak, which are set once per layer
+before the loop.
 
 Spike generation is a step function, so its true derivative is useless;
 gradient crosses it through the box-window surrogate.  What `backward`
@@ -127,10 +129,11 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
         layer = params.layers[l]
         tau = layer.tau
         u = cache.potentials[l]
-        # u[t+1] = tau * (u[t] - r[t] * s[t]) + current: a spike removes r,
-        # the threshold or the whole potential (u - u * s == u * (1 - s)
-        # exactly, as s is 0 or 1).  The readout is the case that never
-        # spikes and whose output is its potential.
+        # u[t+1] = tau * (u[t] - r[t] * s[t]) + current with the spikes
+        # s[t] = u[t] >= thr: a spike removes r, the threshold or the whole
+        # potential (u - u * s == u * (1 - s) exactly, as s is 0 or 1).
+        # The readout is the case that never spikes and whose output is
+        # its potential.
         leak = np.broadcast_to(tau, u.shape)            # d u[t+1] / d u[t]
         if l == spec.n_layers - 1:
             window = np.ones_like(u)
@@ -139,12 +142,13 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             if cache.masks[l] is not None:
                 grad_out = grad_out * cache.masks[l].transpose(1, 0, 2)
             window = surrogate_grad(u, thr)             # d s[t] / d u[t]
-            s = cache.spikes[l]
+            s = u >= thr
             if spec.reset_mode == RESET_SUBTRACT:
-                r = thr
+                # a Python float times a bool array would be float64
+                r = u.dtype.type(thr)
             else:
                 r = u
-                leak = tau * (1.0 - s)
+                leak = tau * ~s
         kick = np.broadcast_to(tau * r, u.shape)        # -d u[t+1] / d s[t]
         dtau = u - r * s                                # d u[t+1] / d tau
 

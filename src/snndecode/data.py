@@ -231,7 +231,8 @@ class Standardizer:
     any width: a loaded standardizer keeps its dtype) and finite, each
     ``_std`` scale is as long as its ``_mean`` and every scale is
     positive; anything else raises ``ValueError`` whose message starts
-    with the array's name.
+    with the array's name.  Its maps refuse, with ``ValueError``, an array
+    whose last axis is not as wide as theirs.
     """
 
     feat_mean: np.ndarray
@@ -268,11 +269,11 @@ class Standardizer:
         return cls(*(a.astype(np.float32) for a in stats))
 
     def apply_features(self, features) -> np.ndarray:
-        return ((np.asarray(features) - self.feat_mean)
+        return ((_columns(features, self.feat_mean) - self.feat_mean)
                 / self.feat_std).astype(np.float32)
 
     def apply_velocities(self, velocities) -> np.ndarray:
-        return ((np.asarray(velocities) - self.vel_mean)
+        return ((_columns(velocities, self.vel_mean) - self.vel_mean)
                 / self.vel_std).astype(np.float32)
 
     def apply(self, frames: FrameSet):
@@ -282,7 +283,18 @@ class Standardizer:
 
     def invert_velocity(self, standardized) -> np.ndarray:
         """Map standardized velocities back to original units."""
-        return np.asarray(standardized) * self.vel_std + self.vel_mean
+        return (_columns(standardized, self.vel_mean) * self.vel_std
+                + self.vel_mean)
+
+
+def _columns(values, mean: np.ndarray) -> np.ndarray:
+    """``values`` as an array whose last axis is as wide as ``mean``;
+    another width, which would broadcast or fail in numpy's words, raises
+    ``ValueError`` naming the array's shape and the width wanted."""
+    values = np.asarray(values)
+    if values.shape[-1:] != mean.shape:
+        raise ValueError(f"shape {values.shape} is not {mean.size} wide")
+    return values
 
 
 def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,

@@ -223,14 +223,15 @@ class TrainingCache:
     """Every intermediate of one training pass, layer-indexed.
 
     Index ``l`` runs over weight layers; the last entry is the readout,
-    whose ``spikes``, ``masks`` and ``fed`` entries are None.  The
-    per-step fields are the pass's own time-major ``(T, B, width)``
-    arrays, except ``masks[l]``, the scaled dropout mask or None, which
-    is ``(B, T, width)`` like the windows.  ``inputs`` is the windows,
-    time-major too; ``fed[l]`` is the activation that actually reached
-    layer ``l + 1`` (spikes after dropout), and ``xhat``/``inv_std`` are
-    the normalizer intermediates.  ``mean``/``var`` hold the batch
-    statistics so the trainer can advance the running averages.
+    whose ``masks`` and ``fed`` entries are None.  The per-step fields
+    are the pass's own time-major ``(T, B, width)`` arrays, except
+    ``masks[l]``, the scaled dropout mask or None, which is ``(B, T,
+    width)`` like the windows.  ``inputs`` is the windows, time-major
+    too; ``fed[l]`` is the activation that actually reached layer
+    ``l + 1`` (its spikes, ``potentials[l] >= threshold``, after
+    dropout), and ``xhat``/``inv_std`` are the normalizer intermediates.
+    ``mean``/``var`` hold the batch statistics so the trainer can advance
+    the running averages.
     """
 
     inputs: np.ndarray                      # (T, B, in_width)
@@ -239,7 +240,6 @@ class TrainingCache:
     mean: list = field(default_factory=list)
     var: list = field(default_factory=list)
     potentials: list = field(default_factory=list)
-    spikes: list = field(default_factory=list)
     masks: list = field(default_factory=list)
     fed: list = field(default_factory=list)
 
@@ -328,6 +328,17 @@ def _check_params(params: NetworkParams, spec: NetworkSpec):
             raise ValueError(f"layer{l}.run_var has a negative variance")
 
 
+def _dtype(params: NetworkParams, spec: NetworkSpec):
+    """``params.dtype``, which an inference casts its input to before it
+    checks that input and folds the set.  A set never folded meets
+    :func:`_check_params` first, so a set and an input that are both
+    wrong are refused for the set, and a refused input leaves a set
+    unfolded and writable."""
+    if params.folded is None:
+        _check_params(params, spec)
+    return params.dtype
+
+
 def _check_writable(params: NetworkParams, names) -> None:
     """Raise ``ValueError`` unless the ``names`` arrays of every layer are
     writable, naming the first that is not: a training step writes them
@@ -403,23 +414,25 @@ def _blocked_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _recurrence(cur: np.ndarray, tau: np.ndarray, spec: NetworkSpec,
-                u: np.ndarray, s: np.ndarray | None = None) -> None:
+def _recurrence(cur: np.ndarray, tau: np.ndarray, u: np.ndarray,
+                spec: NetworkSpec | None = None) -> None:
     """The membrane recurrence over time-major ``(T, ..., width)``
-    currents from potentials ``u`` and previous spikes ``s``; ``s=None``
-    runs the readout integrator; the columns may be several hidden layers
-    side by side, each with its own ``tau``.  Each frame's new potentials
-    overwrite its currents, so on return ``cur`` holds every frame's
-    potentials.  A hidden layer's spikes are its potentials at or above
-    the threshold, as :func:`~snndecode.neuron.lif_step` fires them.
+    currents from potentials ``u``: hidden layers firing at
+    ``spec.threshold`` and resetting by ``spec.reset_mode``, or with
+    ``spec=None`` the readout integrator.  The columns may be several
+    hidden layers side by side, each with its own ``tau``.  Each frame's
+    new potentials overwrite its currents, so on return ``cur`` holds
+    every frame's potentials.  A hidden layer's spikes are its potentials
+    at or above the threshold, as :func:`~snndecode.neuron.lif_step`
+    reads them.
     """
-    if s is None:
+    if spec is None:
         for t in range(len(cur)):
-            u, _ = output_step(u, cur[t], tau, out=cur[t])
+            u = output_step(u, cur[t], tau, out=cur[t])
         return
     for t in range(len(cur)):
-        u, s = lif_step(u, s, cur[t], tau, spec.threshold, spec.reset_mode,
-                        out=cur[t])
+        u = lif_step(u, cur[t], tau, spec.threshold, spec.reset_mode,
+                     out=cur[t])
 
 
 def _check_finite(ends: list, joined: np.ndarray) -> None:
@@ -445,10 +458,10 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
     chunk ``k - l``, whose input spikes its lower layer made at stage
     ``k - 1``.  The stage's currents go into one ``(chunk, B, Σ widths)``
     buffer, and one :func:`_recurrence` over its columns advances every
-    layer at once, carrying each layer's potentials and spikes from one
-    of its chunks to the next.  Every element sees the arithmetic of a
-    layer-major pass: the kernels are elementwise, and each frame's row
-    product is rounded alone.  The readout then runs over all frames.
+    layer at once, carrying each layer's potentials from one of its chunks
+    to the next.  Every element sees the arithmetic of a layer-major
+    pass: the kernels are elementwise, and each frame's row product is
+    rounded alone.  The readout then runs over all frames.
     """
     B, T, _ = windows.shape
     n_hidden, thr = spec.n_hidden, spec.threshold
@@ -460,7 +473,6 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
     taus = np.concatenate([tau for _, _, tau in folded])[:cols[-1]]
     buf = np.empty((min(EVAL_CHUNK, T), B, cols[-1]), windows.dtype)
     u = np.zeros((B, cols[-1]), windows.dtype)
-    s = np.zeros_like(u)
     act = windows.transpose(1, 0, 2)
     n_chunks = -(-T // EVAL_CHUNK)
     for k in range(n_chunks + n_hidden - 1 if n_chunks and n_hidden else 0):
@@ -482,9 +494,8 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
                             cols[lo + 1])):
             if r0 < r1:
                 c = slice(c0, cols[hi + 1])
-                _recurrence(buf[r0:r1, :, c], taus[c], spec, u[:, c], s[:, c])
+                _recurrence(buf[r0:r1, :, c], taus[c], u[:, c], spec)
                 u[:, c] = buf[r1 - 1, :, c]
-                np.greater_equal(u[:, c], thr, out=s[:, c])
         for l, rows in stage:
             out = spikes[l][rows]
             np.greater_equal(buf[:len(out), :, cols[l]:cols[l + 1]], thr,
@@ -493,7 +504,7 @@ def _eval_pass(folded: list, spec: NetworkSpec, windows: np.ndarray):
     pot = (spikes[-1] if n_hidden else act) @ weight_t
     pot += bias
     zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
-    _recurrence(pot, tau, spec, zero)
+    _recurrence(pot, tau, zero)
     ends = [u[:, cols[l]:cols[l + 1]] for l in range(n_hidden)]
     ends.append(pot[-1] if T else zero)
     _check_finite(ends, np.concatenate([u, ends[-1]], axis=-1))
@@ -531,7 +542,7 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         (requires ``rng`` when dropout is active).  ``"eval"`` runs the
         inference pass: the running statistics folded into the weights,
         no dropout.  It makes the parameter arrays read-only (see the
-        module docstring).
+        module docstring), once the windows have passed their checks.
 
     Returns
     -------
@@ -544,9 +555,8 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == EVAL:
-        folded = _folded(params, spec)
-        return _eval_pass(folded, spec,
-                          _check_windows(windows, spec, params.dtype))
+        windows = _check_windows(windows, spec, _dtype(params, spec))
+        return _eval_pass(_folded(params, spec), spec, windows)
     _check_params(params, spec)
     windows = _check_windows(windows, spec, params.dtype)
     if spec.dropout_p > 0.0 and rng is None:
@@ -569,26 +579,22 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         u, xhat, inv_std = batchnorm.normalize(
             cur, mean, var, n.gamma, n.beta, spec.threshold, spec.bn_eps)
 
-        zero = np.zeros_like(u[0])
-        if l == spec.n_hidden:
-            _recurrence(u, layer.tau, spec, zero)
-            spikes = mask = act = None
-        else:
-            _recurrence(u, layer.tau, spec, zero, zero)
-            spikes = (u >= spec.threshold).astype(u.dtype)
-            mask, act = None, spikes
+        _recurrence(u, layer.tau, np.zeros_like(u[0]),
+                    None if l == spec.n_hidden else spec)
+        mask = act = None
+        if l < spec.n_hidden:
+            act = (u >= spec.threshold).astype(u.dtype)
             if spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p
-                mask = (rng.random(size=spikes.shape) < keep).astype(u.dtype)
+                mask = (rng.random(size=act.shape) < keep).astype(u.dtype)
                 mask = mask / keep          # inverted scaling: eval needs none
-                act = spikes * mask
+                act = act * mask
 
         cache.xhat.append(xhat)
         cache.inv_std.append(inv_std)
         cache.mean.append(mean)
         cache.var.append(var)
         cache.potentials.append(u)
-        cache.spikes.append(spikes)
         cache.masks.append(None if mask is None else mask.transpose(1, 0, 2))
         cache.fed.append(act)
 
@@ -601,15 +607,16 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
 
     Makes the inference pass's arithmetic for one frame from ``state``
     (see the module docstring): the running statistics folded into the
-    weights, no dropout.  The first frame folds the parameters and makes
-    their arrays read-only; later frames reuse the folded form.  Every
-    state array must be shaped ``(width,)`` and be of the decoder's dtype,
-    ``params.dtype``.  The passed-in state is left untouched.  A frame
-    holding a NaN or infinity is rejected with ``ValueError``, as in
-    :func:`forward_unfolded`, before any state is computed, so one bad
-    frame cannot poison the membrane potentials of the frames after it;
-    non-finite new potentials raise :class:`NumericError` naming the
-    first such layer, and no state is returned.
+    weights, no dropout.  The first frame that passes the checks below
+    folds the parameters and makes their arrays read-only; later frames
+    reuse the folded form.  Every state array must be shaped ``(width,)``
+    and be of the decoder's dtype, ``params.dtype``.  The passed-in state
+    is left untouched.  A frame holding a NaN or infinity is rejected
+    with ``ValueError``, as in :func:`forward_unfolded`, before any state
+    is computed, so one bad frame cannot poison the membrane potentials
+    of the frames after it; non-finite new potentials raise
+    :class:`NumericError` naming the first such layer, and no state is
+    returned.
 
     Returns
     -------
@@ -618,8 +625,7 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         one buffer holding every layer's potentials; the prediction, of
         output width, is an array of its own.
     """
-    folded = _folded(params, spec)
-    dtype = params.dtype
+    dtype = _dtype(params, spec)
     frame = np.asarray(frame, dtype=dtype)
     if frame.shape != (spec.input_width,):
         raise ValueError(
@@ -642,6 +648,7 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         if u.dtype != dtype:
             raise ValueError(f"state dtype mismatch in layer {l}: "
                              f"{u.dtype}, the decoder's is {dtype}")
+    folded = _folded(params, spec)
     # the new potentials, layer after layer, go into one buffer
     buf = np.empty(spec.neuron_count, dtype=dtype)
     ends = []
@@ -658,12 +665,10 @@ def forward_streaming(params: NetworkParams, spec: NetworkSpec,
         end = buf[lo:lo + u.size]
         lo += u.size
         if l < n_hidden:
-            # the spikes the carried potentials fired, as lif_step made them
-            s = (u >= threshold).astype(dtype)
-            _, act = lif_step(u, s, cur[0], tau, threshold, spec.reset_mode,
-                              out=end)
+            lif_step(u, cur[0], tau, threshold, spec.reset_mode, out=end)
+            act = (end >= threshold).astype(dtype)
         else:
-            _, pred = output_step(u, cur[0], tau, out=end)
+            output_step(u, cur[0], tau, out=end)
         ends.append(end)
     _check_finite(ends, buf)
-    return pred.copy(), NetworkState(ends)
+    return ends[-1].copy(), NetworkState(ends)

@@ -3,7 +3,9 @@
 Discrete-time neuron dynamics used by every layer of the decoder:
 
 * hidden neurons leak, integrate input current, and emit a binary spike
-  whenever the membrane potential reaches the firing threshold,
+  whenever the membrane potential reaches the firing threshold; the
+  potential is a neuron's whole state, as its spike is ``potential >=
+  threshold``,
 * output neurons are non-spiking integrators whose membrane voltage is
   read out directly as the continuous prediction,
 * the spike nonlinearity gets a box-window surrogate derivative so the
@@ -27,14 +29,14 @@ RESET_MODES = (RESET_SUBTRACT, RESET_ZERO)
 SURROGATE_HALF_WIDTH = 0.5
 
 
-def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
-             current: np.ndarray, tau: np.ndarray, threshold: float,
-             reset_mode: str, out: np.ndarray | None = None):
+def lif_step(potential: np.ndarray, current: np.ndarray, tau: np.ndarray,
+             threshold: float, reset_mode: str,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Advance a spiking layer by one frame.
 
-    The membrane first undergoes the reset implied by the previous step's
-    spikes, then leaks by ``tau`` and integrates ``current``.  A neuron
-    fires when its updated potential reaches ``threshold``.
+    A neuron whose ``potential`` is at or above ``threshold`` fired on the
+    previous step.  The membrane first undergoes the reset that spike
+    implies, then leaks by ``tau`` and integrates ``current``.
     ``reset_mode`` ``"subtract"`` removes one threshold's worth of
     potential after a spike, keeping any super-threshold residue;
     ``"zero"`` clears the membrane entirely.  The threshold, reset mode
@@ -46,37 +48,32 @@ def lif_step(potential: np.ndarray, last_spikes: np.ndarray,
 
     Returns
     -------
-    (ndarray, ndarray)
-        The new potentials, written into ``out`` when it is given, and
-        the spike vector (0/1 floats), which is the next step's
-        ``last_spikes``.  The arguments other than ``out`` are not
-        modified; ``out`` gets the same bits as a fresh array would.
+    ndarray
+        The new potentials, written into ``out`` when it is given; the
+        neurons at or above ``threshold`` in them fire this step.  The
+        arguments other than ``out`` are not modified; ``out`` gets the
+        same bits as a fresh array would.
     """
+    # 0/1 in the potentials' dtype: the float products below run without
+    # the buffered casts a bool operand would need
+    fired = (potential >= threshold).astype(potential.dtype)
     if reset_mode == RESET_SUBTRACT:
-        u_next = np.add(tau * (potential - last_spikes * threshold), current,
-                        out=out)
+        leaked = tau * (potential - fired * threshold)
     else:
-        u_next = np.add(tau * potential * (1.0 - last_spikes), current,
-                        out=out)
-    return u_next, (u_next >= threshold).astype(u_next.dtype)
+        leaked = tau * potential * (1.0 - fired)
+    return np.add(leaked, current, out=out)
 
 
 def output_step(potential: np.ndarray, input_current: np.ndarray,
-                tau: np.ndarray, out: np.ndarray | None = None):
+                tau: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Advance the non-spiking output integrators by one frame.
 
     The output neurons never fire and never reset; their membrane voltage
     after integration is the prediction itself.  As in :func:`lif_step`,
     the shapes are not checked, and ``out``, when given, receives the new
-    potentials.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        ``(new_potential, prediction)`` where both are the same array.
+    potentials, which are returned.
     """
-    u_next = np.add(tau * potential, input_current, out=out)
-    return u_next, u_next
+    return np.add(tau * potential, input_current, out=out)
 
 
 def surrogate_grad(potential, threshold: float):

@@ -75,9 +75,9 @@ def count_spikes(params: NetworkParams, spec: NetworkSpec,
     which must hold at least one frame, from the ``(1, T, width)`` spike
     array of each hidden layer that the run returns."""
     features = np.asarray(features)
-    _, spikes = forward_unfolded(params, spec, features[None], mode=EVAL)
-    if not len(features):
+    if features.shape[:1] == (0,):
         raise ValueError("counting spikes needs at least one frame")
+    _, spikes = forward_unfolded(params, spec, features[None], mode=EVAL)
     per_neuron = [s[0].mean(axis=0, dtype=np.float64) for s in spikes]
     layer_rates = tuple(float(r.mean()) for r in per_neuron)
     total = sum(float(s.sum()) for s in spikes)

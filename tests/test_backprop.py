@@ -167,7 +167,8 @@ class TestBackwardVsTapeOracle:
                            dropout_p=0.2, reset_mode=reset_mode)
         params = active_params(spec, seed=10)
         window, targets, preds, cache = run_forward(spec, params, seed=20)
-        assert sum(s.sum() for s in cache.spikes[:-1]) > 0
+        assert sum((u >= spec.threshold).sum()
+                   for u in cache.potentials[:-1]) > 0
 
         grads = backward(cache, params, spec, targets, warmup)
         loss, w_g, tau_g, gam_g, bet_g = oracle_grads(

@@ -105,7 +105,7 @@ class TestTdbnApply:
             np.testing.assert_allclose(
                 new.norm.run_var, 0.9 * old.norm.run_var + 0.1 * var)
             if l < spec.n_hidden:
-                act = cache.spikes[l]
+                act = cache.potentials[l] >= spec.threshold
 
     def test_overflowing_running_statistics_raise(self):
         """A batch variance that overflowed while the loss stayed finite

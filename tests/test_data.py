@@ -386,6 +386,20 @@ def test_degenerate_channel_keeps_unit_scale():
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("method, width", [
+    ("apply_features", 6), ("apply_velocities", 2), ("invert_velocity", 2)])
+@pytest.mark.parametrize("shape", [(5, 1), (5, 3), (5, 7), (7,), ()])
+def test_standardizer_refuses_another_width(method, width, shape):
+    """A last axis of another width than the standardizer's is refused,
+    naming both widths; a one-column array would broadcast silently."""
+    std = Standardizer.fit(small_frameset(n=20, channels=6, seed=8))
+    apply = getattr(std, method)
+    assert apply(np.zeros((5, width))).shape == (5, width)
+    with pytest.raises(ValueError, match=rf"^shape {re.escape(str(shape))} "
+                                         rf"is not {width} wide$"):
+        apply(np.zeros(shape))
+
+
 def _scales(**arrays):
     """The arrays of a valid three-channel standardizer, some replaced."""
     return {"feat_mean": np.zeros(3, np.float32),

@@ -35,6 +35,7 @@ from snndecode.network import (
 )
 from snndecode.neuron import RESET_MODES, lif_step, output_step
 from snndecode.train import TrainConfig, decode_sequence
+from snndecode.profiler import count_spikes
 
 SMALL = NetworkSpec(layer_widths=(6, 12, 12, 2), window_len=5)
 
@@ -62,15 +63,15 @@ def unfolded_reference(params, spec, window):
         cur, _, _ = batchnorm.normalize(
             act @ layer.weight.T, n.run_mean, n.run_var, n.gamma, n.beta,
             spec.threshold, spec.bn_eps)
-        u = s = np.zeros_like(cur[0])
+        u = np.zeros_like(cur[0])
         out = np.empty_like(cur)
         for t in range(len(cur)):
             if l < spec.n_hidden:
-                u, s = lif_step(u, s, cur[t], layer.tau, spec.threshold,
-                                spec.reset_mode)
-                out[t] = s
+                u = lif_step(u, cur[t], layer.tau, spec.threshold,
+                             spec.reset_mode)
+                out[t] = u >= spec.threshold
             else:
-                u, out[t] = output_step(u, cur[t], layer.tau)
+                u = out[t] = output_step(u, cur[t], layer.tau)
         act = out
     return act
 
@@ -225,15 +226,18 @@ class TestForwardUnfolded:
             assert s.shape == (1, 10, 256)
 
     def test_spikes_are_binary(self):
+        """What a hidden layer feeds forward is a binary spike, scaled by
+        the inverted dropout mask."""
         params = lively_params(SMALL, seed=6)
         rng = np.random.default_rng(7)
         window = rng.normal(size=(4, SMALL.window_len, SMALL.input_width))
         _, cache = forward_unfolded(params, SMALL, window, mode=TRAIN,
                                     rng=np.random.default_rng(8))
+        keep = 1.0 - SMALL.dropout_p
         total = 0.0
-        for s in cache.spikes[:-1]:
-            assert set(np.unique(s)) <= {0.0, 1.0}
-            total += s.sum()
+        for fed in cache.fed[:-1]:
+            assert set(np.unique(fed)) <= {0.0, 1.0 / keep}
+            total += fed.sum()
         assert total > 0                      # the test exercised real activity
 
     def test_train_mode_needs_rng_for_dropout(self):
@@ -277,14 +281,11 @@ class TestForwardUnfolded:
             assert cache.xhat[l].shape == (5, 3, width)
             if l == spec.n_hidden:
                 break
-            for field in (cache.spikes, cache.fed):
-                assert field[l].shape == (5, 3, width)
+            assert cache.fed[l].shape == (5, 3, width)
             assert cache.masks[l].shape == (3, 5, width)
             np.testing.assert_array_equal(
-                cache.spikes[l], cache.potentials[l] >= spec.threshold)
-            np.testing.assert_array_equal(
-                cache.fed[l],
-                cache.spikes[l] * cache.masks[l].transpose(1, 0, 2))
+                cache.fed[l], (cache.potentials[l] >= spec.threshold)
+                * cache.masks[l].transpose(1, 0, 2))
         grads = backward(cache, params, spec, np.zeros_like(preds))
         for g, layer in zip(grads.layers, params.layers):
             assert g.weight.shape == layer.weight.shape
@@ -579,11 +580,11 @@ def layer_major_reference(params, spec, windows):
         pot += bias
         zero = np.zeros(pot.shape[1:], dtype=pot.dtype)
         if l < spec.n_hidden:
-            network._recurrence(pot, tau, spec, zero, zero)
+            network._recurrence(pot, tau, zero, spec)
             act = (pot >= spec.threshold).astype(pot.dtype)
             spikes.append(act.transpose(1, 0, 2))
         else:
-            network._recurrence(pot, tau, spec, zero)
+            network._recurrence(pot, tau, zero)
     return pot.transpose(1, 0, 2), spikes
 
 
@@ -843,6 +844,49 @@ class TestOneRule:
         for layer in params.layers:
             for arr in layer.arrays().values():
                 assert arr.flags.writeable
+
+    @pytest.mark.parametrize("call, named", [
+        pytest.param(lambda p, nan: forward_streaming(
+            p, SMALL, nan[1], reset_state(SMALL, dtype=p.dtype)),
+            "non-finite", id="nan-frame"),
+        pytest.param(lambda p, nan: forward_streaming(
+            p, SMALL, np.zeros(SMALL.input_width),
+            reset_state(NetworkSpec(layer_widths=(6, 12, 2)), p.dtype)),
+            "state has 2 layers", id="state-of-another-topology"),
+        pytest.param(lambda p, nan: forward_unfolded(p, SMALL, nan[None]),
+                     "non-finite", id="nan-window"),
+        pytest.param(lambda p, nan: decode_sequence(p, SMALL,
+                                                    np.zeros((4, 5))),
+                     r"\(batch, time, 6\)", id="window-of-another-width"),
+        pytest.param(lambda p, nan: count_spikes(
+            p, SMALL, np.zeros((0, SMALL.input_width))),
+            "at least one frame", id="empty-recording"),
+    ])
+    def test_refused_input_leaves_the_set_writable(self, call, named):
+        """An inference that refuses its input refuses it before it folds
+        the set, so nothing decoded and the set stays trainable."""
+        params = lively_params(SMALL, seed=42)
+        nan = np.zeros((3, SMALL.input_width))
+        nan[1, 2] = np.nan
+        with pytest.raises(ValueError, match=named):
+            call(params, nan)
+        assert params.folded is None
+        for layer in params.layers:
+            for arr in layer.arrays().values():
+                assert arr.flags.writeable
+
+    @pytest.mark.parametrize("how", ["decode", "stream"])
+    def test_set_without_layers_refused_by_the_rule(self, how):
+        """A set too malformed to have a dtype gets the rule's own
+        ``ValueError`` before its inputs are checked."""
+        params = network.NetworkParams([])
+        frames = np.zeros((3, SMALL.input_width))
+        with pytest.raises(ValueError, match="parameter set has 0 layers"):
+            if how == "decode":
+                decode_sequence(params, SMALL, frames)
+            else:
+                forward_streaming(params, SMALL, frames[0],
+                                  reset_state(SMALL))
 
     @pytest.mark.parametrize("decoder, state", [
         (np.float32, np.float64), (np.float64, np.float32)])

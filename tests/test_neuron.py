@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndecode import (NetworkSpec, forward_streaming, init_params,
                        lif_step, reset_state, surrogate_grad)
@@ -9,11 +11,12 @@ from snndecode.neuron import (RESET_MODES, RESET_SUBTRACT, RESET_ZERO,
                               output_step)
 
 
-def step(u, s, current, tau, reset_mode=RESET_SUBTRACT):
-    """One ``lif_step`` at threshold 0.4 on float arrays."""
-    return lif_step(np.asarray(u, dtype=float), np.asarray(s, dtype=float),
-                    np.asarray(current, dtype=float),
-                    np.asarray(tau, dtype=float), 0.4, reset_mode)
+def step(u, current, tau, reset_mode=RESET_SUBTRACT):
+    """One ``lif_step`` at threshold 0.4 on float arrays: the new
+    potentials and the spikes they fire, ``u >= 0.4``."""
+    u = lif_step(np.asarray(u, dtype=float), np.asarray(current, dtype=float),
+                 np.asarray(tau, dtype=float), 0.4, reset_mode)
+    return u, u >= 0.4
 
 
 def stream_with_potential(layer, shape):
@@ -51,61 +54,65 @@ class TestNeuronParameterChecks:
 
 class TestLifStep:
     def test_subtract_reset_hand_case(self):
-        """tau=0.5, u=1.0 after a spike, input 0.3 lands at 0.6 and fires."""
-        u, spikes = step([1.0], [1.0], [0.3], [0.5])
+        """tau=0.5, u=1.0 (at or above threshold: it fired), input 0.3
+        lands at 0.6 and fires."""
+        u, spikes = step([1.0], [0.3], [0.5])
         np.testing.assert_allclose(u, [0.6])
-        np.testing.assert_array_equal(spikes, [1.0])
+        np.testing.assert_array_equal(spikes, [True])
 
     def test_zero_is_a_fixed_point(self):
         for tau in (0.0, 0.3, 1.0):
-            u, spikes = step([0.0], [0.0], [0.0], [tau])
+            u, spikes = step([0.0], [0.0], [tau])
             np.testing.assert_array_equal(u, [0.0])
-            np.testing.assert_array_equal(spikes, [0.0])
+            np.testing.assert_array_equal(spikes, [False])
 
     def test_exact_threshold_fires(self):
-        """The spike condition is >=, so landing exactly on the threshold fires."""
-        _, spikes = step([0.0], [0.0], [0.4], [0.0])
-        np.testing.assert_array_equal(spikes, [1.0])
+        """The spike condition is >=, so landing exactly on the threshold
+        fires, and the next step resets by it."""
+        u, spikes = step([0.0], [0.4], [0.0])
+        np.testing.assert_array_equal(spikes, [True])
+        np.testing.assert_array_equal(step(u, [0.0], [1.0])[0], [0.0])
 
     def test_just_below_threshold_stays_silent(self):
-        _, spikes = step([0.0], [0.0], [0.4 - 1e-9], [0.0])
-        np.testing.assert_array_equal(spikes, [0.0])
+        u, spikes = step([0.0], [0.4 - 1e-9], [0.0])
+        np.testing.assert_array_equal(spikes, [False])
+        np.testing.assert_array_equal(step(u, [0.0], [1.0])[0], u)
 
     def test_reset_to_zero_mode(self):
         """After a spike the zero mode forgets the whole potential."""
-        u, spikes = step([1.0], [1.0], [0.3], [0.5], RESET_ZERO)
+        u, spikes = step([1.0], [0.3], [0.5], RESET_ZERO)
         np.testing.assert_allclose(u, [0.3])
-        np.testing.assert_array_equal(spikes, [0.0])
+        np.testing.assert_array_equal(spikes, [False])
 
     def test_subtract_removes_threshold_once_per_spike(self):
-        """With tau=1 and no input, each spike costs exactly one threshold."""
-        u, s = np.array([1.0]), np.array([0.0])
+        """With tau=1 and no input after the first frame, each spike costs
+        exactly one threshold."""
+        u = np.array([0.0])
         potentials = []
-        for _ in range(4):
-            u, s = step(u, s, [0.0], [1.0])
+        for current in (1.0, 0.0, 0.0, 0.0):
+            u, _ = step(u, [current], [1.0])
             potentials.append(u[0])
         # 1.0 -> fires -> 0.6 -> fires -> 0.2 (quiet) -> stays
         np.testing.assert_allclose(potentials, [1.0, 0.6, 0.2, 0.2])
 
     def test_purely_functional(self):
-        u, s = np.array([0.5, -0.1]), np.array([1.0, 0.0])
+        u = np.array([0.5, -0.1])
         current = np.array([0.05, 0.6])
-        before = u.copy(), s.copy(), current.copy()
-        out1 = step(u, s, current, [0.7, 0.2])
-        out2 = step(u, s, current, [0.7, 0.2])
-        for arg, old in zip((u, s, current), before):
+        before = u.copy(), current.copy()
+        out1 = step(u, current, [0.7, 0.2])
+        out2 = step(u, current, [0.7, 0.2])
+        for arg, old in zip((u, current), before):
             np.testing.assert_array_equal(arg, old)
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1], out2[1])
 
     def test_batched_state_shapes(self):
         rng = np.random.default_rng(7)
-        u, spikes = step(rng.normal(size=(5, 8)), np.zeros((5, 8)),
-                         rng.normal(size=(5, 8)), rng.uniform(0, 1, 8))
+        u, spikes = step(rng.normal(size=(5, 8)), rng.normal(size=(5, 8)),
+                         rng.uniform(0, 1, 8))
         assert u.shape == (5, 8)
         assert spikes.shape == (5, 8)
-        np.testing.assert_array_equal(spikes, (u >= 0.4).astype(float))
-        assert set(np.unique(spikes)) <= {0.0, 1.0}
+        assert spikes.any() and not spikes.all()
 
     def test_dimension_mismatch_raises(self):
         """``lif_step`` does not check shapes; ``forward_streaming`` refuses
@@ -118,15 +125,12 @@ class TestLifStep:
 
 class TestOutputStep:
     def test_pure_integrator_hand_case(self):
-        new_u, pred = output_step(np.array([0.2]), np.array([0.1]),
-                                  np.array([1.0]))
+        new_u = output_step(np.array([0.2]), np.array([0.1]), np.array([1.0]))
         np.testing.assert_allclose(new_u, [0.3])
-        np.testing.assert_allclose(pred, [0.3])
 
     def test_memoryless_limit(self):
         """tau=0 forgets all state: the prediction is just the input."""
-        _, pred = output_step(np.array([5.0]), np.array([0.7]),
-                              np.array([0.0]))
+        pred = output_step(np.array([5.0]), np.array([0.7]), np.array([0.0]))
         np.testing.assert_allclose(pred, [0.7])
 
     def test_no_input_holds_value(self):
@@ -134,8 +138,8 @@ class TestOutputStep:
         tau = np.array([1.0])
         zero = np.array([0.0])
         for _ in range(5):
-            u, pred = output_step(u, zero, tau)
-        np.testing.assert_allclose(pred, [0.42])
+            u = output_step(u, zero, tau)
+        np.testing.assert_allclose(u, [0.42])
 
     def test_dimension_mismatch_raises(self):
         """The readout's potential is checked by ``forward_streaming``, not
@@ -154,24 +158,93 @@ def test_out_gives_the_same_bits(kernel, dtype):
     as they were."""
     rng = np.random.default_rng(8)
     u, current = rng.normal(size=(2, 64)).astype(dtype)
-    spikes = (rng.random(64) < 0.3).astype(dtype)
     tau = rng.uniform(0.0, 1.0, 64).astype(dtype)
+    args = (u, current, tau)
     if kernel == "output":
-        args = (u, current, tau)
         run = lambda **out: output_step(*args, **out)
     else:
-        args = (u, spikes, current, tau)
         mode = kernel[len("lif_"):]
         run = lambda **out: lif_step(*args, 0.4, mode, **out)
     before = [a.copy() for a in args]
     fresh = run()
     out = np.full_like(u, np.nan)
     got = run(out=out)
-    assert got[0] is out
-    for a, b in zip(got, fresh):
-        assert a.dtype == dtype and a.tobytes() == b.tobytes()
+    assert got is out
+    assert got.dtype == fresh.dtype == dtype
+    assert got.tobytes() == fresh.tobytes()
     for a, b in zip(args, before):
         assert a.tobytes() == b.tobytes()
+
+
+def _lif_step_with_spikes(potential, last_spikes, current, tau,
+                          threshold, reset_mode):
+    """The kernel that took the previous spikes as an argument of their
+    own, kept as the reference the potential-only ``lif_step`` is pinned
+    to bit for bit."""
+    if reset_mode == RESET_SUBTRACT:
+        u_next = tau * (potential - last_spikes * threshold) + current
+    else:
+        u_next = tau * potential * (1.0 - last_spikes) + current
+    return u_next, (u_next >= threshold).astype(u_next.dtype)
+
+
+def _output_step_pair(potential, input_current, tau):
+    """The readout kernel that returned its potentials twice."""
+    u_next = tau * potential + input_current
+    return u_next, u_next
+
+
+_WIDTH = 12
+_THRESHOLD = 0.4
+
+
+@st.composite
+def _kernel_operands(draw):
+    """``(dtype, potential, current, tau)`` of one width, the potentials
+    drawn among values exactly at the threshold, signed zeros, NaN and
+    infinities as well as ordinary floats."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    at = float(dtype(_THRESHOLD))
+    special = st.sampled_from([at, 0.0, -0.0, np.nan, np.inf, -np.inf,
+                               np.nextafter(dtype(at), dtype(0)).item()])
+    ordinary = st.floats(-1e3, 1e3, width=width)
+    vector = lambda values: st.lists(values, min_size=_WIDTH,
+                                     max_size=_WIDTH).map(
+        lambda v: np.array(v, dtype=dtype))
+    potential = draw(vector(special | ordinary))
+    current = draw(vector(st.floats(allow_nan=True, allow_infinity=True,
+                                    width=width)))
+    tau = draw(vector(st.floats(0.0, 1.0, width=width)))
+    return dtype, potential, current, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=_kernel_operands(), reset_mode=st.sampled_from(RESET_MODES))
+def test_kernels_keep_the_spike_argument_arithmetic(operands, reset_mode):
+    """``lif_step`` and ``output_step``, with and without ``out``, give
+    byte for byte what the kernels that took the previous spikes, and
+    returned a pair, gave when fed the spikes the potentials hold, at a
+    Python-float threshold as the window passes give it and at one of the
+    potentials' dtype as streaming does."""
+    dtype, potential, current, tau = operands
+    with np.errstate(all="ignore"):
+        for threshold in (_THRESHOLD, dtype(_THRESHOLD)):
+            last = (potential >= threshold).astype(dtype)
+            want, _ = _lif_step_with_spikes(potential, last, current, tau,
+                                            threshold, reset_mode)
+            fresh = lif_step(potential, current, tau, threshold, reset_mode)
+            out = np.full_like(potential, np.nan)
+            lif_step(potential, current, tau, threshold, reset_mode, out=out)
+            for got in (fresh, out):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+        want, _ = _output_step_pair(potential, current, tau)
+        out = np.full_like(potential, np.nan)
+        for got in (output_step(potential, current, tau),
+                    output_step(potential, current, tau, out=out)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSurrogateGrad:

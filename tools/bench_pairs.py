@@ -3,7 +3,12 @@
 Each tree's own ``perfbench/run.py`` runs unchanged, with ``--trace 0``;
 pair ``i`` runs both trees on seed ``100 * n + i``, where ``n`` is the
 ``--number`` of the file written, and which tree goes first alternates
-from pair to pair.  The result is one JSON file holding, per
+from pair to pair.  Every run starts from a fresh copy of its tree,
+without version control, caches or earlier results, in one of two
+sibling directories of one temporary directory, whose paths are equally
+long; which side runs from which of them alternates every two pairs, so
+neither the order nor the location favours a side, and no run writes
+into a source tree.  The result is one JSON file holding, per
 workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
 declares them), each side's median and quartiles, the median of the
 unscaled figure where the run has one, the number of pairs the change
@@ -29,9 +34,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from code_lines import package_lines    # this directory is on the path
@@ -50,6 +57,31 @@ print(name or "")
 """
 # Fields of run.py's environment line that describe one run, not the host.
 _PER_RUN = ("workload", "seed", "seconds", "size", "trace")
+
+
+# Left out of a run's copy of a tree: what earlier work left behind.
+_NOT_COPIED = {".git", "__pycache__", ".hypothesis", ".pytest_cache",
+               ".benchmarks"}
+
+
+def _not_copied(directory: str, names: list) -> set:
+    skip = _NOT_COPIED.intersection(names)
+    if Path(directory).name == "perfbench" and "results" in names:
+        skip.add("results")
+    return skip
+
+
+def fresh_copies(trees: dict, slots: tuple, parent_slot: int) -> dict:
+    """Copy both ``trees`` afresh into the two ``slots``, the parent into
+    ``slots[parent_slot]``, replacing what a run left there; the copies
+    by side."""
+    sides = ("parent", "change") if parent_slot == 0 else ("change", "parent")
+    copies = {}
+    for side, slot in zip(sides, slots):
+        shutil.rmtree(slot, ignore_errors=True)
+        copies[side] = Path(shutil.copytree(trees[side], slot,
+                                            ignore=_not_copied))
+    return copies
 
 
 def _tree_digest(tree: Path) -> str:
@@ -203,23 +235,29 @@ def main(argv=None) -> int:
 
     first_seed = 100 * args.number
     workloads, environment = {}, None
+    scratch = tempfile.TemporaryDirectory(prefix="bench_pairs-")
+    slots = (Path(scratch.name) / "slot0", Path(scratch.name) / "slot1")
     for workload, count in pairs.items():
         runs = []
         for i in range(count):
-            seed = first_seed + i
+            seed, parent_slot = first_seed + i, i // 2 % 2
+            copies = fresh_copies(trees, slots, parent_slot)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(trees[side], workload, seed, args)
+            pair = {side: run_once(copies[side], workload, seed, args)
                     for side in order}
-            print(f"{workload} seed {seed}: {order[0]} first, pair "
-                  f"{i + 1} of {count}", file=sys.stderr)
+            print(f"{workload} seed {seed}: {order[0]} first, parent in "
+                  f"slot {parent_slot}, pair {i + 1} of {count}",
+                  file=sys.stderr)
             pair["seed"], pair["first"] = seed, order[0]
+            pair["parent_slot"] = parent_slot
             runs.append(pair)
             environment = environment or {
                 k: v for k, v in pair["change"]["environment"].items()
                 if k not in _PER_RUN}
         workloads[workload] = {
             "metrics": summarize(runs, declared["end_to_end"]),
-            "runs": [{"seed": r["seed"], "first": r["first"], **{
+            "runs": [{"seed": r["seed"], "first": r["first"],
+                      "parent_slot": r["parent_slot"], **{
                 side: {"correct": r[side]["result"]["correct"],
                        "failed": r[side]["result"]["failed"],
                        "fingerprints": r[side]["fingerprints"],
@@ -234,13 +272,13 @@ def main(argv=None) -> int:
                 for r in runs),
         }
         if workload in args.traced:
-            # after the pairs: run.py sets each traced run beside the
-            # untraced results file of its seed
+            copies = fresh_copies(trees, slots, 0)
             workloads[workload]["traced"] = {
                 side: {"seed": first_seed, "per_layer": run_once(
-                    trees[side], workload, first_seed, args,
+                    copies[side], workload, first_seed, args,
                     trace=1)["result"]["metrics"]}
                 for side in trees}
+    scratch.cleanup()
     core = subprocess.run([sys.executable, "-c", _CORENAME],
                           capture_output=True, text=True)
     environment["openblas_corename"] = core.stdout.strip() or None

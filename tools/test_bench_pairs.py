@@ -11,20 +11,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import summarize   # pytest puts this directory on the path
+# pytest puts this directory on the path
+from bench_pairs import fresh_copies, summarize
 from code_lines import code_lines, package_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _results_files():
+    results = ROOT / "perfbench" / "results"
+    return sorted(results.iterdir()) if results.exists() else []
+
+
 def test_pairs_file_summarizes_every_metric(tmp_path):
     out = tmp_path / "BENCH_0.json"
+    before = _results_files()
     proc = subprocess.run(
         [sys.executable, "tools/bench_pairs.py", ".", ".", "--number", "0",
          "--pairs", "offline=2", "--seconds", "0.2", "--size", "tiny",
          "--traced", "offline", "--out", str(out)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # every run went into a copy: the checkout gained no results file
+    assert _results_files() == before
     record = json.loads(out.read_text())
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     offline = record["workloads"]["offline"]
@@ -38,6 +47,7 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
             s = row[side]
             assert s["n"] == 2 and s["q1"] <= s["median"] <= s["q3"]
     assert [r["first"] for r in offline["runs"]] == ["parent", "change"]
+    assert [r["parent_slot"] for r in offline["runs"]] == [0, 0]
     # pair i runs seed 100 * number + i
     assert record["settings"]["first_seed"] == 0
     assert [r["seed"] for r in offline["runs"]] == [0, 1]
@@ -74,6 +84,33 @@ def test_pairs_file_summarizes_every_metric(tmp_path):
         traced = offline["traced"][side]
         assert traced["seed"] == 0
         assert traced["per_layer"]["neuron.lif_step_calls"]["value"] > 0
+
+
+def test_fresh_copies_swap_equal_length_slots(tmp_path):
+    """Each side gets a fresh copy in the slot it is given, without the
+    tree's version control, caches or benchmark results; the slots'
+    paths are equally long, and a copy replaces what a run left there."""
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        for name in ("src/m.py", "perfbench/run.py", "perfbench/results/r",
+                     ".git/HEAD", "src/__pycache__/m.pyc"):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(side)
+        trees[side] = tree
+    root = tmp_path / "copies"
+    slots = (root / "slot0", root / "slot1")
+    assert len(str(slots[0])) == len(str(slots[1]))
+    for parent_slot in (1, 0):
+        copies = fresh_copies(trees, slots, parent_slot)
+        assert copies["parent"] == slots[parent_slot]
+        assert copies["change"] == slots[1 - parent_slot]
+        for side, copy in copies.items():
+            assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*")
+                          if p.is_file()) == ["perfbench/run.py", "src/m.py"]
+            assert (copy / "src" / "m.py").read_text() == side
+            (copy / "perfbench" / "results").mkdir()    # what a run leaves
+    assert trees["parent"].joinpath("perfbench/results/r").exists()
 
 
 def test_code_lines_count_code_only():
