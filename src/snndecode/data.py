@@ -14,6 +14,7 @@ Both value types are frozen, and each one's constructor is its rule.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,16 @@ def _columns(values, mean: np.ndarray) -> np.ndarray:
     return values
 
 
+def _tuning(encoded: np.ndarray, directions: np.ndarray, gains: np.ndarray,
+            baselines: np.ndarray) -> np.ndarray:
+    """``softplus(baselines + gains * (encoded @ directions.T))``, one
+    (frames, channels) array written in place."""
+    out = encoded @ directions.T
+    out *= gains
+    out += baselines
+    return np.logaddexp(0.0, out, out=out)
+
+
 def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
                    noise_std: float = 0.3, smoothness: float = 10.0,
                    frame_ms: float = 50.0) -> FrameSet:
@@ -351,26 +362,34 @@ def synth_generate(n_frames: int, channels: int = 96, seed: int = 0,
     rho = 1.0 - 1.0 / smoothness
     drive = np.sqrt(1.0 - rho * rho)        # keeps the latent near unit power
     innovations = rng.normal(size=(n_frames, 2))
+    # v[0] = innovations[0], v[t] = rho * v[t-1] + drive * innovations[t]:
+    # one scalar recursion per column, the same double operations in the
+    # same order as a loop over frames
+    kicks = drive * innovations
+    kicks[0] = innovations[0]
     velocities = np.empty((n_frames, 2))
-    v = innovations[0]
-    velocities[0] = v
-    for t in range(1, n_frames):
-        v = rho * v + drive * innovations[t]
-        velocities[t] = v
+    for j in range(2):
+        velocities[:, j] = np.fromiter(
+            itertools.accumulate(kicks[:, j].tolist(),
+                                 lambda v, k: rho * v + k),
+            np.float64, count=n_frames)
 
-    # a huge but finite noise_std overflows here; the check below names it
+    # a huge but finite noise_std overflows here; the check below names it.
+    # The (frames, channels) arrays are built in place, so at most three
+    # of them are alive at once.
     with np.errstate(over="ignore", invalid="ignore"):
         jitter = JITTER_MULT * noise_std * rng.normal(size=(n_frames, 2))
         hit = rng.random(size=(n_frames, 1)) < ARTIFACT_PROB
         jitter += (ARTIFACT_MULT * noise_std * hit
                    * rng.normal(size=(n_frames, 2)))
-        encoded = (velocities + jitter) @ directions.T  # (frames, channels)
-        features = np.logaddexp(0.0, baselines + gains * encoded)
+        features = _tuning(velocities + jitter, directions, gains, baselines)
         if noise_std > 0:
-            clean = np.logaddexp(
-                0.0, baselines + gains * (velocities @ directions.T))
-            scale = noise_std * clean.std(axis=0)
-            features = features + rng.normal(size=features.shape) * scale
+            # the clean signal is released before the noise is drawn
+            scale = noise_std * _tuning(velocities, directions, gains,
+                                        baselines).std(axis=0)
+            noise = rng.normal(size=features.shape)
+            noise *= scale
+            features += noise
         features = features.astype(np.float32)
     if not np.isfinite(features).all():
         raise ValueError(f"noise_std={noise_std!r} is so large that the "

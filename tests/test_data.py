@@ -1,11 +1,17 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndecode import container
 from snndecode.data import (
+    ARTIFACT_MULT,
+    ARTIFACT_PROB,
+    JITTER_MULT,
     FrameSet,
     Standardizer,
     load_frames,
@@ -484,6 +490,83 @@ def test_synth_all_finite_and_nonnegative_before_noise():
     assert np.isfinite(frames.features).all()
     # softplus outputs are strictly positive without additive noise
     assert (frames.features > 0).all()
+
+
+def _synth_reference(n_frames, channels, seed, noise_std, smoothness):
+    """The generator's arithmetic written plainly: the velocity walk as a
+    loop over frames and every tuning step out of place, with the same
+    draws in the same order.  ``(features, velocities)`` as float32 and
+    float64, or ``None`` where the features overflow float32."""
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(channels, 2))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    gains = rng.uniform(0.5, 2.0, size=channels)
+    baselines = rng.uniform(-1.0, 1.0, size=channels)
+    rho = 1.0 - 1.0 / smoothness
+    drive = np.sqrt(1.0 - rho * rho)
+    innovations = rng.normal(size=(n_frames, 2))
+    velocities = np.empty((n_frames, 2))
+    v = innovations[0]
+    velocities[0] = v
+    for t in range(1, n_frames):
+        v = rho * v + drive * innovations[t]
+        velocities[t] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        jitter = JITTER_MULT * noise_std * rng.normal(size=(n_frames, 2))
+        hit = rng.random(size=(n_frames, 1)) < ARTIFACT_PROB
+        jitter += (ARTIFACT_MULT * noise_std * hit
+                   * rng.normal(size=(n_frames, 2)))
+        encoded = (velocities + jitter) @ directions.T
+        features = np.logaddexp(0.0, baselines + gains * encoded)
+        if noise_std > 0:
+            clean = np.logaddexp(
+                0.0, baselines + gains * (velocities @ directions.T))
+            scale = noise_std * clean.std(axis=0)
+            features = features + rng.normal(size=features.shape) * scale
+        features = features.astype(np.float32)
+    if not np.isfinite(features).all():
+        return None
+    return features, velocities
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_frames=st.integers(1, 64),
+       channels=st.sampled_from([1, 2, 3, 7, 96]),
+       seed=st.integers(0, 2**32 - 1),
+       noise_std=st.sampled_from([0.0, 1e300])
+       | st.floats(1e-6, 5.0) | st.floats(1e36, 1e300),
+       smoothness=st.sampled_from([np.nextafter(1.0, 2.0), 1e6])
+       | st.floats(1.0, 1e6, exclude_min=True))
+def test_synth_keeps_the_reference_bits(n_frames, channels, seed, noise_std,
+                                        smoothness):
+    """The generator gives byte for byte the plain loop's features and
+    velocities, or, where those overflow float32, the refusal that names
+    ``noise_std``."""
+    want = _synth_reference(n_frames, channels, seed, noise_std, smoothness)
+    if want is None:
+        with pytest.raises(ValueError) as err:
+            synth_generate(n_frames, channels, seed, noise_std, smoothness)
+        assert str(err.value) == (f"noise_std={noise_std!r} is so large "
+                                  f"that the features overflow float32")
+        return
+    got = synth_generate(n_frames, channels, seed, noise_std, smoothness)
+    assert got.features.tobytes() == want[0].tobytes()
+    assert got.velocities.tobytes() == want[1].astype(np.float32).tobytes()
+
+
+def test_synth_holds_few_session_sized_arrays():
+    """Building a 12,000-frame session keeps fewer than four (frames,
+    channels) float64 arrays alive at once: the tuning curve, the clean
+    signal and the noise are written in place."""
+    n_frames, channels = 12_000, 96
+    synth_generate(10, channels)        # anything loaded on first use
+    tracemalloc.start()
+    try:
+        synth_generate(n_frames, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n_frames * channels * 8
 
 
 @pytest.mark.parametrize("n", [0, 1])

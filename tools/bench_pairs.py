@@ -10,14 +10,15 @@ long; which side runs from which of them alternates every two pairs, so
 neither the order nor the location favours a side, and no run writes
 into a source tree.  The result is one JSON file holding, per
 workload and end-to-end metric (as the change tree's ``BENCHMARK.json``
-declares them), each side's median and quartiles, the median of the
-unscaled figure where the run has one, the number of pairs the change
-won (ties count for neither) and the verdicts ``gain`` and
-``within_bound`` (see :func:`summarize`), plus both sides' figures,
-unscaled figures, host-slowdown factors and fingerprints per seed, the
-environment, among it the OpenBLAS kernel name, and per tree the sha256
-of its sources and the code lines of each module of ``src/snndecode``
-with their total (``tools/code_lines.py``).  A workload named in
+declares them), each side's median, quartiles and interquartile range,
+the median of the unscaled figure where the run has one, the number of
+pairs the change won (ties count for neither), the difference of the
+medians and the verdicts ``gain`` and ``within_bound`` (see
+:func:`summarize`), plus both sides' figures, unscaled figures,
+host-slowdown factors and fingerprints per seed, the environment, among
+it the OpenBLAS kernel name, and per tree the sha256 of its sources and
+the code lines of each module of ``src/snndecode`` with their total
+(``tools/code_lines.py``).  A workload named in
 ``--traced`` also gets one ``--trace 1`` run per side, on its first
 pair's seed, whose per-layer figures the file keeps under ``traced``::
 
@@ -137,17 +138,20 @@ def _unscaled_figures(chunks: dict) -> dict:
 
 
 def _summary(values: list) -> dict:
-    """Median and quartiles (inclusive method; one value is its own)."""
+    """Median, quartiles (inclusive method; one value is its own) and
+    the interquartile range."""
     if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0],
-                "n": len(values)}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
+            "n": len(values)}
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per end-to-end metric: both sides' summaries, the change's wins
-    and two verdicts.
+    """Per end-to-end metric: both sides' summaries, the change's wins,
+    the median difference and two verdicts.
 
     ``runs`` holds one ``{"parent": run, "change": run}`` per pair, and
     ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``.
@@ -160,6 +164,12 @@ def summarize(runs: list, metrics: list) -> dict:
     * ``within_bound``: the change's median is worse than the parent's
       by no more than the metric's ``bound``, a fraction of the parent's
       median.
+
+    ``median_diff`` is the change's median minus the parent's, and
+    ``median_diff_rel`` that difference as a fraction of the parent's
+    median (0 when that median is 0).  Run with one tree on both sides,
+    they and each side's ``iqr`` are the spread a later file's claim
+    has to clear.
     """
     table = {}
     for m in metrics:
@@ -169,7 +179,8 @@ def summarize(runs: list, metrics: list) -> dict:
         parent, change = _summary(got["parent"]), _summary(got["change"])
         won = sum(sign * (c - p) > 0 for p, c in
                   zip(got["parent"], got["change"]))
-        better_by = sign * (change["median"] - parent["median"])
+        diff = change["median"] - parent["median"]
+        better_by = sign * diff
         raw = {side: [r[side].get("unscaled", {}).get(name) for r in runs]
                for side in got}
         agrees = True
@@ -182,8 +193,11 @@ def summarize(runs: list, metrics: list) -> dict:
             "unit": m["unit"], "better": m["better"],
             "parent": parent, "change": change,
             "change_won": won, "pairs": len(runs),
+            "median_diff": diff,
+            "median_diff_rel": (diff / abs(parent["median"])
+                                if parent["median"] else 0.0),
             "gain": (10 * won >= 9 * len(runs) and agrees
-                     and better_by > parent["q3"] - parent["q1"]),
+                     and better_by > parent["iqr"]),
             "within_bound": -better_by <= m["bound"] * abs(parent["median"]),
         }
     return table

@@ -192,3 +192,20 @@ def test_gain_needs_the_unscaled_medians_to_agree():
     # a metric without unscaled figures keeps the scaled verdict alone
     row = _row(parent, change)
     assert row["gain"] and "median_unscaled" not in row["change"]
+
+
+def test_summary_records_median_difference_and_iqr():
+    """What an A/A file is for: each side's IQR and the difference of the
+    medians, absolute and as a fraction of the parent's median."""
+    parent = [60.0, 61.0, 62.0, 63.0, 64.0, 60.5, 61.5, 62.5, 63.5, 64.5]
+    row = _row(parent, [p * 1.05 for p in parent])
+    assert row["parent"]["iqr"] == 2.25
+    assert row["change"]["iqr"] == row["change"]["q3"] - row["change"]["q1"]
+    assert row["median_diff"] == row["change"]["median"] - 62.25
+    assert abs(row["median_diff_rel"] - 0.05) < 1e-12
+    # one tree on both sides: no difference, and a pair's one value is
+    # its own median with no spread
+    row = _row(parent, parent)
+    assert row["median_diff"] == row["median_diff_rel"] == 0.0
+    row = _row([0.0], [0.5])
+    assert row["parent"]["iqr"] == 0.0 and row["median_diff_rel"] == 0.0
