@@ -46,5 +46,5 @@ state = kf_init(model)
 manual = np.empty_like(preds)
 for t in range(len(fva)):
     state, manual[t] = kf_step(model, state, fva[t])
-print("\nstep-by-step run matches kf_run:",
-      np.allclose(manual, preds, atol=0.0))
+print("\nstep-by-step run matches kf_run bit for bit:",
+      np.array_equal(manual, preds))

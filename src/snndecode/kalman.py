@@ -3,32 +3,39 @@
 State is ``[v1, v2, 1]`` — the two finger velocities plus a constant
 bias component.  The transition and observation matrices are fit by
 ordinary least squares on the training split, the noise covariances
-from the fit residuals.  Decoding is the standard predict/update
-recursion with the Joseph-form covariance update, which keeps the
-posterior covariance symmetric positive semi-definite.  A
-:class:`KfModel` is frozen and its constructor is its one rule, for a
-fitted, loaded or hand-built filter alike.
+from the fit residuals.  A :class:`KfModel` is frozen and its
+constructor is its one rule, for a fitted, loaded or hand-built filter
+alike.
 
-Every step refuses an innovation covariance ``S = C P Cᵀ + Q`` whose
-condition number exceeds ``_COND_LIMIT``.  Computing that number exactly
-is a full SVD of the channels × channels ``S``, several times the cost of
-the rest of the step.  So the model keeps bounds on ``Q`` and ``C``,
-computed once, and a step first bounds the singular values of ``S`` from
-them and from the 3 × 3 predicted covariance ``P`` (Weyl's inequality).
-When those bounds prove the condition number at most half the limit, the
-SVD is skipped; otherwise the exact check runs.  Either way the same
-frames are refused and the arithmetic of the update is the same.
+Decoding is the standard predict/update recursion in information form.
+With ``M = Cᵀ Q⁻¹ C``, derived once per model, the matrix inversion
+lemma turns the update into::
+
+    P⁺ = (I + P⁻ M)⁻¹ P⁻        x⁺ = x⁻ + P⁺ (Cᵀ Q⁻¹ z − M x⁻)
+
+so a frame costs 3 × 3 algebra and one 3 × channels product, and no
+channels × channels matrix is formed per frame.  ``P⁻`` itself is never
+inverted: a fitted ``W`` has a zero bias row and column, so the bias
+variance of ``P⁻`` shrinks about like 1/t.
+
+The filter refuses a numerically singular innovation covariance
+``S = C P⁻ Cᵀ + Q``.  Since ``det S = det Q · det(I + P⁻ M)`` (Sylvester's
+identity), it checks the two factors: the condition number of ``Q``,
+computed once when the model is built, and the 1-norm condition number
+of the 3 × 3 ``I + P⁻ M`` on every frame.  Either one over
+``_COND_LIMIT`` raises :class:`NumericError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import NumericError
 
 _COND_LIMIT = 1e12
+_EYE = np.eye(3)
 
 # The filter's matrices, in checkpoint order, each stored as ``kf.<name>``.
 KF_ARRAYS = ("A", "W", "C", "Q")
@@ -45,12 +52,12 @@ class KfModel:
     number; anything else raises ``ValueError`` whose message starts
     with the field's name.
 
-    The constructor also derives the bounds :func:`kf_step` certifies the
-    innovation covariance from: ``q_lo`` and ``q_hi``, the extreme
-    eigenvalues of ``Q``, and ``c2 = ‖C‖₂²``.  A ``Q`` that is not exactly
-    symmetric or not positive definite gets ``q_lo = 0``, which certifies
-    no frame.  They are not stored by ``save_kf`` and not compared, and
-    ``dataclasses.replace`` derives them again.
+    The constructor also derives, once, what every step uses: ``q_cond``,
+    the condition number of ``Q``, and, when that is within
+    ``_COND_LIMIT``, ``CtQi = (Q⁻¹ C)ᵀ`` (3 × channels, C-contiguous) and
+    ``M = CtQi @ C``, symmetrized.  Otherwise both are ``None`` and every
+    step refuses the model.  The three are not stored by ``save_kf`` and
+    not compared, and ``dataclasses.replace`` derives them again.
     """
 
     A: np.ndarray               # (3, 3) state transition
@@ -58,9 +65,9 @@ class KfModel:
     C: np.ndarray               # (channels, 3) observation matrix
     Q: np.ndarray               # (channels, channels) observation noise
     ridge: float = 0.0          # regularizer used if the fit was deficient
-    q_lo: float = field(init=False, compare=False, repr=False)
-    q_hi: float = field(init=False, compare=False, repr=False)
-    c2: float = field(init=False, compare=False, repr=False)
+    q_cond: float = field(init=False, compare=False, repr=False)
+    CtQi: np.ndarray | None = field(init=False, compare=False, repr=False)
+    M: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = len(self.C) if getattr(self.C, "ndim", 0) == 2 else 0
@@ -76,14 +83,14 @@ class KfModel:
                 and 0.0 <= self.ridge < np.inf):
             raise ValueError(f"ridge={self.ridge!r} is not a non-negative, "
                              f"finite number")
-        q_lo = q_hi = 0.0
-        if np.array_equal(self.Q, self.Q.T):
-            q = np.linalg.eigvalsh(self.Q)
-            q_lo, q_hi = max(float(q[0]), 0.0), float(q[-1])
-        c = float(np.linalg.norm(self.C, 2))
-        object.__setattr__(self, "q_lo", q_lo)
-        object.__setattr__(self, "q_hi", q_hi)
-        object.__setattr__(self, "c2", c * c)
+        q_cond = float(np.linalg.cond(self.Q))
+        CtQi = M = None
+        if q_cond <= _COND_LIMIT:
+            CtQi = np.ascontiguousarray(np.linalg.solve(self.Q, self.C).T)
+            M = CtQi @ self.C
+            M = (M + M.T) / 2.0
+        for name, value in (("q_cond", q_cond), ("CtQi", CtQi), ("M", M)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -144,27 +151,39 @@ def kf_init(model: KfModel) -> KfState:
     return KfState(mean=np.array([0.0, 0.0, 1.0]), cov=np.eye(3))
 
 
-def _certified(model: KfModel, P: np.ndarray) -> bool:
-    """Whether ``S = C P Cᵀ + Q`` provably has condition at most
-    ``_COND_LIMIT / 2``, from the model's bounds and the 3 × 3 ``P``.
+def _observations(model: KfModel, frames) -> np.ndarray:
+    """``frames`` as finite float64 of shape (frames, channels), or
+    ``ValueError`` naming the shape one frame should have."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[1:] != (model.C.shape[0],):
+        raise ValueError(f"expected an observation of shape "
+                         f"({model.C.shape[0]},), got {frames.shape[1:]}")
+    if not np.isfinite(frames).all():
+        raise ValueError("observation contains non-finite values")
+    return frames
 
-    With ``Ps`` symmetric and ``a ≥ ‖P − Ps‖_F``, the eigenvalues of
-    ``Q + C Ps Cᵀ`` lie in ``[q_lo + c2·min(p_lo, 0), q_hi + c2·max(p_hi,
-    0)]`` and the rest of ``S`` has norm at most ``c2·a``, so by Weyl every
-    singular value of ``S`` lies in ``[lo, hi]`` below.  The factor ½
-    covers rounding in ``S`` and in its SVD.  Every step below is safe for
-    any finite ``P``: nothing overflows with a warning.
-    """
-    if not np.isfinite(P).all():
-        return False
-    half = P / 2.0
-    Ps = half + half.T
-    p = np.linalg.eigvalsh(Ps)
-    a = 3.0 * float(np.abs(P - Ps).max())   # ‖K‖_F ≤ 3·max|Kᵢⱼ| for 3 × 3
-    p_lo, p_hi = float(p[0]), float(p[-1])
-    lo = model.q_lo + model.c2 * min(p_lo, 0.0) - model.c2 * a
-    hi = model.q_hi + model.c2 * max(p_hi, 0.0) + model.c2 * a
-    return lo > 0.0 and hi <= 0.5 * _COND_LIMIT * lo
+
+def _update(model: KfModel, mean, cov, observation):
+    """One checked predict/update cycle in information form; returns the
+    new ``(mean, cov)`` without touching the arrays passed in."""
+    cond = model.q_cond                         # Q's, then I + P⁻M's
+    if cond <= _COND_LIMIT:
+        mean_pred = model.A @ mean
+        cov_pred = model.A @ cov @ model.A.T + model.W
+        G = _EYE + cov_pred @ model.M
+        try:
+            Gi = np.linalg.inv(G)
+            cond = np.abs(G).sum(0).max() * np.abs(Gi).sum(0).max()
+        except np.linalg.LinAlgError:           # exactly singular
+            cond = np.inf
+    if not cond <= _COND_LIMIT:                 # NaN included
+        raise NumericError(f"innovation covariance numerically singular "
+                           f"(condition estimate {cond:.3e})")
+    cov = Gi @ cov_pred
+    mean = mean_pred + cov @ (model.CtQi @ observation - model.M @ mean_pred)
+    cov = (cov + cov.T) / 2.0
+    mean[2] = 1.0                               # pin the bias component
+    return mean, cov
 
 
 def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
@@ -174,61 +193,32 @@ def kf_step(model: KfModel, state: KfState, observation: np.ndarray):
     a state whose ``mean`` is not ``(3,)`` or whose ``cov`` is not
     ``(3, 3)``, or a NaN or an infinity in any of them raises
     ``ValueError`` before any arithmetic, so the caller can go on from the
-    same state.  A numerically singular innovation covariance raises
-    :class:`NumericError` with its condition estimate.  That estimate,
-    a full SVD, runs only on frames the model's bounds do not certify
-    (see :func:`_certified`); for a filter from :func:`kf_fit` that is
-    rarely any frame.
+    same state.  A model whose ``Q`` is numerically singular, or a frame
+    whose ``I + P⁻ M`` is, raises :class:`NumericError` with that
+    condition estimate (see the module docstring).
     """
-    observation = np.asarray(observation, dtype=np.float64)
-    if observation.shape != (model.C.shape[0],):
-        raise ValueError(
-            f"expected an observation of shape ({model.C.shape[0]},), "
-            f"got {observation.shape}"
-        )
-    if not np.isfinite(observation).all():
-        raise ValueError("observation contains non-finite values")
+    observation = _observations(model, np.asarray(observation)[None])[0]
     mean = np.asarray(state.mean, dtype=np.float64)
     cov = np.asarray(state.cov, dtype=np.float64)
     if mean.shape != (3,) or cov.shape != (3, 3):
-        raise ValueError(
-            f"expected a state whose mean has shape (3,) and cov shape "
-            f"(3, 3), got {mean.shape} and {cov.shape}"
-        )
+        raise ValueError(f"expected a state whose mean has shape (3,) and "
+                         f"cov shape (3, 3), got {mean.shape} and {cov.shape}")
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("state contains non-finite values")
-
-    mean_pred = model.A @ mean
-    cov_pred = model.A @ cov @ model.A.T + model.W
-
-    c_cov = model.C @ cov_pred                  # (channels, 3), used twice
-    S = c_cov @ model.C.T + model.Q
-    if not _certified(model, cov_pred):
-        cond = np.linalg.cond(S)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise NumericError(
-                f"innovation covariance numerically singular "
-                f"(condition estimate {cond:.3e})"
-            )
-    gain = np.linalg.solve(S, c_cov).T    # (3, channels)
-
-    innovation = observation - model.C @ mean_pred
-    mean = mean_pred + gain @ innovation
-    ident = np.eye(3)
-    shrink = ident - gain @ model.C
-    cov = shrink @ cov_pred @ shrink.T + gain @ model.Q @ gain.T
-    cov = (cov + cov.T) / 2.0
-    mean[2] = 1.0                               # pin the bias component
-
-    new_state = KfState(mean=mean, cov=cov)
-    return new_state, mean[:2].copy()
+    mean, cov = _update(model, mean, cov, observation)
+    return KfState(mean=mean, cov=cov), mean[:2].copy()
 
 
 def kf_run(model: KfModel, features: np.ndarray) -> np.ndarray:
-    """Decode a whole sequence from the start-of-stream state."""
-    features = np.asarray(features, dtype=np.float64)
-    state = kf_init(model)
+    """Decode a whole sequence from the start-of-stream state.
+
+    The same recursion as a :func:`kf_step` loop, bit for bit, but the
+    feature array is checked once, with :func:`kf_step`'s messages.
+    """
+    features = _observations(model, features)
+    mean, cov = astuple(kf_init(model))
     out = np.empty((len(features), 2))
-    for t, obs in enumerate(features):
-        state, out[t] = kf_step(model, state, obs)
+    for t, observation in enumerate(features):
+        mean, cov = _update(model, mean, cov, observation)
+        out[t] = mean[:2]
     return out

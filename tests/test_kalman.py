@@ -1,13 +1,20 @@
+import contextlib
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snndecode import container
+from snndecode.checkpoint import save_kf
 from snndecode.data import Standardizer, split_train_val, synth_generate
 from snndecode.errors import NumericError
-from snndecode.kalman import (_COND_LIMIT, KfModel, KfState, _certified,
+from snndecode.kalman import (_COND_LIMIT, KF_ARRAYS, KfModel, KfState,
                               kf_fit, kf_init, kf_run, kf_step)
 from snndecode.metrics import pearson
 
@@ -109,22 +116,29 @@ def test_bias_component_stays_pinned():
         assert state.mean[2] == 1.0
 
 
-def _counting_cond(monkeypatch):
-    """Count the calls to ``np.linalg.cond`` from here on."""
-    calls, cond = [], np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond",
-                        lambda *a, **kw: calls.append(1) or cond(*a, **kw))
+def _counting(monkeypatch, *names):
+    """Count the calls to the named ``np.linalg`` functions from here on."""
+    calls = []
+
+    def counted(name, function):
+        return lambda *a, **kw: calls.append(name) or function(*a, **kw)
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
     return calls
 
 
-def test_singular_innovation_raises_with_condition(monkeypatch):
+def test_singular_innovation_raises_with_condition():
+    """The all-zero filter has a singular ``Q``: its first step refuses it
+    and names the condition estimate, from ``kf_step`` and ``kf_run``."""
     model = KfModel(A=np.eye(3), W=np.zeros((3, 3)),
                     C=np.zeros((4, 3)), Q=np.zeros((4, 4)))
     state = KfState(mean=np.array([0.0, 0.0, 1.0]), cov=np.zeros((3, 3)))
-    calls = _counting_cond(monkeypatch)
     with pytest.raises(NumericError, match="cond"):
         kf_step(model, state, np.zeros(4))
-    assert calls == [1]
+    with pytest.raises(NumericError, match="cond"):
+        kf_run(model, np.zeros((3, 4)))
 
 
 def _fitted_session(frames, seed):
@@ -138,68 +152,99 @@ def _fitted_session(frames, seed):
     return model, std.apply_features(session.features).astype(np.float64)
 
 
-def _run_checking_every_frame(model, features):
-    """``kf_run`` as the recursion is written out, with the full condition
-    check on every frame: the reference the certificate must not change."""
-    mean, cov = np.array([0.0, 0.0, 1.0]), np.eye(3)
-    out = np.empty((len(features), 2))
+def _joseph_step(model, mean, cov, observation):
+    """One step of the covariance form, ``S = C P Cᵀ + Q`` solved and the
+    Joseph covariance update: the recursion the information form must
+    reproduce.  Returns ``(mean, cov)``."""
+    mean_pred = model.A @ mean
+    cov_pred = model.A @ cov @ model.A.T + model.W
+    S = model.C @ cov_pred @ model.C.T + model.Q
+    gain = np.linalg.solve(S, model.C @ cov_pred).T
+    mean = mean_pred + gain @ (observation - model.C @ mean_pred)
+    shrink = np.eye(3) - gain @ model.C
+    cov = shrink @ cov_pred @ shrink.T + gain @ model.Q @ gain.T
+    mean[2] = 1.0
+    return mean, (cov + cov.T) / 2.0
+
+
+def test_run_matches_joseph_form_recursion():
+    """A fitted filter decodes a synth session as the Joseph-form
+    recursion does, to rounding."""
+    for seed, frames in ((11, 2000), (12, 1500)):
+        model, features = _fitted_session(frames, seed)
+        mean, cov = np.array([0.0, 0.0, 1.0]), np.eye(3)
+        want = np.empty((len(features), 2))
+        for t, observation in enumerate(features):
+            mean, cov = _joseph_step(model, mean, cov, observation)
+            want[t] = mean[:2]
+        np.testing.assert_allclose(kf_run(model, features), want,
+                                   rtol=0.0, atol=1e-10)
+
+
+def test_run_equals_step_loop_byte_for_byte():
+    """``kf_run`` checks the features once, then runs the update a
+    ``kf_step`` loop runs: the same bytes."""
+    model, features = _fitted_session(1500, seed=13)
+    state, steps = kf_init(model), np.empty((len(features), 2))
     for t, observation in enumerate(features):
-        mean_pred = model.A @ mean
-        cov_pred = model.A @ cov @ model.A.T + model.W
-        S = model.C @ cov_pred @ model.C.T + model.Q
-        assert np.linalg.cond(S) <= _COND_LIMIT
-        gain = np.linalg.solve(S, model.C @ cov_pred).T
-        innovation = observation - model.C @ mean_pred
-        mean = mean_pred + gain @ innovation
-        shrink = np.eye(3) - gain @ model.C
-        cov = shrink @ cov_pred @ shrink.T + gain @ model.Q @ gain.T
-        cov = (cov + cov.T) / 2.0
-        mean[2] = 1.0
-        out[t] = mean[:2]
-    return out
-
-
-def test_run_equals_recursion_with_condition_on_every_frame():
-    """Skipping the SVD on certified frames leaves every output bit."""
-    model, features = _fitted_session(2000, seed=11)
-    assert kf_run(model, features).tobytes() == \
-        _run_checking_every_frame(model, features).tobytes()
+        state, steps[t] = kf_step(model, state, observation)
+    assert kf_run(model, features).tobytes() == steps.tobytes()
 
 
 def test_fitted_model_decodes_without_svd(monkeypatch):
-    """Every frame of a fitted filter on a synth session is certified, so
-    the exact condition number is never computed."""
+    """The condition number of ``Q`` is taken once, by the constructor:
+    decoding takes no condition number and no SVD."""
     model, features = _fitted_session(1500, seed=12)
-    calls = _counting_cond(monkeypatch)
+    calls = _counting(monkeypatch, "cond", "svd")
     kf_run(model, features)
     assert calls == []
+    dataclasses.replace(model)
+    assert calls == ["cond"]
 
 
-def test_model_bounds_follow_q_and_c():
-    """The bounds are derived by the constructor, so ``replace`` derives
-    them again; a ``Q`` that is not exactly symmetric certifies nothing."""
-    model = KfModel(**_matrices(Q=np.diag([1.0, 2.0, 3.0, 4.0])))
-    assert (model.q_lo, model.q_hi) == pytest.approx((1.0, 4.0))
-    assert model.c2 == pytest.approx(12.0)
+def test_derived_fields_follow_q_and_c(tmp_path):
+    """``q_cond``, ``CtQi`` and ``M`` are derived by the constructor, so
+    ``replace`` derives them again; they are not compared, and a ``kf``
+    checkpoint stores only the matrices of ``KF_ARRAYS``."""
+    model = KfModel(**_matrices(Q=np.diag([1.0, 2.0, 4.0, 8.0])))
+    assert model.q_cond == pytest.approx(8.0)
+    assert model.CtQi.flags.c_contiguous
+    np.testing.assert_allclose(model.CtQi,
+                               np.tile([1.0, 0.5, 0.25, 0.125], (3, 1)))
+    np.testing.assert_allclose(model.M, np.full((3, 3), 1.875))
     wider = dataclasses.replace(model, C=2.0 * model.C)
-    assert wider.c2 == pytest.approx(48.0)
-    Q = model.Q.copy()
-    Q[0, 1] = 1e-17
-    skewed = dataclasses.replace(model, Q=Q)
-    assert skewed.q_lo == 0.0
-    assert not _certified(skewed, np.eye(3))
-    assert _certified(model, np.eye(3))
+    np.testing.assert_allclose(wider.M, 4.0 * model.M)
+    singular = dataclasses.replace(model, Q=np.diag([1.0, 1.0, 1.0, 1e-13]))
+    assert singular.q_cond > _COND_LIMIT
+    assert singular.CtQi is None and singular.M is None
+
+    derived = [f.name for f in dataclasses.fields(KfModel)
+               if not (f.init or f.compare or f.repr)]
+    assert derived == ["q_cond", "CtQi", "M"]
+    twin = dataclasses.replace(model)
+    object.__setattr__(twin, "M", -model.M)
+    assert twin == model
+
+    path = tmp_path / "k.ckpt"
+    std = Standardizer(feat_mean=np.zeros(4), feat_std=np.ones(4),
+                       vel_mean=np.zeros(2), vel_std=np.ones(2))
+    save_kf(path, model, std)
+    meta, arrays = container.read(path, container.KF)
+    assert [k for k in arrays if k.startswith("kf.")] == \
+        [f"kf.{name}" for name in KF_ARRAYS]
+    assert set(meta) == {"ridge", "extra"}
 
 
 @st.composite
 def _innovations(draw):
-    """A filter's ``C`` and ``Q`` and a predicted covariance ``P``.
+    """A filter's ``C`` and ``Q``, a predicted covariance ``P``, the kind
+    of ``P``, and ``det(I + P M)`` for the near-singular kind (else None).
 
     ``Q`` is exactly symmetric with condition 1 to 1e14, ``C`` at scales
     from 1e-3 to 1e3, and ``P`` positive semi-definite, indefinite,
     slightly asymmetric, or negative along one direction by just less
-    than what makes ``S`` singular; all but the last at scales from 1e-6
-    to 1e6."""
+    than what makes ``I + P M`` (and so ``S``) singular; all but the last
+    at scales from 1e-6 to 1e6."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw(st.integers(2, 12))
     basis, _ = np.linalg.qr(rng.normal(size=(channels, channels)))
@@ -213,26 +258,88 @@ def _innovations(draw):
     kind = draw(st.sampled_from(
         ("psd", "indefinite", "asymmetric", "near-singular")))
     if kind == "near-singular":
-        # Q - s·u·uᵀ with u = C·e is singular at s = 1 / (uᵀ Q⁻¹ u)
+        # with P = -s·e·eᵀ and u = C·e, det(I + P M) = 1 - s·uᵀ Q⁻¹ u
         e = root[0]
         u = C @ e
-        s = (1.0 - 10.0 ** draw(st.floats(-16, 0))) / (
-            u @ np.linalg.solve(Q, u))
-        return C, Q, -s * np.outer(e, e)
+        margin = 10.0 ** draw(st.floats(-20, 0))
+        s = (1.0 - margin) / (u @ np.linalg.solve(Q, u))
+        return C, Q, -s * np.outer(e, e), kind, margin
     P = root @ root.T if kind != "indefinite" else root + root.T
     if kind == "asymmetric":
         P = P + 10.0 ** draw(st.floats(-12, -1)) * rng.normal(size=(3, 3))
-    return C, Q, P * 10.0 ** draw(st.floats(-6, 6))
+    return C, Q, P * 10.0 ** draw(st.floats(-6, 6)), kind, None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=_innovations())
-def test_certified_frame_is_within_the_condition_limit(case):
-    """Whenever the bounds certify a frame, the exact check would pass."""
-    C, Q, P = case
+def test_one_step_matches_covariance_form(case):
+    """One information-form step against the covariance form.
+
+    A numerically singular ``Q`` or ``I + P M`` is refused.  Where ``P``
+    is positive semi-definite and both forms are well conditioned (``Q``,
+    ``S`` and ``I + P M`` within 1e6), the step matches the Joseph-form
+    step to 1e-8 relative; any other step is refused or finite.  The condition of ``I + P M`` bounds the
+    comparison because the information form loses about that many ulps:
+    with two channels and very informative frames it can reach 1e11 while
+    ``S`` stays near 1."""
+    C, Q, P, kind, det_g = case
     model = KfModel(A=np.eye(3), W=np.zeros((3, 3)), C=C, Q=Q)
-    if _certified(model, P):
-        assert np.linalg.cond(C @ P @ C.T + Q) <= _COND_LIMIT
+    mean = np.array([0.3, -0.2, 1.0])
+    observation = np.linspace(-1.0, 1.0, len(C))
+    def step():
+        return kf_step(model, KfState(mean=mean, cov=P), observation)[0]
+
+    q_cond = np.linalg.cond(Q)
+    if q_cond > _COND_LIMIT or (det_g is not None and det_g < 1e-14):
+        with pytest.raises(NumericError, match="cond"):
+            step()
+        return
+    if not (kind == "psd" and q_cond <= 1e6
+            and np.linalg.cond(C @ P @ C.T + Q) <= 1e6
+            and np.linalg.cond(np.eye(3) + P @ model.M, 1) <= 1e6):
+        with contextlib.suppress(NumericError):
+            state = step()
+            assert np.isfinite(state.mean).all()
+            assert np.isfinite(state.cov).all()
+        return
+    state = step()
+    want_mean, want_cov = _joseph_step(model, mean, P, observation)
+    for got, want in ((state.mean, want_mean), (state.cov, want_cov)):
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_fit_and_run_same_bytes_at_1_and_4_threads():
+    """``kf_fit`` and ``kf_run`` give the same bytes at 1 and 4 BLAS
+    threads, each run in a fresh process."""
+    def run(threads):
+        env = dict(os.environ,
+                   OMP_NUM_THREADS=str(threads),
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   MKL_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_JOB], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        return proc.stdout.strip()
+
+    assert run(1) == run(4), "Kalman filter differs across BLAS threads"
+
+
+_THREAD_JOB = """
+import hashlib
+import numpy as np
+from snndecode.data import Standardizer, split_train_val, synth_generate
+from snndecode.kalman import KF_ARRAYS, kf_fit, kf_run
+
+train, val = split_train_val(synth_generate(12000, seed=3))
+std = Standardizer.fit(train)
+ftr, vtr = std.apply(train)
+model = kf_fit(ftr.astype(np.float64), vtr.astype(np.float64))
+out = kf_run(model, std.apply_features(val.features).astype(np.float64))
+digest = hashlib.sha256(out.tobytes())
+for name in KF_ARRAYS:
+    digest.update(getattr(model, name).tobytes())
+print(digest.hexdigest())
+"""
 
 
 @pytest.mark.parametrize("mean, cov, message", [
@@ -326,7 +433,11 @@ def test_model_is_frozen():
 
 @pytest.mark.parametrize("shape", [(3,), (4, 1), ()])
 def test_misshaped_observation_refused(shape):
-    """An observation of another shape is refused before any arithmetic."""
+    """An observation of another shape is refused before any arithmetic,
+    by ``kf_step`` and by ``kf_run``'s check of the whole array alike."""
     model = KfModel(**_matrices())
-    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+    message = re.escape(f"expected an observation of shape (4,), got {shape}")
+    with pytest.raises(ValueError, match=message):
         kf_step(model, kf_init(model), np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        kf_run(model, np.zeros((2, *shape)))
