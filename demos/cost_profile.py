@@ -16,7 +16,6 @@ from snndecode.profiler import (
     ann_report,
     compare_report,
     count_spikes,
-    mlp_mac_count,
     snn_cost,
 )
 from snndecode.train import TrainConfig, decoder_spec, fit, make_windows
@@ -49,5 +48,3 @@ print(table.to_text())
 ref = snn_cost(spec, (0.26, 0.24, 0.09))
 print(f"reference operating point: total_ops={ref.total_ops:,} "
       f"mem={ref.mem_access:,}")
-print(f"for scale, this topology evaluated densely would be "
-      f"{mlp_mac_count(spec.layer_widths):,} MACs")

@@ -1,8 +1,12 @@
 """Evaluation metrics: Pearson correlation and mean squared error.
 
+:func:`evaluate` is the one scorer: training's validation, ``eval``,
+``stream`` and ``kf`` all score their decode with it.  It scores a
+prediction column whose values are all equal (a silent decoder's) as
+NaN, since it has no correlation, and the others with :func:`pearson`.
 :func:`check_targets` is the one rule of what can be scored: every path
-that scores a decode (training's validation, ``eval``, ``stream``, ``kf``)
-checks its true velocities with it before it decodes or fits.
+checks its true velocities with it before it decodes or fits, and
+:func:`evaluate` checks them again.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ def pearson(a, b) -> float:
     da = a - a.mean()
     db = b - b.mean()
     norm = np.sqrt((da * da).sum() * (db * db).sum())
-    if norm == 0.0:
+    # the mean of equal values can differ from them by rounding, so a
+    # constant is found by comparing its values
+    if norm == 0.0 or (a == a[0]).all() or (b == b[0]).all():
         raise ValueError("correlation undefined for zero-variance input")
     r = float((da * db).sum() / norm)
     return min(1.0, max(-1.0, r))
@@ -84,7 +90,11 @@ class MetricReport:
 
 
 def evaluate(predictions: np.ndarray, targets: np.ndarray) -> MetricReport:
-    """Metric report for a decoded sequence, one correlation per output."""
+    """Metric report for a decoded sequence, one correlation per output.
+
+    Targets :func:`check_targets` refuses raise its ``ValueError``; a
+    constant prediction column scores NaN, and so does ``r_mean`` then.
+    """
     predictions = np.asarray(predictions)
     targets = np.asarray(targets)
     if predictions.shape != targets.shape or predictions.ndim != 2:
@@ -92,8 +102,10 @@ def evaluate(predictions: np.ndarray, targets: np.ndarray) -> MetricReport:
             f"expected matching (frames, outputs) arrays, got "
             f"{predictions.shape} and {targets.shape}"
         )
+    check_targets(targets)
+    flat = (predictions == predictions[0]).all(axis=0)
     rs = tuple(
-        pearson(predictions[:, d], targets[:, d])
+        float("nan") if flat[d] else pearson(predictions[:, d], targets[:, d])
         for d in range(predictions.shape[1])
     )
     return MetricReport(

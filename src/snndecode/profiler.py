@@ -8,7 +8,9 @@ happens only when the presynaptic neuron actually fired.  Costs are
 folded to a single comparable unit by counting a fixed number of
 additions as one MAC-equivalent, and memory traffic per operation
 class (loads of the two operands plus accumulator traffic) is tallied
-alongside.
+alongside.  :class:`OpReport` is built from the MAC and add counts
+alone and is the one owner of these identities: its ``total_ops`` and
+``mem_access`` are derived from the two counts.
 
 Normalization is folded into the weights and a per-neuron bias, as the
 inference pass runs it; the bias adds, threshold comparisons and resets
@@ -35,28 +37,29 @@ MEM_PER_ADD = 3             # weight + accumulator read, one store
 DENSE_ANN_MACS = 529_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpReport:
-    """Operation and memory tallies for one inference (one frame)."""
+    """Operation and memory tallies for one inference (one frame).
+
+    Built from the two raw counts, which must be non-negative; the
+    cost-model identities derive the rest.
+    """
 
     mac_count: int
     add_count: int
-    total_ops: int              # MAC-equivalents
-    mem_access: int
 
+    def __post_init__(self):
+        if self.mac_count < 0 or self.add_count < 0:
+            raise ValueError("operation counts must be nonnegative")
 
-def make_report(mac_count: int, add_count: int) -> OpReport:
-    """Build a report from raw counts, applying the cost-model identities."""
-    mac_count = int(mac_count)
-    add_count = int(add_count)
-    if mac_count < 0 or add_count < 0:
-        raise ValueError("operation counts must be nonnegative")
-    return OpReport(
-        mac_count=mac_count,
-        add_count=add_count,
-        total_ops=mac_count + math.ceil(add_count / ADDS_PER_MAC),
-        mem_access=MEM_PER_MAC * mac_count + MEM_PER_ADD * add_count,
-    )
+    @property
+    def total_ops(self) -> int:
+        """MAC-equivalents: every MAC, plus the adds at the exchange rate."""
+        return self.mac_count + math.ceil(self.add_count / ADDS_PER_MAC)
+
+    @property
+    def mem_access(self) -> int:
+        return MEM_PER_MAC * self.mac_count + MEM_PER_ADD * self.add_count
 
 
 @dataclass
@@ -96,8 +99,8 @@ def snn_cost(spec: NetworkSpec, spike_rates) -> OpReport:
     one membrane update per neuron, readout included.  Additions: each
     hidden layer's outgoing weights are added only on spikes, so the
     expected count scales with that layer's firing rate.  Expected
-    fractional counts are rounded to the nearest integer before the
-    report identities apply.
+    fractional counts are rounded to the nearest integer before
+    :class:`OpReport` applies its identities.
     """
     rates = [float(r) for r in np.atleast_1d(spike_rates)]
     if len(rates) != spec.n_hidden:
@@ -111,20 +114,12 @@ def snn_cost(spec: NetworkSpec, spike_rates) -> OpReport:
     mac = widths[0] * widths[1] + spec.neuron_count
     add = sum(rates[l] * widths[l + 1] * widths[l + 2]
               for l in range(spec.n_hidden))
-    return make_report(mac, int(round(add)))
-
-
-def mlp_mac_count(layer_widths) -> int:
-    """MACs of one dense fully connected pass over the given widths."""
-    widths = [int(w) for w in layer_widths]
-    if not widths:
-        raise ValueError("need at least one layer width")
-    return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+    return OpReport(int(mac), int(round(add)))
 
 
 def ann_report(mac_count: int) -> OpReport:
     """Report for a dense network: MACs only, no event-driven additions."""
-    return make_report(mac_count, 0)
+    return OpReport(int(mac_count), 0)
 
 
 def _fmt_k(value: int) -> str:

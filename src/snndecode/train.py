@@ -19,7 +19,7 @@ import numpy as np
 from .backprop import backward, window_loss
 from .batchnorm import EVAL, TRAIN
 from .errors import NumericError
-from .metrics import check_targets, pearson
+from .metrics import check_targets, evaluate
 from .network import (
     NetworkParams,
     NetworkSpec,
@@ -237,13 +237,7 @@ def _validation_r(params, spec, features, velocities):
     afresh, not cached and frozen; the kernel is the one
     :func:`decode_sequence` runs, so the rows are the same bits."""
     preds, _ = _eval_pass(_fold(params, spec), spec, features)
-    rs = []
-    for d in range(preds.shape[-1]):
-        try:
-            rs.append(pearson(preds[0, :, d], velocities[:, d]))
-        except ValueError:          # flat prediction early in training
-            rs.append(float("nan"))
-    return tuple(rs)
+    return evaluate(preds[0], velocities).r_per_dim
 
 
 def fit(dataset: WindowDataset, config: TrainConfig,

@@ -11,9 +11,10 @@ import pytest
 
 from snndecode import cli
 from snndecode import container
-from snndecode.checkpoint import load_snn
+from snndecode.checkpoint import load_snn, save_kf
 from snndecode.cli import main
-from snndecode.data import FrameSet, save_frames, synth_generate
+from snndecode.data import FrameSet, Standardizer, save_frames, synth_generate
+from snndecode.kalman import KfModel
 
 
 @pytest.fixture(scope="module")
@@ -521,6 +522,42 @@ def test_one_frame_validation_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "two frames, got 1" in err and not out
     assert not ckpt.exists() and not (tmp_path / "train.log").exists()
+
+
+def test_kf_model_exactly_singular_update_exits_3(tmp_path, capsys):
+    """A one-channel kf checkpoint whose first ``I + P⁻M`` is exactly
+    singular cannot be inverted at all: exit 3 with an infinite
+    condition estimate."""
+    data, ckpt = tmp_path / "one.bin", tmp_path / "kf.ckpt"
+    assert main(["synth", "--frames", "100", "--channels", "1",
+                 "--out", str(data)]) == 0
+    model = KfModel(A=np.zeros((3, 3)), W=np.diag([-1.0, 0.0, 0.0]),
+                    C=np.array([[1.0, 0.0, 0.0]]), Q=np.array([[1.0]]))
+    save_kf(ckpt, model, Standardizer(feat_mean=np.zeros(1),
+                                      feat_std=np.ones(1),
+                                      vel_mean=np.zeros(2),
+                                      vel_std=np.ones(2)))
+    capsys.readouterr()
+    assert main(["kf", "--data", str(data), "--model", str(ckpt)]) == 3
+    out, err = capsys.readouterr()
+    assert "condition estimate inf" in err and not out
+
+
+def test_flat_decode_scores_nan(trained, dataset, tmp_path, capsys):
+    """A decoder whose normalizers pass no current (every gamma and beta
+    is 0) decodes a constant: eval and stream score it r = nan, as
+    training's validation does, and exit 0."""
+    bad = tmp_path / "flat.ckpt"
+    meta, arrays = container.read(trained[0], "snn")
+    for name, a in arrays.items():
+        if name.endswith((".gamma", ".beta")):
+            a[:] = 0.0
+    container.write(bad, "snn", meta, list(arrays.items()))
+    for command in ("eval", "stream"):
+        assert main([command, "--model", str(bad),
+                     "--data", str(dataset)]) == 0
+        out, err = capsys.readouterr()
+        assert "r1=nan r2=nan r_mean=nan" in out.splitlines() and not err
 
 
 def _flat_vel1(path, frames):

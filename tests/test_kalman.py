@@ -141,6 +141,23 @@ def test_singular_innovation_raises_with_condition():
         kf_run(model, np.zeros((3, 4)))
 
 
+def test_exactly_singular_update_raises_with_infinite_condition():
+    """With ``P⁻ = W = diag(-1, 0, 0)`` and ``M = diag(1, 0, 0)``,
+    ``I + P⁻M`` is exactly singular and cannot be inverted at all; the
+    step reports an infinite condition estimate, from ``kf_step`` and
+    ``kf_run``, and leaves the state it was given unchanged."""
+    model = KfModel(A=np.zeros((3, 3)), W=np.diag([-1.0, 0.0, 0.0]),
+                    C=np.array([[1.0, 0.0, 0.0]]), Q=np.array([[1.0]]))
+    state = kf_init(model)
+    before = (state.mean.copy(), state.cov.copy())
+    with pytest.raises(NumericError, match="condition estimate inf"):
+        kf_step(model, state, np.zeros(1))
+    np.testing.assert_array_equal(state.mean, before[0])
+    np.testing.assert_array_equal(state.cov, before[1])
+    with pytest.raises(NumericError, match="condition estimate inf"):
+        kf_run(model, np.zeros((3, 1)))
+
+
 def _fitted_session(frames, seed):
     """A filter fit on a synth session's train split, and the whole
     session's standardized features."""

@@ -25,6 +25,16 @@ def test_zero_variance_is_an_error():
         pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
 
 
+@pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+def test_constant_whose_mean_rounds_off_it_is_an_error(value):
+    """The mean of three 0.1s is not 0.1, so the deviations are not all
+    zero; a constant input is still refused, not scored 0."""
+    with pytest.raises(ValueError, match="zero-variance"):
+        pearson([value] * 3, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="zero-variance"):
+        pearson([1.0, 2.0, 3.0], [value] * 3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_input_is_an_error(bad):
     """A NaN used to pass the variance check and clamp to r = -1."""
@@ -88,3 +98,30 @@ def test_evaluate_report():
 def test_evaluate_shape_check():
     with pytest.raises(ValueError):
         evaluate(np.zeros((5, 2)), np.zeros((6, 2)))
+
+
+def test_evaluate_scores_a_constant_prediction_as_nan():
+    """A decode whose output column never changes has no correlation: it
+    scores NaN, as does ``r_mean``, and the other column still scores."""
+    targets = np.array([[0.0, 1.0], [1.0, 0.5], [3.0, 2.0], [2.0, -1.0]])
+    preds = np.column_stack([np.full(4, 0.1), targets[:, 1] * 2.0 + 1.0])
+    report = evaluate(preds, targets)
+    assert np.isnan(report.r_per_dim[0])
+    assert report.r_per_dim[1] == pytest.approx(1.0)
+    assert np.isnan(report.r_mean)
+    assert report.mse == pytest.approx(np.mean((preds - targets) ** 2))
+    assert report.lines()[1] == "r1=nan r2=1.0000 r_mean=nan"
+
+
+@pytest.mark.parametrize("targets, match", [
+    pytest.param(np.ones((1, 2)), "two frames, got 1", id="one-frame"),
+    pytest.param([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], "column 2 is constant",
+                 id="constant-column"),
+])
+def test_evaluate_refuses_unscorable_targets(targets, match):
+    """``evaluate`` applies ``check_targets``: targets with no correlation
+    are refused with its message, whatever the predictions."""
+    targets = np.asarray(targets)
+    preds = np.arange(targets.size, dtype=float).reshape(targets.shape)
+    with pytest.raises(ValueError, match=match):
+        evaluate(preds, targets)

@@ -8,11 +8,10 @@ from snndecode.profiler import (
     ADDS_PER_MAC,
     MEM_PER_ADD,
     MEM_PER_MAC,
+    OpReport,
     ann_report,
     compare_report,
     count_spikes,
-    make_report,
-    mlp_mac_count,
     snn_cost,
 )
 from snndecode.train import decode_sequence
@@ -77,17 +76,18 @@ def test_cost_monotone_in_rates():
 
 
 def test_report_identities():
+    """An ``OpReport`` built directly from its two counts derives its
+    totals by the cost-model identities, and is a frozen value."""
     for mac, add in [(10, 0), (0, 10), (123, 457), (1, 1)]:
-        rep = make_report(mac, add)
+        rep = OpReport(mac, add)
         assert rep.total_ops == mac + math.ceil(add / 3)
         assert rep.mem_access == 4 * mac + 3 * add
+    assert OpReport(123, 457) == OpReport(mac_count=123, add_count=457)
+    with pytest.raises(AttributeError):
+        rep.mac_count = 2
 
 
-def test_mlp_mac_counts():
-    assert mlp_mac_count([2, 3]) == 6
-    assert mlp_mac_count([96, 256, 256, 256, 2]) == 156_160
-    with pytest.raises(ValueError, match="at least one layer width"):
-        mlp_mac_count([])
+def test_ann_report():
     rep = ann_report(529_000)
     assert rep.mem_access == 2_116_000
     assert rep.add_count == 0
@@ -97,9 +97,9 @@ def test_cost_model_validation():
     """The published exchange rates, and no negative operation counts."""
     assert (ADDS_PER_MAC, MEM_PER_MAC, MEM_PER_ADD) == (3, 4, 3)
     with pytest.raises(ValueError):
-        make_report(-1, 0)
+        OpReport(-1, 0)
     with pytest.raises(ValueError):
-        make_report(0, -1)
+        OpReport(0, -1)
 
 
 def test_count_spikes_zero_weights_silent():
@@ -166,7 +166,7 @@ def test_compare_report_needs_a_counting_reference():
     counts no operations, is refused."""
     with pytest.raises(ValueError, match="at least one report"):
         compare_report([])
-    empty = make_report(0, 0)
+    empty = OpReport(0, 0)
     with pytest.raises(ValueError, match="reference 'none' counts no"):
         compare_report([("none", empty), ("ann", ann_report(529_000))])
 
