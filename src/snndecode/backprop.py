@@ -13,7 +13,9 @@ first resolves the time recurrence back to front, then the normalizer,
 then the weights, handing the remaining gradient to the layer below.
 One loop serves both reset modes and the readout: each differs only in
 what a spike removes and in the leak, which are set once per layer
-before the loop.
+before the loop.  The loop writes each timestep's gradient straight into
+one buffer per layer, which the normalizer's backward then overwrites
+with the gradient to the currents; the cache itself is only read.
 
 Spike generation is a step function, so its true derivative is useless;
 gradient crosses it through the box-window surrogate.  What `backward`
@@ -140,7 +142,7 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             r = s = 0.0
         else:
             if cache.masks[l] is not None:
-                grad_out = grad_out * cache.masks[l].transpose(1, 0, 2)
+                grad_out *= cache.masks[l].transpose(1, 0, 2)
             window = surrogate_grad(u, thr)             # d s[t] / d u[t]
             s = u >= thr
             if spec.reset_mode == RESET_SUBTRACT:
@@ -152,30 +154,33 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
         kick = np.broadcast_to(tau * r, u.shape)        # -d u[t+1] / d s[t]
         dtau = u - r * s                                # d u[t+1] / d tau
 
-        grad_norm = np.empty_like(u)              # dL/d(normalized current)
+        # dL/d(normalized current), then in place dL/d(current)
+        grad_norm = np.empty_like(u)
         grad_tau = np.zeros_like(tau)
         gu_next = np.zeros_like(u[0])
         for t in reversed(range(T)):
             gs = grad_out[t] - gu_next * kick[t]
-            gu = gs * window[t] + gu_next * leak[t]
+            gu = np.multiply(gs, window[t], out=grad_norm[t])
+            gu += gu_next * leak[t]
             if t > 0:
                 grad_tau += (gu * dtau[t - 1]).sum(axis=0)
-            grad_norm[t] = gu
             gu_next = gu
 
         grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
-            grad_norm, cache.xhat[l], cache.inv_std[l], layer.norm.gamma, thr)
+            grad_norm, cache.xhat[l], cache.inv_std[l], layer.norm.gamma, thr,
+            out=grad_norm)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs
         grad_rows = grad_cur.reshape(T * B, -1)
         grad_weight = _blocked_gemm(grad_rows.T, act_in.reshape(T * B, -1))
         if l > 0:                   # the network input needs no gradient
-            grad_out = _blocked_gemm(grad_rows, layer.weight)
-            grad_out = grad_out.reshape(act_in.shape)
+            grad_out = _blocked_gemm(grad_rows, layer.weight).reshape(T, B, -1)
 
-        finite = np.isfinite(grad_cur).all(axis=(1, 2))     # per timestep
-        if not (finite.all() and np.isfinite(grad_weight).all()
+        # a non-finite entry of grad_cur makes its whole row of grad_weight
+        # non-finite, so grad_cur is read only to name the timestep
+        if not (np.isfinite(grad_weight).all()
                 and np.isfinite(grad_tau).all()):
+            finite = np.isfinite(grad_cur).all(axis=(1, 2))
             raise NumericError(f"non-finite gradient in layer {l} around "
                                f"timestep {int(np.argmin(finite))}")
 

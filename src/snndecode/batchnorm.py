@@ -32,12 +32,15 @@ TRAIN = "train"
 EVAL = "eval"
 
 
-def batch_stats(currents: np.ndarray):
+def batch_stats(currents: np.ndarray, out: np.ndarray | None = None):
     """Per-channel mean and population variance over every leading axis.
 
     ``currents`` has shape ``(..., channels)``; all axes except the last
     are pooled, so a ``(batch, time, channels)`` tensor is reduced over
-    batch and time jointly.
+    batch and time jointly.  The variance is ``np.var``'s arithmetic, bit
+    for bit: the mean of the squared deviations from the mean.  ``out``,
+    when given, is an array of ``currents``' shape that receives those
+    squared deviations, so the caller can reuse it.
     """
     currents = np.asarray(currents)
     pop = int(np.prod(currents.shape[:-1]))
@@ -45,29 +48,37 @@ def batch_stats(currents: np.ndarray):
         raise ValueError("normalization population is empty")
     flat = currents.reshape(pop, currents.shape[-1])
     mean = flat.mean(axis=0)
-    var = flat.var(axis=0)
-    return mean, var
+    dev = np.subtract(currents, mean, out=out)
+    return mean, np.square(dev, out=dev).reshape(flat.shape).mean(axis=0)
 
 
-def normalize(currents, mean, var, gamma, beta, threshold, eps):
+def normalize(currents, mean, var, gamma, beta, threshold, eps,
+              out=(None, None)):
     """Apply the threshold-scaled affine normalization with given statistics.
 
     Returns ``(out, xhat, inv_std)`` where ``xhat`` is the standardized
-    input, kept because the backward pass needs it.
+    input, kept because the backward pass needs it.  ``out`` is the pair
+    of arrays of ``currents``' shape that receive ``out`` and ``xhat``, in
+    that order, where either is not None; ``xhat``'s may be ``currents``
+    itself, which is otherwise left untouched.  The bits are the same
+    either way.
     """
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (currents - mean) * inv_std
-    out = threshold * gamma * xhat + beta
-    return out, xhat, inv_std
+    xhat = np.subtract(currents, mean, out=out[1])
+    xhat *= inv_std
+    normed = np.multiply(threshold * gamma, xhat, out=out[0])
+    return np.add(normed, beta, out=normed), xhat, inv_std
 
 
-def tdbn_backward(grad_out, xhat, inv_std, gamma, threshold):
+def tdbn_backward(grad_out, xhat, inv_std, gamma, threshold, out=None):
     """Backward pass through training-mode normalization.
 
     ``grad_out`` and ``xhat`` have shape ``(..., channels)`` with the same
     pooled population the forward pass used.  Returns the gradient with
     respect to the raw currents plus the per-channel gamma and beta
-    gradients.
+    gradients.  ``out``, when given, is an array of ``grad_out``'s shape
+    that receives the gradient to the currents; it may be ``grad_out``
+    itself, which is otherwise left untouched.
     """
     channels = grad_out.shape[-1]
     flat_grad = grad_out.reshape(-1, channels)
@@ -78,7 +89,7 @@ def tdbn_backward(grad_out, xhat, inv_std, gamma, threshold):
     # standard batch-norm backward on xhat, with the extra threshold*gamma
     # factor folded into one per-channel scale
     scale = (threshold * gamma) * inv_std
-    grad_in = grad_out * scale
+    grad_in = np.multiply(grad_out, scale, out=out)
     grad_in -= xhat * (scale * grad_xhat_dot / pop)
     grad_in -= scale * grad_beta / pop
     return grad_in, threshold * grad_xhat_dot, grad_beta

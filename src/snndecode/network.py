@@ -13,7 +13,15 @@ recurrence, :func:`_recurrence`, advances the membranes in both:
   and batch rows, normalizes with the pooled batch and time statistics,
   keeps the potentials, applies dropout, and records every intermediate
   the backward pass needs in a :class:`TrainingCache`, time-major as it
-  computed them;
+  computed them.  It makes two full-size arrays per layer for the
+  normalizer and reuses each: the product's buffer receives the
+  standardized currents ``xhat``, and the squared deviations'
+  buffer from :func:`~snndecode.batchnorm.batch_stats` receives the
+  normalized currents, which the recurrence turns into the potentials in
+  place.  Spikes and the dropout draw stay bool until the scaled mask and
+  the fed activation are made from them.  Every buffer is new to the
+  call, so each call's cache owns its arrays, and no later call or
+  backward pass overwrites them;
 * the inference pass (:func:`_eval_pass`, :func:`forward_unfolded` in
   ``"eval"`` mode) runs one matmul per frame on weights with the
   normalizer folded in (:func:`_fold`), adds the folded bias and advances
@@ -231,7 +239,9 @@ class TrainingCache:
     ``l + 1`` (its spikes, ``potentials[l] >= threshold``, after
     dropout), and ``xhat``/``inv_std`` are the normalizer intermediates.
     ``mean``/``var`` hold the batch statistics so the trainer can advance
-    the running averages.
+    the running averages.  The arrays belong to this cache alone: the
+    pass that made it allocated them, and neither a later pass nor
+    :func:`~snndecode.backprop.backward` writes them.
     """
 
     inputs: np.ndarray                      # (T, B, in_width)
@@ -564,41 +574,41 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
 
     # the training pass runs time-major, (T, B, w)
     B, T, _ = windows.shape
-    act = np.ascontiguousarray(windows.transpose(1, 0, 2))
-    cache = TrainingCache(inputs=act)
+    inputs = act = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    keep = 1.0 - spec.dropout_p
+    per_layer = []
     for l, layer in enumerate(params.layers):
-        fan_in, width = spec.layer_widths[l:l + 2]
         # one blocked matmul over all (time*batch) rows: fastest path
-        cur = _blocked_gemm(act.reshape(T * B, fan_in), layer.weight.T)
-        cur = cur.reshape(T, B, width)
+        cur = _blocked_gemm(act.reshape(-1, act.shape[-1]), layer.weight.T)
+        cur = cur.reshape(T, B, cur.shape[-1])
 
-        n = layer.norm
-        mean, var = batchnorm.batch_stats(cur)
-        # the normalized currents, which the recurrence turns into the
-        # potentials in place
+        # the squared deviations' buffer becomes the normalized currents,
+        # which the recurrence turns into the potentials in place; the
+        # product becomes xhat
+        u = np.empty_like(cur)
+        mean, var = batchnorm.batch_stats(cur, out=u)
         u, xhat, inv_std = batchnorm.normalize(
-            cur, mean, var, n.gamma, n.beta, spec.threshold, spec.bn_eps)
+            cur, mean, var, layer.norm.gamma, layer.norm.beta,
+            spec.threshold, spec.bn_eps, out=(u, cur))
 
         _recurrence(u, layer.tau, np.zeros_like(u[0]),
                     None if l == spec.n_hidden else spec)
         mask = act = None
         if l < spec.n_hidden:
-            act = (u >= spec.threshold).astype(u.dtype)
+            fired = u >= spec.threshold
             if spec.dropout_p > 0.0:
-                keep = 1.0 - spec.dropout_p
-                mask = (rng.random(size=act.shape) < keep).astype(u.dtype)
-                mask = mask / keep          # inverted scaling: eval needs none
-                act = act * mask
+                kept = rng.random(size=u.shape) < keep
+                # inverted scaling: eval needs none
+                mask = np.divide(kept, keep, dtype=u.dtype)
+                fired &= kept
+            act = np.divide(fired, keep, dtype=u.dtype)
 
-        cache.xhat.append(xhat)
-        cache.inv_std.append(inv_std)
-        cache.mean.append(mean)
-        cache.var.append(var)
-        cache.potentials.append(u)
-        cache.masks.append(None if mask is None else mask.transpose(1, 0, 2))
-        cache.fed.append(act)
+        per_layer.append((xhat, inv_std, mean, var, u, None if mask is None
+                          else mask.transpose(1, 0, 2), act))
 
-    return cache.potentials[-1].transpose(1, 0, 2), cache
+    # one list per cache field, in the order TrainingCache declares them
+    cache = TrainingCache(inputs, *map(list, zip(*per_layer)))
+    return u.transpose(1, 0, 2), cache
 
 
 def forward_streaming(params: NetworkParams, spec: NetworkSpec,

@@ -84,7 +84,5 @@ def surrogate_grad(potential, threshold: float):
     window has unit area regardless of where the threshold sits.
     """
     potential = np.asarray(potential)
-    out = (np.abs(potential - threshold) < SURROGATE_HALF_WIDTH).astype(
-        potential.dtype if potential.dtype.kind == "f" else np.float64
-    )
-    return out
+    dtype = potential.dtype if potential.dtype.kind == "f" else np.float64
+    return (np.abs(potential - threshold) < SURROGATE_HALF_WIDTH).astype(dtype)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchnorm import EVAL
-from .network import NetworkParams, NetworkSpec, forward_unfolded
+from .network import NetworkParams, NetworkSpec, _is_int, forward_unfolded
 
 
 # Exchange rates between operation classes and memory accesses.
@@ -41,16 +41,20 @@ DENSE_ANN_MACS = 529_000
 class OpReport:
     """Operation and memory tallies for one inference (one frame).
 
-    Built from the two raw counts, which must be non-negative; the
-    cost-model identities derive the rest.
+    Built from the two raw counts, each a non-negative integer of Python
+    or numpy (not a bool, a float or NaN), or ``ValueError`` names it;
+    the cost-model identities derive the rest.
     """
 
     mac_count: int
     add_count: int
 
     def __post_init__(self):
-        if self.mac_count < 0 or self.add_count < 0:
-            raise ValueError("operation counts must be nonnegative")
+        for name in ("mac_count", "add_count"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0):
+                raise ValueError(f"{name}={value!r} is not a non-negative "
+                                 f"integer")
 
     @property
     def total_ops(self) -> int:
@@ -118,8 +122,9 @@ def snn_cost(spec: NetworkSpec, spike_rates) -> OpReport:
 
 
 def ann_report(mac_count: int) -> OpReport:
-    """Report for a dense network: MACs only, no event-driven additions."""
-    return OpReport(int(mac_count), 0)
+    """Report for a dense network: MACs only, no event-driven additions.
+    ``mac_count`` must be an integer, as :class:`OpReport` says."""
+    return OpReport(mac_count, 0)
 
 
 def _fmt_k(value: int) -> str:

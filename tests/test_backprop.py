@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from snndecode import NetworkSpec, TRAIN, forward_unfolded, init_params
+from snndecode import batchnorm
 from snndecode.backprop import backward, window_loss
 from snndecode.errors import NumericError
 
@@ -283,3 +284,29 @@ class TestGradientFiniteness:
         cache.potentials[-1][0, 1, 0] = np.inf
         with pytest.raises(NumericError):
             backward(cache, params, spec, targets)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer, t", [(3, 2), (2, 0), (1, 1), (0, 2)])
+    def test_error_names_layer_and_first_bad_timestep(self, monkeypatch,
+                                                      layer, t, bad):
+        """A non-finite entry of one layer's gradient to its currents, at
+        one timestep, is reported with that layer and timestep: it reaches
+        the layer's weight gradient, which the check reads."""
+        params = active_params(TINY, seed=140)
+        _, targets, _, cache = run_forward(TINY, params, seed=150)
+        original = batchnorm.tdbn_backward
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            grad_in, *rest = original(*args, **kwargs)
+            if len(calls) == TINY.n_layers - 1 - layer:
+                grad_in[t, 1, -1] = bad
+                grad_in[-1, 0, 0] = bad     # the last timestep too
+            calls.append(None)
+            return (grad_in, *rest)
+
+        monkeypatch.setattr(batchnorm, "tdbn_backward", poisoned)
+        with pytest.raises(NumericError, match=f"non-finite gradient in "
+                           f"layer {layer} around timestep {t}$"):
+            backward(cache, params, TINY, targets)

@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndecode import TRAIN, NetworkSpec, forward_unfolded, init_params
 from snndecode.batchnorm import batch_stats, normalize, tdbn_backward
@@ -180,3 +182,62 @@ class TestTdbnBackward:
                            - scalar_out(x, gamma, bm)) / (2 * h)
         np.testing.assert_allclose(grad_gamma, num_gamma, rtol=1e-5)
         np.testing.assert_allclose(grad_beta, num_beta, rtol=1e-5)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       T=st.integers(1, 4), B=st.integers(1, 5), C=st.integers(1, 6),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+def test_kernels_with_out_keep_the_bits(dtype, T, B, C, scale, seed):
+    """The normalizer kernels give the bits of their textbook expressions,
+    written out here, with and without ``out=``, and leave their inputs
+    untouched unless an input is the ``out``: ``np.var``'s variance, the
+    standardized ``(x - mean) * inv_std`` and ``thr * gamma * xhat +
+    beta``, and the backward's gradient to the currents."""
+    rng = np.random.default_rng(seed)
+    x = (scale * rng.normal(size=(T, B, C)) + rng.normal()).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, C).astype(dtype)
+    beta = rng.normal(size=C).astype(dtype)
+    probe = rng.normal(size=x.shape).astype(dtype)
+    thr, eps = 0.4, 1e-5
+    x0, probe0 = x.copy(), probe.copy()
+
+    flat = x.reshape(-1, C)
+    mean_ref, var_ref = flat.mean(axis=0), flat.var(axis=0)
+    inv_std_ref = 1.0 / np.sqrt(var_ref + eps)
+    xhat_ref = (x - mean_ref) * inv_std_ref
+    out_ref = thr * gamma * xhat_ref + beta
+
+    mean, var = batch_stats(x)
+    assert same_bits(mean, mean_ref) and same_bits(var, var_ref)
+    squares = np.empty_like(x)
+    mean, var = batch_stats(x, out=squares)
+    assert same_bits(mean, mean_ref) and same_bits(var, var_ref)
+    assert same_bits(squares, (x - mean_ref) ** 2)
+    out, xhat, inv_std = normalize(x, mean, var, gamma, beta, thr, eps)
+    assert same_bits(x, x0)
+    for got, want in ((out, out_ref), (xhat, xhat_ref),
+                      (inv_std, inv_std_ref)):
+        assert same_bits(got, want)
+
+    grad_ref, ggamma_ref, gbeta_ref = tdbn_backward(probe, xhat, inv_std,
+                                                    gamma, thr)
+    assert same_bits(probe, probe0)
+    # the training pass's reuse: xhat into the product, out into the
+    # squared deviations, the gradient into the incoming gradient
+    cur = x.copy()
+    out, xhat, inv_std = normalize(cur, mean, var, gamma, beta, thr, eps,
+                                   out=(squares, cur))
+    assert out is squares and xhat is cur
+    assert same_bits(out, out_ref) and same_bits(xhat, xhat_ref)
+    grad, ggamma, gbeta = tdbn_backward(probe, xhat, inv_std, gamma, thr,
+                                        out=probe)
+    assert grad is probe
+    for got, want in ((grad, grad_ref), (ggamma, ggamma_ref),
+                      (gbeta, gbeta_ref)):
+        assert same_bits(got, want)

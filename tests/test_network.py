@@ -349,6 +349,113 @@ KERNEL_JOB = textwrap.dedent("""\
 """)
 
 
+CACHE_LISTS = ("xhat", "inv_std", "mean", "var", "potentials", "masks",
+               "fed")
+
+
+def training_reference(params, spec, windows, rng):
+    """The training pass as :class:`~snndecode.network.TrainingCache`
+    fields, in textbook expressions that each make a fresh array: per
+    layer the blocked product, ``np.var``'s statistics, ``(x - mean) *
+    inv_std``, ``thr * gamma * xhat + beta``, the shared recurrence, and
+    float spikes times the scaled dropout mask drawn from ``rng``."""
+    T = windows.shape[1]
+    act = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    ref = {name: [] for name in CACHE_LISTS}
+    for l, layer in enumerate(params.layers):
+        width, fan_in = layer.weight.shape
+        cur = _blocked_gemm(act.reshape(-1, fan_in), layer.weight.T)
+        cur = cur.reshape(T, -1, width)
+        flat = cur.reshape(-1, width)
+        mean, var = flat.mean(axis=0), flat.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
+        xhat = (cur - mean) * inv_std
+        u = spec.threshold * layer.norm.gamma * xhat + layer.norm.beta
+        network._recurrence(u, layer.tau, np.zeros_like(u[0]),
+                            None if l == spec.n_hidden else spec)
+        mask = act = None
+        if l < spec.n_hidden:
+            act = (u >= spec.threshold).astype(u.dtype)
+            if spec.dropout_p > 0.0:
+                keep = 1.0 - spec.dropout_p
+                mask = (rng.random(size=act.shape) < keep).astype(u.dtype)
+                mask = mask / keep
+                act = act * mask
+        for name, value in zip(CACHE_LISTS, (
+                xhat, inv_std, mean, var, u,
+                None if mask is None else mask.transpose(1, 0, 2), act)):
+            ref[name].append(value)
+    return ref
+
+
+def cache_arrays(cache):
+    """Every array a training cache holds, named by field and layer."""
+    named = {"inputs": cache.inputs}
+    for name in CACHE_LISTS:
+        for l, value in enumerate(getattr(cache, name)):
+            if value is not None:
+                named[f"{name}[{l}]"] = value
+    return named
+
+
+class TestTrainingPass:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           T=st.integers(1, 5), B=st.integers(1, 4),
+           dropout_p=st.sampled_from([0.0, 0.2, 0.5]),
+           reset_mode=st.sampled_from(RESET_MODES),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_textbook_expressions(self, widths, T, B, dropout_p,
+                                          reset_mode, dtype, seed):
+        """Every array of the training cache, and the predictions, have
+        the bits of :func:`training_reference`, which draws the same
+        dropout stream."""
+        spec = NetworkSpec(layer_widths=widths, window_len=T,
+                           dropout_p=dropout_p, reset_mode=reset_mode)
+        params, rng = varied_params(spec, seed, dtype)
+        windows = rng.normal(size=(B, T, spec.input_width)).astype(dtype)
+        preds, cache = forward_unfolded(params, spec, windows, mode=TRAIN,
+                                        rng=np.random.default_rng(seed))
+        ref = training_reference(params, spec, windows,
+                                 np.random.default_rng(seed))
+        assert preds.tobytes() == ref["potentials"][-1].transpose(
+            1, 0, 2).tobytes()
+        for name in CACHE_LISTS:
+            for l, (got, want) in enumerate(zip(getattr(cache, name),
+                                                ref[name])):
+                if want is None:
+                    assert got is None, f"{name}[{l}]"
+                    continue
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"{name}[{l}]"
+
+    @pytest.mark.parametrize("reset_mode", RESET_MODES)
+    def test_cache_is_never_overwritten(self, reset_mode):
+        """A second training pass and the backward pass of the first leave
+        every array of the first pass's cache as it was, and the two
+        caches share no memory."""
+        spec = NetworkSpec(layer_widths=(6, 12, 9, 2), window_len=4,
+                           reset_mode=reset_mode)
+        params = lively_params(spec, seed=40)
+        rng = np.random.default_rng(41)
+        windows = rng.normal(size=(2, 3, 4, 6))
+        targets = rng.normal(size=(3, 4, 2))
+        preds, first = forward_unfolded(params, spec, windows[0],
+                                        mode=TRAIN, rng=rng)
+        before = {name: a.copy() for name, a in cache_arrays(first).items()}
+        kept_preds = preds.copy()
+        _, second = forward_unfolded(params, spec, windows[1], mode=TRAIN,
+                                     rng=rng)
+        backward(first, params, spec, targets, 1)
+        for name, a in cache_arrays(first).items():
+            assert a.tobytes() == before[name].tobytes(), name
+        assert preds.tobytes() == kept_preds.tobytes()
+        for name, a in cache_arrays(first).items():
+            for other, b in cache_arrays(second).items():
+                assert not np.shares_memory(a, b), (name, other)
+
+
 class TestStreaming:
     @pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX", "Sandybridge",
                                         "Prescott"])

@@ -102,6 +102,31 @@ def test_cost_model_validation():
         OpReport(0, -1)
 
 
+@pytest.mark.parametrize("count", [float("nan"), 1.5, 2.0, True, -1,
+                                   np.float64(3.0), "3", None])
+@pytest.mark.parametrize("field", ["mac_count", "add_count"])
+def test_op_report_refuses_non_integer_counts(field, count):
+    """A count that is not a non-negative integer is refused, naming its
+    field: NaN would reach ``ComparisonReport.to_text`` and a fraction
+    the identities."""
+    counts = {"mac_count": 1, "add_count": 1, field: count}
+    with pytest.raises(ValueError, match=f"^{field}="):
+        OpReport(**counts)
+
+
+def test_op_report_takes_numpy_integers():
+    rep = OpReport(np.int64(4), np.uint8(6))
+    assert (rep.total_ops, rep.mem_access) == (6, 34)
+
+
+def test_ann_report_refuses_a_fractional_count():
+    """``ann_report`` passes its count on as it is, not truncated."""
+    for bad in (2.7, float("nan")):
+        with pytest.raises(ValueError, match="^mac_count="):
+            ann_report(bad)
+    assert ann_report(np.int64(7)).mac_count == 7
+
+
 def test_count_spikes_zero_weights_silent():
     spec = NetworkSpec(layer_widths=(4, 8, 8, 8, 2), window_len=3)
     params = init_params(spec, np.random.default_rng(0))
