@@ -167,7 +167,7 @@ def backward(cache: TrainingCache, params: NetworkParams, spec: NetworkSpec,
             gu_next = gu
 
         grad_cur, grad_gamma, grad_beta = batchnorm.tdbn_backward(
-            grad_norm, cache.xhat[l], cache.inv_std[l], layer.norm.gamma, thr,
+            grad_norm, cache.xhat[l], cache.inv_std[l], layer.gamma, thr,
             out=grad_norm)
 
         act_in = cache.fed[l - 1] if l > 0 else cache.inputs

@@ -86,8 +86,7 @@ def load_snn(path):
         extra = meta["extra"]
     with refused(path):
         params = NetworkParams([
-            LayerParams.from_arrays(
-                {name: arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS})
+            LayerParams(*(arrays[f"layer{l}.{name}"] for name in LAYER_ARRAYS))
             for l in range(spec.n_layers)])
         _check_params(params, spec)
     std = _load_standardizer(path, arrays, spec.input_width,

@@ -164,16 +164,30 @@ def _merged_config(args) -> TrainConfig:
         raise ValueError(f"bad training configuration: {exc}") from exc
 
 
-def _check_output_paths(*paths):
+def _check_output_paths(args):
     """Refuse an output path that is empty, names a directory (a trailing
-    separator does) or lies in a missing one, so a typo ends the command
-    before its work, not after; creates nothing."""
-    for path in paths:
-        if path is not None and (
-                not path or path.endswith(os.sep) or os.path.isdir(path)
+    separator does) or lies in a missing one, or that names an input or
+    an earlier output, so a typo ends the command before its work, not
+    after; creates nothing."""
+    given = {name: getattr(args, name, None) for name in _INPUTS + _OUTPUTS}
+    seen = [given[name] for name in _INPUTS if given[name] is not None]
+    for path in (given[name] for name in _OUTPUTS if given[name] is not None):
+        if (not path or path.endswith(os.sep) or os.path.isdir(path)
                 or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
             raise DataError(f"cannot write output {path!r}: it is empty or "
                             f"a directory, or its directory does not exist")
+        for other in seen:
+            if _same_file(path, other):
+                raise DataError(f"cannot write output {path!r}: it is also "
+                                f"{other!r}, which the command reads or "
+                                f"writes")
+        seen.append(path)
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, through links too."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 def _check_channels(data_path, frames: FrameSet, channels: int):
@@ -240,10 +254,15 @@ def _cmd_train(args) -> int:
 def _load_checkpoint(model_path, data_path, which):
     """Shared eval/stream/profile loading: the decoder, the split
     ``which``, the index of its first frame in the file and its
-    standardized features."""
+    standardized features.  A recording of another channel or velocity
+    count than the decoder's is refused before any decode."""
     params, spec, std, _ = ckpt.load_snn(model_path)
     frames = load_frames(data_path)
     _check_channels(data_path, frames, spec.input_width)
+    if frames.velocities.shape[1] != spec.output_width:
+        raise DataError(f"{model_path}: decodes {spec.output_width} "
+                        f"velocities, {data_path} holds "
+                        f"{frames.velocities.shape[1]}")
     subset, offset = frames, 0
     if which != "all":
         train, val = _split(data_path, frames)
@@ -356,17 +375,17 @@ _COMMANDS = {
     "kf": _cmd_kf,
 }
 
-# The output flags, as argparse names them; main checks the paths of
-# those a subcommand has before any work.
+# The output and input flags, as argparse names them; main checks the
+# output paths a subcommand has before any work.
 _OUTPUTS = ("out", "log", "trace", "json_out")
+_INPUTS = ("data", "model", "config")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_output_paths(*(getattr(args, name, None)
-                              for name in _OUTPUTS))
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

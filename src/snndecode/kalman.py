@@ -79,7 +79,8 @@ class KfModel:
                 raise ValueError(
                     f"{name} is {getattr(arr, 'dtype', type(arr))} of shape "
                     f"{np.shape(arr)}, not finite float64 of shape {want}")
-        if not (isinstance(self.ridge, (int, float))
+        if isinstance(self.ridge, bool) or not (
+                isinstance(self.ridge, (int, float))
                 and 0.0 <= self.ridge < np.inf):
             raise ValueError(f"ridge={self.ridge!r} is not a non-negative, "
                              f"finite number")

@@ -41,6 +41,11 @@ rows bit for bit (pinned by the streaming tests and the ``stream``
 command's bit check).  Both drivers refuse non-finite end potentials
 with one rule, :func:`_check_finite`.
 
+A layer, :class:`LayerParams`, is six flat arrays named once in
+:data:`LAYER_ARRAYS`, in checkpoint order: its weights, its decay factors
+and its normalizer's ``gamma``, ``beta``, ``run_mean`` and ``run_var``.
+Every reader takes them from the layer by those names.
+
 One rule, :func:`_check_params`, says what a parameter set must be: the
 topology's layer count and array shapes, one dtype of :data:`DTYPES`
 shared by every layer array, finite values, decay factors in [0, 1] and
@@ -86,9 +91,9 @@ GEMM_BLOCK = 256
 # kernel calls a decode makes and how large its one stage buffer is.
 EVAL_CHUNK = 128
 
-# The arrays of one layer, in checkpoint order: weights, per-neuron decay
-# factors, then the normalizer's affine and running statistics.  The
-# optimizer trains the first four.
+# The arrays of one layer, the fields of LayerParams, in checkpoint order:
+# weights, per-neuron decay factors, then the normalizer's affine and
+# running statistics.  The optimizer trains the first four.
 LAYER_ARRAYS = ("weight", "tau", "gamma", "beta", "run_mean", "run_var")
 TRAINED = LAYER_ARRAYS[:4]
 
@@ -124,10 +129,10 @@ class NetworkSpec:
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
         if len(self.layer_widths) < 2:
             raise ValueError("need at least input and output widths")
-        if not 0.0 < self.threshold < np.inf:
-            raise ValueError(f"threshold={self.threshold!r} is not "
-                             f"positive and finite")
-        p = self.dropout_p
+        t, p = self.threshold, self.dropout_p
+        if isinstance(t, bool) or not (isinstance(t, Real) and 0 < t < np.inf):
+            raise ValueError(f"threshold={t!r} is not a positive and finite "
+                             f"number")
         if isinstance(p, bool) or not (isinstance(p, Real) and 0 <= p < 1):
             raise ValueError(f"dropout_p={p!r}: the dropout probability "
                              f"must be a number in [0, 1)")
@@ -161,36 +166,29 @@ class NetworkSpec:
 
 
 @dataclass
-class NormParams:
-    """Learnable affine and running statistics of one layer's normalizer."""
+class LayerParams:
+    """The six arrays of one layer as fields, declared in
+    :data:`LAYER_ARRAYS` order: weights, per-neuron decay factors, and the
+    normalizer's affine and running statistics.  ``LayerParams(*arrays)``
+    builds one from arrays in that order; ``norm`` is the layer itself."""
 
-    gamma: np.ndarray
+    weight: np.ndarray          # (out_width, in_width)
+    tau: np.ndarray             # (out_width,)
+    gamma: np.ndarray           # (out_width,) each of the rest
     beta: np.ndarray
     run_mean: np.ndarray
     run_var: np.ndarray
 
-
-@dataclass
-class LayerParams:
-    """Weights, per-neuron decay factors, and normalizer of one layer."""
-
-    weight: np.ndarray          # (out_width, in_width)
-    tau: np.ndarray             # (out_width,)
-    norm: NormParams
+    @property
+    def norm(self) -> "LayerParams":
+        # the layer itself; kept for the frozen acceptance gate and oracle,
+        # which read layer.norm.gamma
+        return self
 
     def arrays(self) -> dict:
         """The layer's arrays by name, in :data:`LAYER_ARRAYS` order.  The
         values are the layer's own arrays, not copies."""
-        return {name: getattr(self.norm if hasattr(self.norm, name) else self,
-                              name)
-                for name in LAYER_ARRAYS}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "LayerParams":
-        """The layer holding ``arrays``, which maps every name in
-        :data:`LAYER_ARRAYS` to an array; the arrays are not copied."""
-        weight, tau, *norm = (arrays[name] for name in LAYER_ARRAYS)
-        return cls(weight, tau, NormParams(*norm))
+        return {name: getattr(self, name) for name in LAYER_ARRAYS}
 
 
 @dataclass
@@ -293,12 +291,10 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator,
         layers.append(LayerParams(
             weight=weight.astype(dtype),
             tau=tau.astype(dtype),
-            norm=NormParams(
-                gamma=np.ones(width, dtype=dtype),
-                beta=np.zeros(width, dtype=dtype),
-                run_mean=np.zeros(width, dtype=dtype),
-                run_var=np.ones(width, dtype=dtype),
-            ),
+            gamma=np.ones(width, dtype=dtype),
+            beta=np.zeros(width, dtype=dtype),
+            run_mean=np.zeros(width, dtype=dtype),
+            run_var=np.ones(width, dtype=dtype),
         ))
     return NetworkParams(layers)
 
@@ -334,7 +330,7 @@ def _check_params(params: NetworkParams, spec: NetworkSpec):
         if not 0.0 <= layer.tau.min() <= layer.tau.max() <= 1.0:
             raise ValueError(f"layer{l}.tau has a decay factor out of "
                              f"[0, 1]")
-        if layer.norm.run_var.min() < 0.0:
+        if layer.run_var.min() < 0.0:
             raise ValueError(f"layer{l}.run_var has a negative variance")
 
 
@@ -354,9 +350,8 @@ def _check_writable(params: NetworkParams, names) -> None:
     writable, naming the first that is not: a training step writes them
     in place."""
     for l, layer in enumerate(params.layers):
-        arrays = layer.arrays()
         for name in names:
-            if not arrays[name].flags.writeable:
+            if not getattr(layer, name).flags.writeable:
                 raise ValueError(f"layer{l}.{name} is read-only: a decoded "
                                  f"parameter set must be copied "
                                  f"(copy.deepcopy) before it is trained")
@@ -371,12 +366,11 @@ def _fold(params: NetworkParams, spec: NetworkSpec) -> list:
     rounding.  The threshold scales the standardized current only, not β.
     """
     folded = []
-    for layer in params.layers:
-        n = layer.norm
+    for n in params.layers:
         scale = spec.threshold * n.gamma / np.sqrt(n.run_var + spec.bn_eps)
         # the operand is laid out for act @ W'ᵀ: faster on one frame
-        weight_t = np.ascontiguousarray((scale[:, None] * layer.weight).T)
-        folded.append((weight_t, n.beta - n.run_mean * scale, layer.tau))
+        weight_t = np.ascontiguousarray((scale[:, None] * n.weight).T)
+        folded.append((weight_t, n.beta - n.run_mean * scale, n.tau))
     return folded
 
 
@@ -389,10 +383,8 @@ def _folded(params: NetworkParams, spec: NetworkSpec) -> list:
     every source array read-only, so the arrays cannot change under it.
     """
     sources = []
-    for layer in params.layers:
-        n = layer.norm
-        sources += (layer.weight, layer.tau, n.gamma, n.beta, n.run_mean,
-                    n.run_var)
+    for n in params.layers:
+        sources += (n.weight, n.tau, n.gamma, n.beta, n.run_mean, n.run_var)
     key = (spec.layer_widths, spec.threshold)
     held = params.folded
     if (held is not None and held[0] == key and len(held[1]) == len(sources)
@@ -588,7 +580,7 @@ def forward_unfolded(params: NetworkParams, spec: NetworkSpec,
         u = np.empty_like(cur)
         mean, var = batchnorm.batch_stats(cur, out=u)
         u, xhat, inv_std = batchnorm.normalize(
-            cur, mean, var, layer.norm.gamma, layer.norm.beta,
+            cur, mean, var, layer.gamma, layer.beta,
             spec.threshold, spec.bn_eps, out=(u, cur))
 
         _recurrence(u, layer.tau, np.zeros_like(u[0]),

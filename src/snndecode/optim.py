@@ -31,11 +31,10 @@ class AdamWState:
 
 def adamw_init(params: NetworkParams) -> AdamWState:
     """Zeroed optimizer state matching the parameter shapes."""
-    m, v = [], []
-    for layer in params.layers:
-        arrays = layer.arrays()
-        m.append({name: np.zeros_like(arrays[name]) for name in TRAINED})
-        v.append({name: np.zeros_like(arrays[name]) for name in TRAINED})
+    m = [{name: np.zeros_like(getattr(layer, name)) for name in TRAINED}
+         for layer in params.layers]
+    v = [{name: np.zeros_like(a) for name, a in moments.items()}
+         for moments in m]
     return AdamWState(step=0, m=m, v=v)
 
 
@@ -60,9 +59,8 @@ def adamw_step(params: NetworkParams, grads: Gradients, state: AdamWState,
 
     for l, (layer, grad, m, v) in enumerate(zip(
             params.layers, grads.layers, state.m, state.v)):
-        arrays = layer.arrays()
         for name in TRAINED:
-            p = arrays[name]
+            p = getattr(layer, name)
             g = np.asarray(getattr(grad, name), dtype=p.dtype)
             if name == "weight" and weight_decay:
                 p *= 1.0 - learning_rate * weight_decay

@@ -219,9 +219,8 @@ def _advance_running_stats(params: NetworkParams, cache):
     before anything is written."""
     _check_writable(params, ("run_mean", "run_var"))
     mom = BN_MOMENTUM
-    for l, (layer, mean, var) in enumerate(zip(params.layers, cache.mean,
-                                               cache.var)):
-        n = layer.norm
+    for l, (n, mean, var) in enumerate(zip(params.layers, cache.mean,
+                                           cache.var)):
         n.run_mean *= 1.0 - mom
         n.run_mean += mom * mean.astype(n.run_mean.dtype)
         n.run_var *= 1.0 - mom

@@ -192,6 +192,8 @@ def rewritten(path, edit, kind="snn"):
                  id="bad-threshold"),
     pytest.param(lambda m, a: m["spec"].update(threshold=float("nan")),
                  id="nan-threshold"),
+    pytest.param(lambda m, a: m["spec"].update(threshold=True),
+                 id="bool-threshold"),
     pytest.param(lambda m, a: m["spec"].update(layer_widths=[5, 7.9, 7, 7, 2]),
                  id="fractional-width"),
     pytest.param(lambda m, a: m.pop("extra"), id="no-extra"),
@@ -268,8 +270,8 @@ def test_kf_rejects_misshaped_array(tmp_path, name):
         load_kf(path)
 
 
-@pytest.mark.parametrize("ridge", [-1.0, "0.0", None, [0.0]],
-                         ids=["negative", "string", "null", "list"])
+@pytest.mark.parametrize("ridge", [-1.0, "0.0", None, [0.0], True],
+                         ids=["negative", "string", "null", "list", "bool"])
 def test_kf_rejects_unusable_ridge(tmp_path, ridge):
     path = tmp_path / "k.ckpt"
     save_either(path, "kf")

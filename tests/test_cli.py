@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,10 +12,11 @@ import pytest
 
 from snndecode import cli
 from snndecode import container
-from snndecode.checkpoint import load_snn, save_kf
+from snndecode.checkpoint import load_snn, save_kf, save_snn
 from snndecode.cli import main
 from snndecode.data import FrameSet, Standardizer, save_frames, synth_generate
 from snndecode.kalman import KfModel
+from snndecode.network import NetworkSpec, init_params
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,49 @@ def test_kf_model_rejects_narrow_float(dataset, capsys, tmp_path, dtype):
     assert f"{ckpt}: kf.A is {np.dtype(dtype)}" in err and not out
 
 
+@pytest.mark.parametrize("command", ["eval", "stream", "profile"])
+def test_model_of_another_output_width_exits_2(dataset, tmp_path, capsys,
+                                               monkeypatch, command):
+    """A decoder of three outputs on a recording of two velocities is
+    refused before any decode, naming both files, as a model of another
+    input width is."""
+    spec = NetworkSpec(layer_widths=(96, 8, 3))
+    std = Standardizer(np.zeros(96, np.float32), np.ones(96, np.float32),
+                       np.zeros(3, np.float32), np.ones(3, np.float32))
+    ckpt = tmp_path / "three.ckpt"
+    save_snn(ckpt, init_params(spec, np.random.default_rng(0)), spec, std)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a model of another output width")
+    for name in ("decode_sequence", "forward_streaming", "count_spikes"):
+        monkeypatch.setattr(cli, name, no_decode)
+    assert main([command, "--model", str(ckpt), "--data", str(dataset)]) == 2
+    out, err = capsys.readouterr()
+    assert f"{ckpt}: decodes 3 velocities, {dataset} holds 2" in err
+    assert not out
+
+
+@pytest.mark.parametrize("kind, key", [("snn", "threshold"), ("kf", "ridge")])
+def test_checkpoint_with_a_bool_setting_exits_2(trained, dataset, tmp_path,
+                                                capsys, kind, key):
+    """A checkpoint storing ``true`` for a number it needs is refused at
+    load, naming the file and the setting, not run as the number 1."""
+    ckpt = tmp_path / f"{kind}.ckpt"
+    if kind == "snn":
+        ckpt.write_bytes(trained[0].read_bytes())
+        command = ["eval", "--model", str(ckpt)]
+    else:
+        assert main(["kf", "--data", str(dataset), "--out", str(ckpt)]) == 0
+        command = ["kf", "--model", str(ckpt)]
+    meta, arrays = container.read(ckpt, kind)
+    (meta["spec"] if kind == "snn" else meta)[key] = True
+    container.write(ckpt, kind, meta, list(arrays.items()))
+    capsys.readouterr()
+    assert main([*command, "--data", str(dataset)]) == 2
+    out, err = capsys.readouterr()
+    assert str(ckpt) in err and f"{key}=True" in err and not out
+
+
 def test_kf_model_singular_filter_exits_3(dataset, capsys, tmp_path):
     """A kf checkpoint whose observation matrix and noise are all zeros
     loads (every array is finite), and its first step finds the
@@ -371,6 +416,56 @@ def test_unusable_output_or_reference_exits_2(trained, dataset, tmp_path,
     assert expect.format(**fill) in err
     assert out == ""
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("args, clash", [
+    pytest.param(["train", "--data", "{data}", "--out", "{data}"], "{data}",
+                 id="train-out-is-data"),
+    pytest.param(["train", "--data", "{data}", "--out", "{tmp}/m.ckpt",
+                  "--log", "{tmp}/m.ckpt"], "{tmp}/m.ckpt",
+                 id="train-log-is-out"),
+    pytest.param(["train", "--data", "{data}", "--out", "{tmp}/m.ckpt",
+                  "--log", "{data}"], "{data}", id="train-log-is-data"),
+    pytest.param(["train", "--data", "{data}", "--config", "{config}",
+                  "--out", "{config}"], "{config}", id="train-out-is-config"),
+    pytest.param(["train", "--data", "{data}", "--config", "{config}",
+                  "--out", "{tmp}/m.ckpt", "--log", "{config}"], "{config}",
+                 id="train-log-is-config"),
+    pytest.param(["train", "--data", "{data}", "--out", "{hard_link}"],
+                 "{hard_link}", id="train-out-is-a-hard-link-to-data"),
+    pytest.param(["train", "--data", "{data}", "--out", "{symlink}"],
+                 "{symlink}", id="train-out-is-a-symlink-to-data"),
+    pytest.param(["eval", "--model", "{model}", "--data", "{data}",
+                  "--trace", "{model}"], "{model}", id="eval-trace-is-model"),
+    pytest.param(["eval", "--model", "{model}", "--data", "{data}",
+                  "--trace", "{data}"], "{data}", id="eval-trace-is-data"),
+    pytest.param(["profile", "--model", "{model}", "--data", "{data}",
+                  "--json", "{model}"], "{model}", id="profile-json-is-model"),
+    pytest.param(["profile", "--model", "{model}", "--data", "{data}",
+                  "--json", "{data}"], "{data}", id="profile-json-is-data"),
+    pytest.param(["kf", "--data", "{data}", "--out", "{data}"], "{data}",
+                 id="kf-out-is-data"),
+])
+def test_output_naming_an_input_or_output_exits_2(trained, dataset, tmp_path,
+                                                  capsys, args, clash):
+    """An output that names an input, or an output named before it, also
+    through a link, exits 2 naming it before any work: nothing is printed
+    and every file is left as it was."""
+    fill = {"data": tmp_path / "frames.bin", "model": tmp_path / "in.ckpt",
+            "config": tmp_path / "cfg.json", "tmp": tmp_path,
+            "hard_link": tmp_path / "hard.bin",
+            "symlink": tmp_path / "sym.bin"}
+    fill["data"].write_bytes(dataset.read_bytes())
+    fill["model"].write_bytes(trained[0].read_bytes())
+    fill["config"].write_text(json.dumps({"epochs": 1}))
+    os.link(fill["data"], fill["hard_link"])
+    os.symlink(fill["data"], fill["symlink"])
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([a.format(**fill) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot write output {clash.format(**fill)!r}" in err
+    assert out == ""
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("args", [

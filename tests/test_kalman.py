@@ -432,6 +432,7 @@ def _matrices(**arrays):
     pytest.param({**_matrices(), "ridge": float("nan")}, "ridge",
                  id="nan-ridge"),
     pytest.param({**_matrices(), "ridge": "0"}, "ridge", id="string-ridge"),
+    pytest.param({**_matrices(), "ridge": True}, "ridge", id="bool-ridge"),
 ])
 def test_unusable_model_refused(fields, named):
     """A hand-built filter meets the loaded one's rule: ValueError whose

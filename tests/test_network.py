@@ -1,6 +1,7 @@
 """Tests for the assembled decoder network and its two forward passes."""
 
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -139,6 +140,35 @@ class TestSpec:
         for retired in ({"normalize_output": False}, {"bn_eps": 1e-3}):
             with pytest.raises(TypeError):
                 NetworkSpec(**retired)
+
+    @pytest.mark.parametrize("threshold", [True, "0.4", None, [0.4]],
+                             ids=["bool", "string", "none", "list"])
+    def test_threshold_must_be_a_number(self, threshold):
+        """A threshold that is not a number is refused like any other
+        unusable setting, with ``ValueError`` naming it; a bool is not a
+        number here, as for ``dropout_p``."""
+        with pytest.raises(ValueError, match="threshold"):
+            NetworkSpec(threshold=threshold)
+
+
+class TestLayerParams:
+    def test_fields_are_the_layer_arrays_in_order(self):
+        """A layer is its six arrays, declared in checkpoint order, so
+        ``LayerParams(*arrays)`` rebuilds one from a checkpoint."""
+        assert tuple(f.name for f in dataclasses.fields(network.LayerParams)
+                     ) == LAYER_ARRAYS
+        layer = init_params(SMALL, np.random.default_rng(0)).layers[0]
+        assert list(layer.arrays()) == list(LAYER_ARRAYS)
+        assert all(layer.arrays()[name] is getattr(layer, name)
+                   for name in LAYER_ARRAYS)
+
+    def test_norm_is_the_layer(self):
+        """``layer.norm`` reads, writes and rebinds the layer's own
+        normalizer arrays."""
+        layer = init_params(SMALL, np.random.default_rng(0)).layers[1]
+        assert layer.norm is layer
+        layer.norm.gamma[:] = 2.0
+        np.testing.assert_array_equal(layer.gamma, 2.0)
 
 
 class TestInitParams:
